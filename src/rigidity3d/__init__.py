@@ -13,7 +13,6 @@ from .geometry import (  # noqa: F401
     Convexity,
     ConvexityReport,
     GeometryError,
-    Point3,
     PolyhedralSurface,
     ProjectiveMap,
     SphericalPolygon,

@@ -22,7 +22,6 @@ from .geometry import (
     DEFAULT_TOL,
     PolyhedralSurface,
     Tolerances,
-    diameter,
     dihedral_angle,
 )
 from .hessian import DecompositionError, tetra_angles_and_jacobian
@@ -118,7 +117,7 @@ def sign_vector_from_flex(surface, motion, tol: Tolerances = DEFAULT_TOL):
     norm = float(np.linalg.norm(motion.flat))
     if norm == 0.0:
         return SignVector({e: 0 for e in rates})
-    scale = diameter(surface.vertices) / norm
+    scale = surface.diameter / norm
     return SignVector(
         {
             e: (0 if abs(r * scale) <= SIGN_RATE_TOL else (1 if r > 0 else -1))

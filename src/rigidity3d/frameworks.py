@@ -10,10 +10,11 @@ equilibrium stresses span its left null space.
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
-from .geometry import DEFAULT_TOL, GeometryError, Tolerances, as_points, diameter
+from .geometry import DEFAULT_TOL, Tolerances, as_points, diameter
 
 __all__ = [
     "EdgeKind",
@@ -58,11 +59,14 @@ class Framework:
     """Tensegrity framework: points plus edges labeled bar/cable/strut.
 
     Edges may be given as (i, j) pairs (labeled bars) or (i, j, kind)
-    triples; they are stored with i < j, in the given order.
+    triples; they are stored with i < j, in the given order.  The
+    tolerances are kept for the frameworks `with_edge` and `without_edge`
+    build.
     """
 
     vertices: np.ndarray
     edges: tuple
+    tol: Tolerances
 
     def __init__(self, vertices, edges, tol: Tolerances = DEFAULT_TOL):
         vertices = as_points(vertices)
@@ -99,6 +103,7 @@ class Framework:
         vertices.flags.writeable = False
         self.vertices = vertices
         self.edges = tuple(norm_edges)
+        self.tol = tol
 
     @classmethod
     def from_surface(cls, surface, kind=EdgeKind.BAR, tol: Tolerances = DEFAULT_TOL):
@@ -129,14 +134,28 @@ class Framework:
         if (i, j) not in self.edge_pairs:
             raise FrameworkError(f"({i}, {j}) is not an edge of the framework")
         return Framework(
-            np.array(self.vertices), [e for e in self.edges if (e[0], e[1]) != (i, j)]
+            self.vertices, [e for e in self.edges if (e[0], e[1]) != (i, j)], tol=self.tol
         )
 
     def with_edge(self, i, j, kind=EdgeKind.BAR):
-        return Framework(np.array(self.vertices), list(self.edges) + [(i, j, kind)])
+        return Framework(self.vertices, list(self.edges) + [(i, j, kind)], tol=self.tol)
 
-    def _replace_vertices(self, new_vertices):
-        return Framework(new_vertices, list(self.edges))
+    def _replace_vertices(self, new_vertices, tol: Tolerances):
+        return Framework(new_vertices, list(self.edges), tol=tol)
+
+    @cached_property
+    def svd(self):
+        """Read-only full SVD (u, s, vt) of the rigidity matrix.
+
+        Full matrices, because the rows of vt past the rank span the flex
+        space even when E < 3n, and the columns of u past the rank span
+        the stress space even when E > 3n.  It does not depend on any
+        tolerance: each view applies its caller's rank cutoff.
+        """
+        factors = tuple(np.linalg.svd(rigidity_matrix(self)))
+        for array in factors:
+            array.flags.writeable = False
+        return factors
 
 
 @dataclass(frozen=True)
@@ -235,18 +254,8 @@ def rigidity_matrix(fw):
     return r
 
 
-def _svd_rank(matrix, rank_tol):
-    if matrix.size == 0:
-        return 0, np.zeros(0)
-    s = np.linalg.svd(matrix, compute_uv=False)
-    if s[0] == 0.0:
-        return 0, s
-    return int((s > rank_tol * s[0]).sum()), s
-
-
 def rigidity_rank(fw, tol: Tolerances = DEFAULT_TOL):
-    rank, _ = _svd_rank(rigidity_matrix(fw), tol.rank_tol)
-    return rank
+    return tol.numerical_rank(fw.svd[1])
 
 
 def _sign_fix(vec):
@@ -264,31 +273,25 @@ def trivial_motion_basis(fw, tol: Tolerances = DEFAULT_TOL):
         gens.append(np.tile(t, fw.n_vertices))
     for a in np.eye(3):
         gens.append(np.cross(a, p).ravel())
-    gens = np.array(gens)
-    u, s, vt = np.linalg.svd(gens, full_matrices=False)
-    rank = int((s > tol.rank_tol * s[0]).sum())
-    return vt[:rank]
+    _, s, vt = np.linalg.svd(np.array(gens), full_matrices=False)
+    return vt[: tol.numerical_rank(s)]
+
+
+def _flex_rows(fw, tol):
+    """Orthonormal rows spanning the null space of the rigidity matrix."""
+    return fw.svd[2][rigidity_rank(fw, tol) :]
 
 
 def bar_flex_space(fw, tol: Tolerances = DEFAULT_TOL):
     """Null space of the rigidity matrix (every edge treated as a bar)."""
-    n3 = 3 * fw.n_vertices
-    r = rigidity_matrix(fw)
-    if fw.n_edges == 0:
-        basis = np.eye(n3)
-    else:
-        _, s, vt = np.linalg.svd(r)
-        rank = int((s > tol.rank_tol * s[0]).sum()) if s[0] > 0 else 0
-        basis = vt[rank:]
+    basis = _flex_rows(fw, tol)
     motions = tuple(Motion.from_flat(_sign_fix(row)) for row in basis)
-    trivial = trivial_motion_basis(fw, tol)
-    return FlexSpace(motions, len(basis), len(trivial))
+    return FlexSpace(motions, len(basis), len(trivial_motion_basis(fw, tol)))
 
 
-def _spans_3space(points, rank_tol):
+def _spans_3space(points, tol):
     centered = points - points.mean(axis=0)
-    rank, _ = _svd_rank(centered, rank_tol)
-    return rank == 3
+    return tol.numerical_rank(np.linalg.svd(centered, compute_uv=False)) == 3
 
 
 def is_infinitesimally_rigid(fw, tol: Tolerances = DEFAULT_TOL):
@@ -300,23 +303,21 @@ def is_infinitesimally_rigid(fw, tol: Tolerances = DEFAULT_TOL):
     """
     if fw.n_vertices < 3:
         raise FrameworkError("need at least 3 vertices")
-    if not _spans_3space(fw.vertices, tol.rank_tol):
+    if not _spans_3space(fw.vertices, tol):
         raise FrameworkError(
             "configuration does not span 3-space; lower-dimensional rigidity "
             "analysis is out of scope"
         )
-    space = bar_flex_space(fw, tol)
-    return space.dimension == space.trivial_dimension
+    return len(_flex_rows(fw, tol)) == len(trivial_motion_basis(fw, tol))
 
 
 def nontrivial_flex(fw, tol: Tolerances = DEFAULT_TOL):
     """A unit flex orthogonal to all trivial motions, or None if the
     framework is infinitesimally rigid."""
-    space = bar_flex_space(fw, tol)
-    if space.dimension == space.trivial_dimension:
-        return None
-    flexes = np.array([m.flat for m in space.basis])
+    flexes = _flex_rows(fw, tol)
     trivial = trivial_motion_basis(fw, tol)
+    if len(flexes) == len(trivial):
+        return None
     residual = flexes - (flexes @ trivial.T) @ trivial
     norms = np.linalg.norm(residual, axis=1)
     best = residual[norms.argmax()]
@@ -370,12 +371,7 @@ def equilibrium_stress_space(fw, tol: Tolerances = DEFAULT_TOL):
     """Orthonormal basis of the space of equilibrium stresses (left null
     space of the rigidity matrix), sign-fixed so each basis vector's
     largest-magnitude entry is positive.  Empty list if only zero."""
-    if fw.n_edges == 0:
-        return []
-    r = rigidity_matrix(fw)
-    u, s, vt = np.linalg.svd(r)
-    rank = int((s > tol.rank_tol * s[0]).sum()) if s.size and s[0] > 0 else 0
-    basis = u[:, rank:].T
+    basis = fw.svd[0][:, rigidity_rank(fw, tol) :].T
     return [Stress.from_vector(fw, _sign_fix(row)) for row in basis]
 
 

@@ -23,6 +23,7 @@ from functools import cached_property
 import numpy as np
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, QhullError
+from scipy.spatial.distance import pdist
 
 logger = logging.getLogger(__name__)
 
@@ -38,7 +39,8 @@ class GeometryError(Exception):
 class Tolerances:
     """Numerical cutoffs shared by every predicate in the package.
 
-    rank_tol  -- singular values below rank_tol * s_max count as zero.
+    rank_tol  -- singular values (or |eigenvalues|) at or below rank_tol
+                 times the largest count as zero; see numerical_rank.
     geom_tol  -- coincidence / coplanarity / strictness cutoff on
                  unit-diameter geometry.
     """
@@ -52,48 +54,31 @@ class Tolerances:
             if not (0.0 < value < 1e-3):
                 raise ValueError(f"{name} must lie in (0, 1e-3), got {value!r}")
 
+    def numerical_rank(self, magnitudes):
+        """The one rank rule: the count of magnitudes (singular values or
+        |eigenvalues|) above rank_tol times the largest; 0 when empty."""
+        magnitudes = np.asarray(magnitudes, dtype=float)
+        if magnitudes.size == 0:
+            return 0
+        return int((magnitudes > self.rank_tol * magnitudes.max()).sum())
+
 
 DEFAULT_TOL = Tolerances()
 
 
-@dataclass(frozen=True)
-class Point3:
-    """A single point in R^3. Convenience wrapper; most code uses arrays."""
-
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self):
-        if not all(np.isfinite([self.x, self.y, self.z])):
-            raise GeometryError(f"non-finite coordinates: {self}")
-
-    def as_array(self):
-        return np.array([self.x, self.y, self.z], dtype=float)
-
-    @classmethod
-    def from_array(cls, a):
-        a = np.asarray(a, dtype=float).reshape(3)
-        return cls(float(a[0]), float(a[1]), float(a[2]))
-
-
 def as_points(obj):
-    """Coerce a list of Point3 / array-like into an (n, 3) float array."""
-    if isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.shape[1] == 3:
-        return np.array(obj, dtype=float)
-    if len(obj) and isinstance(obj[0], Point3):
-        return np.array([p.as_array() for p in obj])
-    arr = np.asarray(obj, dtype=float)
+    """Coerce array-like coordinates into a fresh (n, 3) float array."""
+    arr = np.array(obj, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 3:
         raise GeometryError(f"expected (n, 3) coordinates, got shape {arr.shape}")
     return arr
 
 
 def diameter(points):
-    """Largest pairwise distance of a point configuration."""
-    points = np.asarray(points, dtype=float)
-    diffs = points[:, None, :] - points[None, :, :]
-    return float(np.sqrt((diffs**2).sum(axis=2)).max())
+    """Largest pairwise distance of a point configuration (0.0 for fewer
+    than two points)."""
+    dist = pdist(np.asarray(points, dtype=float))
+    return float(dist.max()) if dist.size else 0.0
 
 
 def unit(v):
@@ -192,14 +177,16 @@ class PolyhedralSurface:
 
     @staticmethod
     def _check_coincidence(vertices, tol):
-        diam = diameter(vertices)
+        dist = pdist(vertices)
+        diam = float(dist.max()) if dist.size else 0.0
         if diam == 0.0:
             raise GeometryError("all vertices coincide")
-        diffs = vertices[:, None, :] - vertices[None, :, :]
-        dist = np.sqrt((diffs**2).sum(axis=2))
-        np.fill_diagonal(dist, np.inf)
-        i, j = np.unravel_index(np.argmin(dist), dist.shape)
-        if dist[i, j] <= tol.geom_tol * diam:
+        k = int(dist.argmin())
+        if dist[k] <= tol.geom_tol * diam:
+            # condensed index k -> pair (i, j), i < j; row i holds n - 1 - i entries
+            n = len(vertices)
+            i = int(np.searchsorted(np.cumsum(np.arange(n - 1, 0, -1)), k, side="right"))
+            j = k - i * n + i * (i + 1) // 2 + i + 1
             raise GeometryError(f"vertices {i} and {j} coincide within tolerance")
 
     # -- derived combinatorics ---------------------------------------------
@@ -293,7 +280,7 @@ class PolyhedralSurface:
             raise GeometryError(f"face {f_idx} = {(a, b, c)} is degenerate (zero area)")
         return cross / area2
 
-    def _replace_vertices(self, new_vertices, tol: Tolerances = DEFAULT_TOL):
+    def _replace_vertices(self, new_vertices, tol: Tolerances):
         return PolyhedralSurface(new_vertices, np.array(self.faces), tol=tol)
 
 
@@ -588,14 +575,11 @@ def transform_points(pmap, points, tol: Tolerances = DEFAULT_TOL):
 
 
 def apply_projective(pmap, obj, tol: Tolerances = DEFAULT_TOL):
-    """Apply a projective map to points, a Point3, a surface, or any
-    object exposing `_replace_vertices` (frameworks, suspensions)."""
-    if isinstance(obj, Point3):
-        return Point3.from_array(transform_points(pmap, obj.as_array()[None, :], tol)[0])
-    if isinstance(obj, PolyhedralSurface):
-        return obj._replace_vertices(transform_points(pmap, obj.vertices, tol), tol=tol)
+    """Apply a projective map to points, or to any object exposing
+    `_replace_vertices` (surfaces, frameworks, suspensions), which is
+    rebuilt with `tol`."""
     if hasattr(obj, "_replace_vertices"):
-        return obj._replace_vertices(transform_points(pmap, obj.vertices, tol))
+        return obj._replace_vertices(transform_points(pmap, obj.vertices, tol), tol)
     return transform_points(pmap, obj, tol)
 
 

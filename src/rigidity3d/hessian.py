@@ -518,9 +518,7 @@ def lambda_matrix(d, interior_l=None, tol: Tolerances = DEFAULT_TOL):
     if d.r == 0:
         return LambdaMatrix(lam, np.zeros(0), 0)
     eigenvalues = np.linalg.eigvalsh(0.5 * (lam + lam.T))
-    smax = np.abs(eigenvalues).max()
-    rank = int((np.abs(eigenvalues) > tol.rank_tol * smax).sum()) if smax > 0 else 0
-    return LambdaMatrix(lam, eigenvalues, rank)
+    return LambdaMatrix(lam, eigenvalues, tol.numerical_rank(np.abs(eigenvalues)))
 
 
 def dihedral_table(d, interior_l=None):
@@ -552,14 +550,9 @@ def rigidity_from_lambda(d, tol: Tolerances = DEFAULT_TOL):
     surface, the verdict is cross-checked against the rigidity matrix of
     the boundary bar framework; disagreement is a hard error.
     """
-    if d.r == 0:
-        verdict = True
-    else:
-        lam = lambda_matrix(d, tol=tol)
-        s = np.linalg.svd(lam.matrix, compute_uv=False)
-        verdict = bool(s[-1] > tol.rank_tol * s[0])
+    verdict = d.r == 0 or not lambda_matrix(d, tol=tol).is_singular
     if d.surface is not None:
-        fw = Framework.from_surface(d.surface)
+        fw = Framework.from_surface(d.surface, tol=tol)
         other = is_infinitesimally_rigid(fw, tol)
         if other != verdict:
             raise DecompositionError(

@@ -105,8 +105,8 @@ class Suspension:
         """Vertex index of the equator slot (cyclic)."""
         return 2 + slot % self.n
 
-    def _replace_vertices(self, new_vertices):
-        return Suspension(new_vertices)
+    def _replace_vertices(self, new_vertices, tol: Tolerances):
+        return Suspension(new_vertices, tol)
 
 
 def build_suspension(north, south, equator, tol: Tolerances = DEFAULT_TOL):

@@ -16,14 +16,24 @@ from rigidity3d.frameworks import (
     exchange_rigidity_check,
     is_infinitesimally_rigid,
     is_proper,
+    nontrivial_flex,
     rigidity_matrix,
     rigidity_rank,
     stress_energy,
     tensegrity_flex_test,
     trivial_motion_basis,
 )
-from rigidity3d.geometry import ProjectiveMap, transform_points
+from rigidity3d.fileio import analysis_report, from_document, to_document
+from rigidity3d.generators import random_convex_hull_surface, random_framework
+from rigidity3d.geometry import (
+    DEFAULT_TOL,
+    ProjectiveMap,
+    Tolerances,
+    apply_projective,
+    transform_points,
+)
 from rigidity3d.shapes import cube, octahedron, tetrahedron
+from rigidity3d.suspensions import Suspension
 
 NS = (0, 1)  # pole edge in the shared bipyramid vertex layout
 
@@ -396,3 +406,84 @@ def test_rigidity_invariant_under_projective_maps():
         m[:3, 3] = 0.1 * rng.normal(size=3)
         pts = transform_points(ProjectiveMap(m), fw.vertices)
         assert rigidity_rank(Framework(pts, fw.edges)) == 12
+
+
+# ---------------------------------------------------------------------------
+# the cached factorization and rebuilt frameworks
+# ---------------------------------------------------------------------------
+
+
+def _projector(rows):
+    rows = np.asarray(rows, dtype=float)
+    return rows.T @ rows
+
+
+def test_cached_svd_views_match_a_direct_full_svd():
+    rng = np.random.default_rng
+    braced = [random_framework(rng((2200, k)), 14 + k % 4) for k in range(6)]
+    assert all(fw.n_edges > 3 * fw.n_vertices for fw in braced)
+    hulls = [
+        Framework.from_surface(random_convex_hull_surface(rng((2201, k)), 8 + 2 * k))
+        for k in range(4)
+    ]
+    flexible = [fw.without_edge(fw.edge_pairs[k]) for k, fw in enumerate(hulls)]
+    assert all(fw.n_edges < 3 * fw.n_vertices for fw in hulls + flexible)
+    bare = Framework(rng(2202).normal(size=(5, 3)), [])
+    for fw in braced + hulls + flexible + [bare]:
+        n3, e = 3 * fw.n_vertices, fw.n_edges
+        u, s, vt = np.linalg.svd(rigidity_matrix(fw))
+        rank = int((s > DEFAULT_TOL.rank_tol * s[0]).sum()) if s.size else 0
+        assert rigidity_rank(fw) == rank
+
+        space = bar_flex_space(fw)
+        assert space.dimension == n3 - rank
+        flexes = [m.flat for m in space.basis]
+        assert np.abs(_projector(flexes) - _projector(vt[rank:])).max() <= 1e-10
+
+        stresses = [w.as_vector(fw) for w in equilibrium_stress_space(fw)]
+        assert len(stresses) == e - rank
+        if stresses:
+            assert np.abs(_projector(stresses) - _projector(u[:, rank:].T)).max() <= 1e-10
+
+        rigid = n3 - rank == len(trivial_motion_basis(fw))
+        assert is_infinitesimally_rigid(fw) == rigid
+        flex = nontrivial_flex(fw)
+        assert (flex is None) == rigid
+        if flex is not None:
+            assert np.allclose(rigidity_matrix(fw) @ flex.flat, 0.0, atol=1e-9)
+            assert np.allclose(trivial_motion_basis(fw) @ flex.flat, 0.0, atol=1e-9)
+
+        assert fw.svd is fw.svd
+        assert not any(a.flags.writeable for a in fw.svd)
+
+
+def test_analysis_report_factors_the_rigidity_matrix_once(monkeypatch):
+    surface = random_convex_hull_surface(np.random.default_rng(2203), 12)
+    loaded = from_document(to_document(surface))
+    shape = (loaded.framework.n_edges, 3 * loaded.framework.n_vertices)
+    shapes_seen = []
+    real_svd = np.linalg.svd
+
+    def counting_svd(a, *args, **kwargs):
+        shapes_seen.append(np.shape(a))
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    analysis_report(loaded)
+    assert shapes_seen.count(shape) == 1
+
+
+def test_rebuilt_frameworks_and_suspensions_keep_the_tolerances():
+    tol = Tolerances(geom_tol=1e-12)
+    pts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1e-10, 0, 0]])
+    fw = Framework(pts, [(0, 1), (0, 4), (1, 2), (2, 3)], tol=tol)
+    assert fw.without_edge((0, 1)).tol is tol
+    assert fw.with_edge(1, 3).tol is tol
+    assert apply_projective(ProjectiveMap.identity(), fw, tol).tol is tol
+    with pytest.raises(FrameworkError, match=r"edge \(0, 4\) has \(near-\)zero length"):
+        Framework(pts, fw.edges)
+
+    equator = [[1, 0, 0], [1, 1e-10, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0]]
+    s = Suspension(np.vstack([[0, 0, 1.0], [0, 0, -1.0], equator]), tol)
+    image = apply_projective(ProjectiveMap.identity(), s, tol)
+    assert np.array_equal(image.vertices, s.vertices)

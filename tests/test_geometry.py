@@ -7,6 +7,7 @@ import pytest
 from scipy.spatial import ConvexHull
 
 from rigidity3d.geometry import (
+    DEFAULT_TOL,
     Convexity,
     GeometryError,
     PolyhedralSurface,
@@ -16,6 +17,7 @@ from rigidity3d.geometry import (
     apply_projective,
     cayley_menger_feasible,
     classify_convexity,
+    diameter,
     dihedral_angle,
     hemisphere_witness,
     normalize_pole_frame,
@@ -80,6 +82,21 @@ def test_surface_rejects_repeated_index_and_coincident_vertices():
     squashed[5] = squashed[2] + 1e-12
     with pytest.raises(GeometryError, match="coincide"):
         PolyhedralSurface(squashed, base.faces)
+
+
+def test_diameter_and_closest_pair_match_brute_force():
+    rng = np.random.default_rng(2400)
+    assert diameter(np.zeros((0, 3))) == 0.0
+    assert diameter(rng.normal(size=(1, 3))) == 0.0
+    assert diameter([[0, 0, 0], [3, 4, 0]]) == 5.0
+    for n in (3, 7, 40, 111):
+        points = rng.normal(size=(n, 3)) * rng.uniform(0.1, 10.0)
+        brute = max(np.linalg.norm(p - q) for p in points for q in points)
+        assert diameter(points) == pytest.approx(brute, rel=1e-14)
+        i, j = sorted(rng.choice(n, size=2, replace=False))
+        points[j] = points[i] + 1e-13
+        with pytest.raises(GeometryError, match=f"vertices {i} and {j} coincide"):
+            PolyhedralSurface._check_coincidence(points, DEFAULT_TOL)
 
 
 def test_surface_orientation_normalized():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from rigidity3d.frameworks import Framework, is_infinitesimally_rigid
-from rigidity3d.geometry import PolyhedralSurface, dihedral_angle
+from rigidity3d.generators import probe_decomposition
+from rigidity3d.geometry import DEFAULT_TOL, PolyhedralSurface, dihedral_angle
 from rigidity3d.hessian import (
     Decomposition,
     DecompositionError,
@@ -338,3 +339,12 @@ def test_r_zero_is_rigid_by_convention():
     d = decompose_star(tetrahedron(), 0)
     assert d.r == 0
     assert rigidity_from_lambda(d)
+
+
+def test_lambda_rank_verdict_matches_svd_verdict_on_probe_pools():
+    for kind in ("dented_hull_star", "suspension_axis", "control_nonconvex"):
+        for k in range(8):
+            d = probe_decomposition(kind, np.random.default_rng((2300, k)))
+            s = np.linalg.svd(lambda_matrix(d).matrix, compute_uv=False)
+            by_svd = d.r == 0 or bool(s[-1] > DEFAULT_TOL.rank_tol * s[0])
+            assert rigidity_from_lambda(d) == by_svd
