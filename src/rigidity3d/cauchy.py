@@ -20,6 +20,7 @@ import numpy as np
 from .frameworks import Framework, is_infinitesimally_rigid
 from .geometry import (
     DEFAULT_TOL,
+    TETRA_EDGE_ORDER,
     PolyhedralSurface,
     Tolerances,
     dihedral_angle,
@@ -57,25 +58,28 @@ def dihedral_rates(surface, motion, tol: Tolerances = DEFAULT_TOL):
         raise CauchyError(
             f"motion has shape {vel.shape}, expected {p.shape}"
         )
-    rates = {}
-    for i, j in surface.edges:
+    edges = surface.edges
+    quads = np.empty((len(edges), 4), dtype=int)  # (i, j, c, d): the flank tetrahedron
+    for row, (i, j) in enumerate(edges):
         f1, f2 = surface.edge_faces(i, j)
         c = next(v for v in map(int, surface.faces[f1]) if v not in (i, j))
         d = next(v for v in map(int, surface.faces[f2]) if v not in (i, j))
-        quad = (i, j, c, d)
-        pairs = [(quad[a], quad[b]) for a, b in
-                 ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))]
-        lengths = np.array([np.linalg.norm(p[a] - p[b]) for a, b in pairs])
-        lrates = np.array(
-            [(p[a] - p[b]) @ (vel[a] - vel[b]) for a, b in pairs]
-        ) / lengths
-        try:
-            _, jac = tetra_angles_and_jacobian(lengths)
-        except DecompositionError as exc:
-            raise CauchyError(
-                f"edge ({i}, {j}) is flat: angle variation is undefined"
-            ) from exc
-        rate = float(jac[0] @ lrates)
+        quads[row] = (i, j, c, d)
+    first, second = np.array(TETRA_EDGE_ORDER).T
+    diff = p[quads[:, first]] - p[quads[:, second]]  # (E, 6, 3)
+    dvel = vel[quads[:, first]] - vel[quads[:, second]]
+    lengths = np.linalg.norm(diff, axis=-1)
+    lrates = np.einsum("ekx,ekx->ek", diff, dvel) / lengths
+    try:
+        _, jac = tetra_angles_and_jacobian(lengths)
+    except DecompositionError as exc:
+        i, j = edges[exc.tetrahedron]
+        raise CauchyError(
+            f"edge ({i}, {j}) is flat: angle variation is undefined"
+        ) from exc
+    rates = {}
+    for (i, j), rate in zip(edges, np.einsum("em,em->e", jac[:, 0], lrates)):
+        rate = float(rate)
         if dihedral_angle(surface, (i, j), tol) > np.pi:
             rate = -rate
         rates[(i, j)] = rate

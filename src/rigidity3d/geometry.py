@@ -54,13 +54,20 @@ class Tolerances:
             if not (0.0 < value < 1e-3):
                 raise ValueError(f"{name} must lie in (0, 1e-3), got {value!r}")
 
-    def numerical_rank(self, magnitudes):
+    def numerical_rank(self, magnitudes, reference=0.0):
         """The one rank rule: the count of magnitudes (singular values or
-        |eigenvalues|) above rank_tol times the largest; 0 when empty."""
+        |eigenvalues|) above rank_tol times the larger of the largest
+        magnitude and `reference`; 0 when empty.
+
+        `reference` is the magnitude the caller's numbers were computed at
+        when it can exceed the largest of them: a single |eigenvalue| is
+        never small relative to itself, but it is relative to the entries
+        that cancelled to produce it."""
         magnitudes = np.asarray(magnitudes, dtype=float)
         if magnitudes.size == 0:
             return 0
-        return int((magnitudes > self.rank_tol * magnitudes.max()).sum())
+        cutoff = self.rank_tol * max(magnitudes.max(), reference)
+        return int((magnitudes > cutoff).sum())
 
 
 DEFAULT_TOL = Tolerances()
@@ -385,8 +392,9 @@ def support_functional(points, touching, tol: Tolerances = DEFAULT_TOL):
 
 
 def _is_exposed_edge(points, i, j, tol):
+    """Exposure of edge (i, j) of points scaled to unit diameter."""
     _, _, delta = support_functional(points, (i, j), tol)
-    return delta > tol.geom_tol * diameter(points)
+    return delta > tol.geom_tol
 
 
 def classify_convexity(surface, tol: Tolerances = DEFAULT_TOL):
@@ -662,37 +670,41 @@ def normalize_pole_frame(points, north, south, tol: Tolerances = DEFAULT_TOL):
 
 # index pairs for the canonical length order (d01, d02, d03, d12, d13, d23)
 TETRA_EDGE_ORDER = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+# the four faces (012, 013, 023, 123), each as its edges (ab, bc, ca) in
+# TETRA_EDGE_ORDER positions
+_FACE_CYCLES = np.array([[0, 3, 1], [0, 4, 2], [1, 5, 2], [3, 5, 4]])
+# position of the squared length d_ij in the padded vector (0, d01^2, ..., d23^2)
+_CM_INDEX = np.array([[0, 1, 2, 3], [1, 0, 4, 5], [2, 4, 0, 6], [3, 5, 6, 0]])
 
 
 def cayley_menger_feasible(lengths, tol: Tolerances = DEFAULT_TOL):
     """Whether six lengths (d01, d02, d03, d12, d13, d23) are the edge
     lengths of a nondegenerate Euclidean tetrahedron.
 
-    Returns (feasible, volume); volume is 0.0 when infeasible.
+    lengths has shape (..., 6).  Returns (feasible, volume) of shape (...),
+    as a bool and a float for a single (6,) input; volume is 0.0 where
+    infeasible.
     """
     lengths = np.asarray(lengths, dtype=float)
-    if lengths.shape != (6,):
+    if lengths.ndim == 0 or lengths.shape[-1] != 6:
         raise GeometryError(f"expected 6 lengths, got shape {lengths.shape}")
     if np.any(lengths <= 0.0) or not np.all(np.isfinite(lengths)):
         raise GeometryError("edge lengths must be positive and finite")
 
-    d = {}
-    for (i, j), l in zip(TETRA_EDGE_ORDER, lengths):
-        d[(i, j)] = d[(j, i)] = float(l)
+    scale = lengths.max(axis=-1)
+    # triangle inequalities d_ab + d_bc >= d_ca on every face, in every rotation
+    sides = lengths[..., _FACE_CYCLES]
+    broken = sides + np.roll(sides, -1, axis=-1) < (
+        np.roll(sides, -2, axis=-1) - tol.geom_tol * scale[..., None, None]
+    )
 
-    scale = lengths.max()
-    for a, b, c in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)):
-        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-            if d[(x, y)] + d[(y, z)] < d[(x, z)] - tol.geom_tol * scale:
-                return False, 0.0
-
-    cm = np.ones((5, 5))
-    cm[0, 0] = 0.0
-    for i in range(4):
-        for j in range(4):
-            cm[i + 1, j + 1] = 0.0 if i == j else d[(i, j)] ** 2
-    det = float(np.linalg.det(cm))
-    vol_sq = det / 288.0
-    if vol_sq <= tol.geom_tol**2 * scale**6:
-        return False, 0.0
-    return True, float(np.sqrt(vol_sq))
+    cm = np.ones(lengths.shape[:-1] + (5, 5))
+    cm[..., 0, 0] = 0.0
+    padded = np.concatenate([np.zeros(lengths.shape[:-1] + (1,)), lengths**2], axis=-1)
+    cm[..., 1:, 1:] = padded[..., _CM_INDEX]
+    vol_sq = np.linalg.det(cm) / 288.0
+    feasible = ~broken.any(axis=(-2, -1)) & (vol_sq > tol.geom_tol**2 * scale**6)
+    volume = np.sqrt(np.where(feasible, vol_sq, 0.0))
+    if lengths.ndim == 1:
+        return bool(feasible), float(volume)
+    return feasible, volume

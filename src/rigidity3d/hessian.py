@@ -17,7 +17,7 @@ partial derivatives with respect to the lengths.
 
 import logging
 from dataclasses import dataclass
-from itertools import combinations
+from functools import cached_property
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .geometry import (
     Tolerances,
     as_points,
     cayley_menger_feasible,
+    classify_convexity,
     diameter,
 )
 
@@ -41,95 +42,102 @@ E_INTERIOR_MARGIN = 1e-10
 
 
 class DecompositionError(Exception):
-    """Invalid decomposition, infeasible lengths, or verdict mismatch."""
+    """Invalid decomposition, infeasible lengths, or verdict mismatch.
+
+    `tetrahedron` is the flat index of the row that tetra_angles_and_jacobian
+    refused, when it raised."""
+
+    def __init__(self, message, tetrahedron=None):
+        super().__init__(message)
+        self.tetrahedron = tetrahedron
 
 
 # ---------------------------------------------------------------------------
-# single-tetrahedron angle/derivative engine (pure length arithmetic)
+# the tetrahedron angle/derivative kernel (pure length arithmetic)
 # ---------------------------------------------------------------------------
 
 
-def _tet_gram_entries(q, a, b, c, d):
-    """Entries of the Gram matrix of (b-a, c-a, d-a) from squared lengths."""
-    m00 = q[(a, b)]
-    m11 = q[(a, c)]
-    m22 = q[(a, d)]
-    m01 = 0.5 * (q[(a, b)] + q[(a, c)] - q[(b, c)])
-    m02 = 0.5 * (q[(a, b)] + q[(a, d)] - q[(b, d)])
-    m12 = 0.5 * (q[(a, c)] + q[(a, d)] - q[(c, d)])
-    return m00, m11, m22, m01, m02, m12
+def _gram_map():
+    """_GRAM_MAP[k, g, m]: Gram entry g (M00, M11, M22, M01, M02, M12) of the
+    frame (b-a, c-a, d-a) at edge k = (a, b), with c < d the other two
+    vertices, as a linear function of the squared lengths m.  Both k and m
+    follow TETRA_EDGE_ORDER."""
+    out = np.zeros((6, 6, 6))
+    for k, (a, b) in enumerate(TETRA_EDGE_ORDER):
+        c, d = sorted(set(range(4)) - {a, b})
+        for g, (x, y) in enumerate(((b, b), (c, c), (d, d), (b, c), (b, d), (c, d))):
+            # M_xy = (x - a).(y - a) = (q_ax + q_ay - q_xy) / 2, with q_xx = 0
+            for u, v, weight in ((a, x, 0.5), (a, y, 0.5), (x, y, -0.5)):
+                if u != v:
+                    out[k, g, TETRA_EDGE_ORDER.index((min(u, v), max(u, v)))] += weight
+    return out
+
+
+_GRAM_MAP = _gram_map()
 
 
 def tetra_angles_and_jacobian(lengths):
-    """Six dihedral angles of a tetrahedron and their length derivatives.
+    """Six dihedral angles of each tetrahedron and their length derivatives.
 
-    lengths follow TETRA_EDGE_ORDER = (01, 02, 03, 12, 13, 23); the k-th
-    angle sits at the k-th edge.  Returns (angles, jacobian) with
-    jacobian[k, m] = d alpha_k / d length_m.
+    lengths has shape (..., 6), each row in TETRA_EDGE_ORDER = (01, 02, 03,
+    12, 13, 23); the k-th angle sits at the k-th edge.  Returns (angles,
+    jacobian) of shapes (..., 6) and (..., 6, 6), with
+    jacobian[..., k, m] = d alpha_k / d length_m.  Raises DecompositionError
+    naming the first row that is not a nondegenerate tetrahedron.
 
     The angle at edge (a, b) comes from the Gram matrix M of the frame
     based at a: with G = det M = 36 V^2 and c = M00*M12 - M01*M02
     (= (u x v).(u x w) by Lagrange), alpha = atan2(sqrt(G * M00), c).
     Derivatives are assembled by the chain rule through the (linear)
-    map squared-lengths -> Gram entries.
+    map squared-lengths -> Gram entries, _GRAM_MAP.
     """
     lengths = np.asarray(lengths, dtype=float)
     feasible, _ = cayley_menger_feasible(lengths)
-    if not feasible:
-        raise DecompositionError(f"lengths {lengths.tolist()} are not a tetrahedron")
-    q = {}
-    for (i, j), l in zip(TETRA_EDGE_ORDER, lengths):
-        q[(i, j)] = q[(j, i)] = l * l
-
-    pair_index = {pair: k for k, pair in enumerate(TETRA_EDGE_ORDER)}
-    angles = np.empty(6)
-    jac_q = np.zeros((6, 6))  # d alpha_k / d q_m
-
-    for k, (a, b) in enumerate(TETRA_EDGE_ORDER):
-        c_v, d_v = sorted(set(range(4)) - {a, b})
-        m00, m11, m22, m01, m02, m12 = _tet_gram_entries(q, a, b, c_v, d_v)
-
-        big_g = (
-            m00 * m11 * m22
-            - m00 * m12**2
-            - m01**2 * m22
-            + 2.0 * m01 * m02 * m12
-            - m02**2 * m11
+    m = np.einsum("...q,kgq->...kg", lengths**2, _GRAM_MAP)
+    m00, m11, m22, m01, m02, m12 = np.moveaxis(m, -1, 0)
+    big_g = (
+        m00 * m11 * m22
+        - m00 * m12**2
+        - m01**2 * m22
+        + 2.0 * m01 * m02 * m12
+        - m02**2 * m11
+    )
+    cos_part = m00 * m12 - m01 * m02
+    sin_part = np.sqrt(np.maximum(big_g * m00, 0.0))
+    bad = np.flatnonzero(~np.asarray(feasible) | np.any(sin_part <= 0.0, axis=-1))
+    if bad.size:
+        t = int(bad[0])
+        raise DecompositionError(
+            f"tetrahedron {t}: lengths {lengths.reshape(-1, 6)[t].tolist()} are not "
+            "a tetrahedron (infeasible or degenerate: angle derivative undefined)",
+            tetrahedron=t,
         )
-        cos_part = m00 * m12 - m01 * m02
-        sin_part = np.sqrt(max(big_g * m00, 0.0))
-        angles[k] = np.arctan2(sin_part, cos_part)
+    angles = np.arctan2(sin_part, cos_part)
 
-        # gradients with respect to the six independent Gram entries
-        dg = np.array(
-            [
-                m11 * m22 - m12**2,
-                m00 * m22 - m02**2,
-                m00 * m11 - m01**2,
-                2.0 * (m02 * m12 - m01 * m22),
-                2.0 * (m01 * m12 - m02 * m11),
-                2.0 * (m01 * m02 - m00 * m12),
-            ]
-        )
-        dc = np.array([m12, 0.0, 0.0, -m02, -m01, m00])
-        if sin_part <= 0.0:
-            raise DecompositionError("degenerate tetrahedron: angle derivative undefined")
-        ds = (m00 * dg + big_g * np.array([1.0, 0, 0, 0, 0, 0])) / (2.0 * sin_part)
-        dalpha_dm = (cos_part * ds - sin_part * dc) / (sin_part**2 + cos_part**2)
+    # gradients with respect to the six independent Gram entries
+    zero = np.zeros_like(m00)
+    dg = np.stack(
+        [
+            m11 * m22 - m12**2,
+            m00 * m22 - m02**2,
+            m00 * m11 - m01**2,
+            2.0 * (m02 * m12 - m01 * m22),
+            2.0 * (m01 * m12 - m02 * m11),
+            2.0 * (m01 * m02 - m00 * m12),
+        ],
+        axis=-1,
+    )
+    dc = np.stack([m12, zero, zero, -m02, -m01, m00], axis=-1)
+    ds = m00[..., None] * dg
+    ds[..., 0] += big_g
+    ds /= (2.0 * sin_part)[..., None]
+    dalpha_dm = (cos_part[..., None] * ds - sin_part[..., None] * dc) / (
+        sin_part**2 + cos_part**2
+    )[..., None]
 
-        # chain through the linear map q -> Gram entries
-        rows = (
-            ((a, b), 1.0, 0),
-            ((a, c_v), 1.0, 1),
-            ((a, d_v), 1.0, 2),
-            ((a, b), 0.5, 3), ((a, c_v), 0.5, 3), ((b, c_v), -0.5, 3),
-            ((a, b), 0.5, 4), ((a, d_v), 0.5, 4), ((b, d_v), -0.5, 4),
-            ((a, c_v), 0.5, 5), ((a, d_v), 0.5, 5), ((c_v, d_v), -0.5, 5),
-        )
-        for pair, weight, m_idx in rows:
-            jac_q[k, pair_index[tuple(sorted(pair))]] += weight * dalpha_dm[m_idx]
-
-    jacobian = jac_q * (2.0 * lengths)[None, :]
+    # chain through the linear map q -> Gram entries, then dq/dl = 2 l
+    jacobian = np.einsum("...kg,kgq->...kq", dalpha_dm, _GRAM_MAP)
+    jacobian *= (2.0 * lengths)[..., None, :]
     return angles, jacobian
 
 
@@ -147,15 +155,6 @@ def schlafli_residual(lengths, direction):
 # ---------------------------------------------------------------------------
 # decompositions
 # ---------------------------------------------------------------------------
-
-
-def _tet_edges(tet):
-    return [tuple(sorted(p)) for p in combinations(tet, 2)]
-
-
-def _tet_volume(points, tet):
-    a, b, c, d = (points[v] for v in tet)
-    return abs(float(np.dot(b - a, np.cross(c - a, d - a)))) / 6.0
 
 
 @dataclass
@@ -195,12 +194,15 @@ class Decomposition:
         for t_idx, tet in enumerate(tets):
             if len(set(tet)) != 4:
                 raise DecompositionError(f"tetrahedron {t_idx} repeats a vertex: {tet}")
-            if _tet_volume(vertices, tet) < VOL_TOL * diam**3:
-                raise DecompositionError(f"tetrahedron {t_idx} = {tet} is degenerate")
+        corners = vertices[np.array(tets, dtype=int).reshape(-1, 4)]
+        volumes = np.abs(np.linalg.det(corners[:, 1:] - corners[:, :1])) / 6.0
+        degenerate = np.flatnonzero(volumes < VOL_TOL * diam**3)
+        if degenerate.size:
+            t_idx = int(degenerate[0])
+            raise DecompositionError(f"tetrahedron {t_idx} = {tets[t_idx]} is degenerate")
 
-        all_edges = set()
-        for tet in tets:
-            all_edges.update(_tet_edges(tet))
+        tet_edges = [[tuple(sorted((t[a], t[b]))) for a, b in TETRA_EDGE_ORDER] for t in tets]
+        all_edges = set().union(*tet_edges)
         missing = set(interior) - all_edges
         if missing:
             raise DecompositionError(f"interior edges {sorted(missing)} not in any tetrahedron")
@@ -216,7 +218,7 @@ class Decomposition:
                 )
             if set(interior) & surf_edges:
                 raise DecompositionError("an interior edge is a surface edge")
-            total = sum(_tet_volume(vertices, tet) for tet in tets)
+            total = float(volumes.sum())
             if abs(total - abs(surface.signed_volume)) > 1e-9 * diam**3:
                 raise DecompositionError(
                     f"tetrahedra volumes sum to {total:.12g} but the surface bounds "
@@ -234,6 +236,15 @@ class Decomposition:
         self.interior_edges = interior
         self.boundary_edges = boundary
         self.surface = surface
+        # edges are numbered interior first, then boundary; _edge_index[t, m]
+        # is the number of the m-th edge (TETRA_EDGE_ORDER) of tetrahedron t
+        number = {e: k for k, e in enumerate(interior + boundary)}
+        self._edge_index = np.array(
+            [[number[e] for e in row] for row in tet_edges], dtype=int
+        ).reshape(-1, 6)
+        ends = np.array(interior + boundary, dtype=int).reshape(-1, 2)
+        self._edge_lengths = np.linalg.norm(vertices[ends[:, 0]] - vertices[ends[:, 1]], axis=1)
+        self._edge_lengths.flags.writeable = False
 
     @staticmethod
     def _check_face_gluing(vertices, tets, surface):
@@ -308,31 +319,31 @@ class Decomposition:
     def r(self):
         return len(self.interior_edges)
 
-    def edge_length(self, edge):
-        i, j = edge
-        return float(np.linalg.norm(self.vertices[i] - self.vertices[j]))
-
     @property
     def embedded_interior_lengths(self):
         """The special length vector realized by the embedding."""
-        return np.array([self.edge_length(e) for e in self.interior_edges])
+        return self._edge_lengths[: self.r].copy()
 
-    @property
-    def boundary_lengths(self):
-        return np.array([self.edge_length(e) for e in self.boundary_edges])
+    def _lengths(self, interior_l=None):
+        """(T, 6) edge lengths of every tetrahedron in TETRA_EDGE_ORDER,
+        taking interior-edge lengths from interior_l when given."""
+        if interior_l is None:
+            return self._edge_lengths[self._edge_index]
+        interior_l = np.asarray(interior_l, dtype=float)
+        if interior_l.shape != (self.r,):
+            raise DecompositionError(f"expected {self.r} interior lengths")
+        return np.concatenate([interior_l, self._edge_lengths[self.r :]])[self._edge_index]
 
     def tet_lengths(self, t_idx, interior_l=None):
         """Six edge lengths of a tetrahedron in TETRA_EDGE_ORDER, taking
         interior-edge lengths from interior_l when given."""
-        if interior_l is None:
-            interior_l = self.embedded_interior_lengths
-        index = {e: k for k, e in enumerate(self.interior_edges)}
-        tet = self.tetrahedra[t_idx]
-        out = np.empty(6)
-        for m, (a, b) in enumerate(TETRA_EDGE_ORDER):
-            pair = tuple(sorted((tet[a], tet[b])))
-            out[m] = interior_l[index[pair]] if pair in index else self.edge_length(pair)
-        return out
+        return self._lengths(interior_l)[t_idx]
+
+    @cached_property
+    def _embedded_lambda(self):
+        """lambda at the embedded lengths, assembled once: decompositions
+        are immutable."""
+        return _assemble_lambda(self, None)
 
 
 def decompose_star(surface, apex, tol: Tolerances = DEFAULT_TOL):
@@ -375,74 +386,23 @@ def decompose_star(surface, apex, tol: Tolerances = DEFAULT_TOL):
 # ---------------------------------------------------------------------------
 
 
-def _per_tet_angles(d, interior_l, want_jacobian=False):
-    """Angles (and optionally Jacobians) for every tetrahedron at the
-    given interior lengths; raises naming the first infeasible one."""
-    out = []
-    for t_idx in range(len(d.tetrahedra)):
-        lengths = d.tet_lengths(t_idx, interior_l)
-        feasible, _ = cayley_menger_feasible(lengths)
-        if not feasible:
-            raise DecompositionError(
-                f"lengths are infeasible for tetrahedron {t_idx} = "
-                f"{d.tetrahedra[t_idx]}: {lengths.tolist()}"
-            )
-        if want_jacobian:
-            out.append(tetra_angles_and_jacobian(lengths))
-        else:
-            angles, _ = _angles_only(lengths)
-            out.append((angles, None))
-    return out
-
-
-def _angles_only(lengths):
-    """Cheaper angle evaluation reusing the same Gram-matrix route."""
-    q = {}
-    for (i, j), l in zip(TETRA_EDGE_ORDER, lengths):
-        q[(i, j)] = q[(j, i)] = l * l
-    angles = np.empty(6)
-    for k, (a, b) in enumerate(TETRA_EDGE_ORDER):
-        c_v, d_v = sorted(set(range(4)) - {a, b})
-        m00, m11, m22, m01, m02, m12 = _tet_gram_entries(q, a, b, c_v, d_v)
-        big_g = (
-            m00 * m11 * m22 - m00 * m12**2 - m01**2 * m22
-            + 2.0 * m01 * m02 * m12 - m02**2 * m11
-        )
-        angles[k] = np.arctan2(np.sqrt(max(big_g * m00, 0.0)), m00 * m12 - m01 * m02)
-    return angles, None
-
-
 def cone_angles(d, interior_l=None):
     """Total dihedral angle collected around each interior edge at the
     given interior lengths (default: the embedded lengths, where every
     entry is 2*pi for closed stars)."""
-    if interior_l is None:
-        interior_l = d.embedded_interior_lengths
-    interior_l = np.asarray(interior_l, dtype=float)
-    if interior_l.shape != (d.r,):
-        raise DecompositionError(f"expected {d.r} interior lengths")
-    index = {e: k for k, e in enumerate(d.interior_edges)}
+    angles, _ = tetra_angles_and_jacobian(d._lengths(interior_l))
+    interior = d._edge_index < d.r
     theta = np.zeros(d.r)
-    per_tet = _per_tet_angles(d, interior_l)
-    for t_idx, (angles, _) in enumerate(per_tet):
-        tet = d.tetrahedra[t_idx]
-        for m, (a, b) in enumerate(TETRA_EDGE_ORDER):
-            pair = tuple(sorted((tet[a], tet[b])))
-            if pair in index:
-                theta[index[pair]] += angles[m]
+    np.add.at(theta, d._edge_index[interior], angles[interior])
     return theta
 
 
 def mean_curvature_H(d, interior_l=None):
     """Sum over (tetrahedron, edge) incidences of length times dihedral
     angle; its gradient in the interior lengths is the cone-angle vector."""
-    if interior_l is None:
-        interior_l = d.embedded_interior_lengths
-    interior_l = np.asarray(interior_l, dtype=float)
-    total = 0.0
-    for t_idx, (angles, _) in enumerate(_per_tet_angles(d, interior_l)):
-        total += float(d.tet_lengths(t_idx, interior_l) @ angles)
-    return total
+    lengths = d._lengths(interior_l)
+    angles, _ = tetra_angles_and_jacobian(lengths)
+    return float((lengths * angles).sum())
 
 
 @dataclass(frozen=True)
@@ -487,61 +447,67 @@ class LambdaMatrix:
         return bool(np.all(np.diag(self.matrix) > 0.0)) if self.r else True
 
 
-def lambda_matrix(d, interior_l=None, tol: Tolerances = DEFAULT_TOL):
-    """Assemble the r x r Jacobian (d theta_i / d l_j) analytically.
+def _assemble_lambda(d, interior_l):
+    """(matrix, eigenvalues, scale) of lambda at the given interior lengths
+    (None: embedded).  scale is the largest per-tetrahedron Jacobian entry:
+    the magnitude the entries of lambda are sums and differences of.
 
     Refuses near-degenerate tetrahedra (squared volume below the interior
     margin relative to the longest edge), where the derivatives blow up.
     """
-    if interior_l is None:
-        interior_l = d.embedded_interior_lengths
-    interior_l = np.asarray(interior_l, dtype=float)
-    index = {e: k for k, e in enumerate(d.interior_edges)}
+    lengths = d._lengths(interior_l)
+    feasible, vol = cayley_menger_feasible(lengths)
+    refused = np.flatnonzero(~feasible | (vol**2 < E_INTERIOR_MARGIN * lengths.max(axis=1) ** 6))
+    if refused.size:
+        t = int(refused[0])
+        raise DecompositionError(
+            f"tetrahedron {t} = {d.tetrahedra[t]} is degenerate or too "
+            f"close to the boundary of the feasible length domain"
+        )
+    _, jac = tetra_angles_and_jacobian(lengths)
+    rows = np.broadcast_to(d._edge_index[:, :, None], jac.shape)
+    cols = np.broadcast_to(d._edge_index[:, None, :], jac.shape)
+    interior = (rows < d.r) & (cols < d.r)
     lam = np.zeros((d.r, d.r))
-    for t_idx in range(len(d.tetrahedra)):
-        lengths = d.tet_lengths(t_idx, interior_l)
-        feasible, vol = cayley_menger_feasible(lengths)
-        if not feasible or vol**2 < E_INTERIOR_MARGIN * lengths.max() ** 6:
-            raise DecompositionError(
-                f"tetrahedron {t_idx} = {d.tetrahedra[t_idx]} is degenerate or too "
-                f"close to the boundary of the feasible length domain"
-            )
-        _, jac = tetra_angles_and_jacobian(lengths)
-        tet = d.tetrahedra[t_idx]
-        local = [tuple(sorted((tet[a], tet[b]))) for a, b in TETRA_EDGE_ORDER]
-        for row, pair_r in enumerate(local):
-            if pair_r not in index:
-                continue
-            for col, pair_c in enumerate(local):
-                if pair_c in index:
-                    lam[index[pair_r], index[pair_c]] += jac[row, col]
+    np.add.at(lam, (rows[interior], cols[interior]), jac[interior])
     if d.r == 0:
-        return LambdaMatrix(lam, np.zeros(0), 0)
+        return lam, np.zeros(0), 0.0
     eigenvalues = np.linalg.eigvalsh(0.5 * (lam + lam.T))
-    return LambdaMatrix(lam, eigenvalues, tol.numerical_rank(np.abs(eigenvalues)))
+    return lam, eigenvalues, float(np.abs(jac).max())
+
+
+def lambda_matrix(d, interior_l=None, tol: Tolerances = DEFAULT_TOL):
+    """The r x r Jacobian (d theta_i / d l_j), assembled analytically.
+
+    At the embedded lengths the assembly is cached on the decomposition;
+    the rank applies the caller's rank rule with the assembly's scale as
+    reference, so a lone eigenvalue that cancelled to roundoff counts as
+    zero."""
+    if interior_l is None:
+        lam, eigenvalues, scale = d._embedded_lambda
+    else:
+        lam, eigenvalues, scale = _assemble_lambda(d, interior_l)
+    return LambdaMatrix(lam, eigenvalues, tol.numerical_rank(np.abs(eigenvalues), scale))
 
 
 def dihedral_table(d, interior_l=None):
     """Angle per (tetrahedron, edge) incidence, with a per-tetrahedron
     Gram consistency check on the four outward face normals."""
-    if interior_l is None:
-        interior_l = d.embedded_interior_lengths
-    table = {}
-    for t_idx, (angles, _) in enumerate(_per_tet_angles(d, interior_l)):
-        tet = d.tetrahedra[t_idx]
-        gram = np.eye(4)
-        for m, (a, b) in enumerate(TETRA_EDGE_ORDER):
-            pair = tuple(sorted((tet[a], tet[b])))
-            table[(t_idx, pair)] = float(angles[m])
-            # faces are indexed by their opposite vertex: the edge (a, b)
-            # is shared by the faces opposite the *other* two vertices
-            c_v, d_v = sorted(set(range(4)) - {a, b})
-            gram[c_v, d_v] = gram[d_v, c_v] = -np.cos(angles[m])
-        if np.linalg.det(gram) < -1e-9:
-            raise DecompositionError(
-                f"dihedral angles of tetrahedron {t_idx} fail the Gram check"
-            )
-    return table
+    angles, _ = tetra_angles_and_jacobian(d._lengths(interior_l))
+    # faces are indexed by their opposite vertex: the edge (a, b) is shared
+    # by the faces opposite the *other* two vertices
+    c_v, d_v = np.array([sorted(set(range(4)) - set(pair)) for pair in TETRA_EDGE_ORDER]).T
+    gram = np.tile(np.eye(4), (len(angles), 1, 1))
+    gram[:, c_v, d_v] = gram[:, d_v, c_v] = -np.cos(angles)
+    failed = np.flatnonzero(np.linalg.det(gram) < -1e-9)
+    if failed.size:
+        raise DecompositionError(f"dihedral angles of tetrahedron {failed[0]} fail the Gram check")
+    edges = d.interior_edges + d.boundary_edges
+    return {
+        (t_idx, edges[k]): float(angles[t_idx, m])
+        for t_idx, row in enumerate(d._edge_index)
+        for m, k in enumerate(row)
+    }
 
 
 def rigidity_from_lambda(d, tol: Tolerances = DEFAULT_TOL):
@@ -645,8 +611,6 @@ def pd_probe(trials=500, seed=0, include_controls=False, tol: Tolerances = DEFAU
     from the probe seed, so every instance can be regenerated.
     """
     from . import generators  # deferred: generators sits above this module
-
-    from .geometry import classify_convexity
 
     records = []
     failures = 0

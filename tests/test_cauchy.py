@@ -31,7 +31,7 @@ from rigidity3d.geometry import (
     classify_convexity,
     dihedral_angle,
 )
-from rigidity3d.shapes import icosahedron, octahedron, square_pyramid, tetrahedron
+from rigidity3d.shapes import cube, icosahedron, octahedron, square_pyramid, tetrahedron
 
 FD_STEP = 1e-6
 
@@ -70,6 +70,14 @@ def test_dihedral_rates_match_finite_differences():
 def test_rates_reject_wrong_motion_size():
     with pytest.raises(CauchyError, match="shape"):
         dihedral_rates(octahedron(), Motion(np.zeros((4, 3))))
+
+
+def test_rates_name_the_first_flat_edge():
+    """The cube's face diagonals are flat; (0, 2) is the first in edge order."""
+    surf = cube()
+    assert surf.edges.index((0, 2)) == 1
+    with pytest.raises(CauchyError, match=r"edge \(0, 2\) is flat"):
+        dihedral_rates(surf, Motion(np.zeros((surf.n_vertices, 3))))
 
 
 def test_trivial_motion_gives_all_zero_signs():

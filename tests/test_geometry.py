@@ -473,3 +473,35 @@ def test_cayley_menger_relabeling_invariance():
         ok, vol = cayley_menger_feasible(lengths)
         assert ok == ref[0]
         assert vol == pytest.approx(ref[1], rel=1e-9)
+
+
+def test_cayley_menger_batch_matches_rows():
+    rng = np.random.default_rng(5)
+    pts = rng.normal(size=(40, 4, 3))
+    pts[::4, :, 2] *= 1e-6  # nearly flat: refused
+    first, second = np.array([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]).T
+    lengths = np.linalg.norm(pts[:, first] - pts[:, second], axis=-1)
+    lengths[1::4, 5] = lengths[1::4, :5].sum(axis=1)  # a broken triangle inequality
+    ok, vol = cayley_menger_feasible(lengths.reshape(2, 20, 6))
+    assert ok.shape == vol.shape == (2, 20)
+    rows = [cayley_menger_feasible(row) for row in lengths]
+    assert ok.ravel().tolist() == [r[0] for r in rows]
+    assert 0 < ok.sum() < len(rows)
+    assert np.abs(vol.ravel() - [r[1] for r in rows]).max() <= 1e-15 * vol.max()
+    with pytest.raises(GeometryError, match="expected 6 lengths"):
+        cayley_menger_feasible(lengths[:, :5])
+    with pytest.raises(GeometryError, match="positive and finite"):
+        cayley_menger_feasible(np.vstack([lengths, [1, 1, 1, 1, 1, np.nan]]))
+
+
+def test_classify_convexity_measures_the_diameter_once(monkeypatch):
+    """Edge exposure works on unit-diameter points, so no LP threshold
+    recomputes the diameter."""
+    import rigidity3d.geometry as geometry
+
+    calls = []
+    original = geometry.diameter
+    monkeypatch.setattr(geometry, "diameter", lambda p: calls.append(1) or original(p))
+    report = classify_convexity(octahedron())
+    assert report.classification is Convexity.STRONGLY_STRICTLY_CONVEX
+    assert len(calls) <= 1

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rigidity3d.frameworks import Framework, is_infinitesimally_rigid
-from rigidity3d.generators import probe_decomposition
+from rigidity3d.generators import flexible_suspension_fixture, probe_decomposition
 from rigidity3d.geometry import DEFAULT_TOL, PolyhedralSurface, dihedral_angle
 from rigidity3d.hessian import (
     Decomposition,
@@ -19,7 +19,8 @@ from rigidity3d.hessian import (
     schlafli_residual,
     tetra_angles_and_jacobian,
 )
-from rigidity3d.shapes import octahedron, tetrahedron
+from rigidity3d.shapes import icosahedron, octahedron, tetrahedron
+from rigidity3d.suspensions import axis_decomposition
 
 TETRA_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
@@ -49,15 +50,51 @@ def embed_tet(lengths):
 # ---------------------------------------------------------------------------
 
 
+def awkward_tets():
+    """Obtuse and near-sliver tetrahedra (relative volume down to 2e-5)."""
+    out = []
+    for h in (1e-1, 1e-2, 1e-3, 3e-4):
+        out.append([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, h]])  # dihedrals near 0 and pi
+        out.append([[0, 0, 0], [1, 0, 0], [0.5, 1, 0], [0.5, 0.3, h]])  # flat cap
+        out.append([[0, 0, 0], [1, 0, 0], [0, 1, 0], [2, 2, 10 * h]])  # apex beyond a corner
+    return np.array(out, dtype=float)
+
+
 def test_angles_match_embedding():
-    """Length-based dihedral angles equal embedding-based ones."""
+    """Length-based dihedral angles equal embedding-based ones, in one
+    batched call over well-shaped, obtuse and near-sliver tetrahedra."""
     rng = np.random.default_rng(31)
-    for _ in range(20):
-        pts, lengths = random_tet_lengths(rng)
-        angles, _ = tetra_angles_and_jacobian(lengths)
+    tets = np.concatenate([[random_tet_lengths(rng)[0] for _ in range(20)], awkward_tets()])
+    first, second = np.array(TETRA_PAIRS).T
+    lengths = np.linalg.norm(tets[:, first] - tets[:, second], axis=-1)
+    angles, _ = tetra_angles_and_jacobian(lengths)
+    assert angles.max() > 3.1 and angles.min() < 1e-3
+    for pts, row in zip(tets, angles):
         surf = PolyhedralSurface(pts, [(0, 2, 1), (0, 1, 3), (0, 3, 2), (1, 2, 3)])
         for k, pair in enumerate(TETRA_PAIRS):
-            assert angles[k] == pytest.approx(dihedral_angle(surf, pair), abs=1e-10)
+            assert row[k] == pytest.approx(dihedral_angle(surf, pair), abs=1e-10)
+
+
+def test_batched_kernel_equals_single_calls():
+    """A (..., 6) call returns (..., 6) angles and a (..., 6, 6) Jacobian
+    equal to the stacked (6,) calls."""
+    rng = np.random.default_rng(38)
+    lengths = np.array([random_tet_lengths(rng)[1] for _ in range(60)])
+    angles, jac = tetra_angles_and_jacobian(lengths.reshape(3, 20, 6))
+    assert angles.shape == (3, 20, 6) and jac.shape == (3, 20, 6, 6)
+    single = [tetra_angles_and_jacobian(row) for row in lengths]
+    assert single[0][0].shape == (6,) and single[0][1].shape == (6, 6)
+    assert np.abs(angles.reshape(60, 6) - [a for a, _ in single]).max() <= 1e-15
+    jac_single = np.array([j for _, j in single])
+    assert np.abs(jac.reshape(60, 6, 6) - jac_single).max() <= 1e-15 * np.abs(jac_single).max()
+
+
+def test_kernel_names_the_first_bad_row():
+    good = np.ones(6)
+    bad = np.array([1, 1, 1, 1, 1, 2.5])
+    with pytest.raises(DecompositionError, match="tetrahedron 1:") as info:
+        tetra_angles_and_jacobian(np.stack([good, bad, good, bad]))
+    assert info.value.tetrahedron == 1
 
 
 def test_jacobian_matches_finite_differences():
@@ -339,6 +376,32 @@ def test_r_zero_is_rigid_by_convention():
     d = decompose_star(tetrahedron(), 0)
     assert d.r == 0
     assert rigidity_from_lambda(d)
+
+
+def test_lone_cancelled_eigenvalue_reads_flexible():
+    """r = 1: lambda cancels to roundoff on the flexible fixture.  Its rank
+    is judged against the per-tetrahedron Jacobian scale, not against the
+    lone eigenvalue itself, so both verdicts say flexible."""
+    d = axis_decomposition(flexible_suspension_fixture().suspension)
+    lam = lambda_matrix(d)
+    assert lam.r == 1 and abs(lam.min_eigenvalue) < 1e-9
+    assert lam.is_singular
+    assert rigidity_from_lambda(d) is False
+
+
+def test_lambda_is_assembled_once_per_decomposition(monkeypatch):
+    d = decompose_star(icosahedron(), 0)
+    assert d.r == 6
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+    lam = lambda_matrix(d)
+    assert rigidity_from_lambda(d) == (not lam.is_singular)
+    assert np.array_equal(lambda_matrix(d).matrix, lam.matrix)
+    assert calls == [(d.r, d.r)]
+    # an explicit length vector is assembled afresh
+    lambda_matrix(d, d.embedded_interior_lengths)
+    assert len(calls) == 2
 
 
 def test_lambda_rank_verdict_matches_svd_verdict_on_probe_pools():
