@@ -21,6 +21,7 @@ from .geometry import (  # noqa: F401
     cayley_menger_feasible,
     classify_convexity,
     dihedral_angle,
+    dihedral_angles,
     hemisphere_witness,
     normalize_pole_frame,
     spherical_polygon_relation_residual,

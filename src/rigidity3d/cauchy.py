@@ -23,7 +23,7 @@ from .geometry import (
     TETRA_EDGE_ORDER,
     PolyhedralSurface,
     Tolerances,
-    dihedral_angle,
+    dihedral_angles,
 )
 from .hessian import DecompositionError, tetra_angles_and_jacobian
 
@@ -59,12 +59,11 @@ def dihedral_rates(surface, motion, tol: Tolerances = DEFAULT_TOL):
             f"motion has shape {vel.shape}, expected {p.shape}"
         )
     edges = surface.edges
-    quads = np.empty((len(edges), 4), dtype=int)  # (i, j, c, d): the flank tetrahedron
-    for row, (i, j) in enumerate(edges):
-        f1, f2 = surface.edge_faces(i, j)
-        c = next(v for v in map(int, surface.faces[f1]) if v not in (i, j))
-        d = next(v for v in map(int, surface.faces[f2]) if v not in (i, j))
-        quads[row] = (i, j, c, d)
+    i, j = np.array(edges).T
+    # (i, j, c, d): the flank tetrahedron; c and d are the third vertices
+    # of the faces holding (i, j) and (j, i)
+    third = surface.faces.sum(axis=1)[surface.flanking_faces] - (i + j)[:, None]
+    quads = np.column_stack([i, j, third])
     first, second = np.array(TETRA_EDGE_ORDER).T
     diff = p[quads[:, first]] - p[quads[:, second]]  # (E, 6, 3)
     dvel = vel[quads[:, first]] - vel[quads[:, second]]
@@ -77,13 +76,9 @@ def dihedral_rates(surface, motion, tol: Tolerances = DEFAULT_TOL):
         raise CauchyError(
             f"edge ({i}, {j}) is flat: angle variation is undefined"
         ) from exc
-    rates = {}
-    for (i, j), rate in zip(edges, np.einsum("em,em->e", jac[:, 0], lrates)):
-        rate = float(rate)
-        if dihedral_angle(surface, (i, j), tol) > np.pi:
-            rate = -rate
-        rates[(i, j)] = rate
-    return rates
+    rates = np.einsum("em,em->e", jac[:, 0], lrates)
+    rates = np.where(dihedral_angles(surface, tol) > np.pi, -rates, rates)
+    return dict(zip(edges, rates.tolist()))
 
 
 @dataclass(frozen=True)
@@ -393,16 +388,15 @@ def vertex_sign_change_check(surface, sv: SignVector, tol: Tolerances = DEFAULT_
     signs: at a locally convex vertex either all incident signs vanish or
     there are at least 4 sign changes; at a non-convex vertex either all
     vanish or both signs occur on at least 3 nonzero edges."""
+    angles = dihedral_angles(surface, tol)
+    nonconvex = {v for e, a in zip(surface.edges, angles) if a > np.pi + SIGN_RATE_TOL for v in e}
     reports = []
     for v in range(surface.n_vertices):
         nbrs = surface.neighbors_cyclic(v)
         seq = [sv[(v, w)] for w in nbrs]
         nonzero = sum(s != 0 for s in seq)
         changes = cyclic_sign_changes(seq)
-        convex = all(
-            dihedral_angle(surface, (v, w), tol) <= np.pi + SIGN_RATE_TOL
-            for w in nbrs
-        )
+        convex = v not in nonconvex
         if nonzero == 0:
             ok, detail = True, "all signs zero"
         elif convex:
@@ -442,8 +436,7 @@ def dent(surface, edge, tol: Tolerances = DEFAULT_TOL):
     if (i, j) not in surface.edges:
         raise CauchyError(f"({i}, {j}) is not an edge of the surface")
     f1, f2 = surface.edge_faces(i, j)
-    c = next(int(v) for v in surface.faces[f1] if v not in (i, j))
-    d = next(int(v) for v in surface.faces[f2] if v not in (i, j))
+    c, d = (surface.faces[[f1, f2]].sum(axis=1) - i - j).tolist()
     if tuple(sorted((c, d))) in surface.edges:
         raise CauchyError(
             f"cannot dent at ({i}, {j}): opposite vertices {c} and {d} are "

@@ -20,7 +20,7 @@ from .geometry import (
     PolyhedralSurface,
     ProjectiveMap,
     Tolerances,
-    dihedral_angle,
+    dihedral_angles,
     transform_points,
 )
 from .hessian import DecompositionError, decompose_star, lambda_matrix
@@ -79,9 +79,7 @@ def random_convex_hull_surface(rng, n, tol: Tolerances = DEFAULT_TOL, max_tries=
             surface = PolyhedralSurface(pts, _oriented_hull_faces(pts, hull), tol)
         except GeometryError:
             continue
-        if max(dihedral_angle(surface, e, tol) for e in surface.edges) > (
-            np.pi - FLAT_EDGE_MARGIN
-        ):
+        if not (dihedral_angles(surface, tol) < np.pi - FLAT_EDGE_MARGIN).all():
             continue
         return surface
     raise GenerationError(
@@ -144,8 +142,8 @@ def convex_suspension(rng, n, tol: Tolerances = DEFAULT_TOL, max_tries=40):
             hull = ConvexHull(pts)
             hull_faces = {tuple(sorted(f)) for f in hull.simplices.tolist()}
             surf_faces = {tuple(sorted(f)) for f in s.surface.faces.tolist()}
-            flat = max(dihedral_angle(s.surface, e, tol) for e in s.surface.edges)
-            if hull_faces == surf_faces and flat < np.pi - FLAT_EDGE_MARGIN:
+            sharp = (dihedral_angles(s.surface, tol) < np.pi - FLAT_EDGE_MARGIN).all()
+            if hull_faces == surf_faces and sharp:
                 return s
             jitter *= 0.5
     raise GenerationError("convex suspension generation did not converge")
@@ -169,15 +167,9 @@ def star_suspension(rng, n, require_reflex=False, tol: Tolerances = DEFAULT_TOL,
         if not is_ns_decomposable(s, tol):
             continue
         if require_reflex:
-            laterals = [
-                e
-                for pole in NS_EDGE
-                for e in (tuple(sorted((pole, s.equator_index(k)))) for k in range(n))
-            ]
-            if not any(
-                dihedral_angle(s.surface, e, tol) > np.pi + tol.geom_tol
-                for e in laterals
-            ):
+            lateral = np.isin(np.array(s.surface.edges), NS_EDGE).any(axis=1)
+            reflex = dihedral_angles(s.surface, tol) > np.pi + tol.geom_tol
+            if not (lateral & reflex).any():
                 continue
         return s
     raise GenerationError("no suitable cylinder suspension found")

@@ -125,26 +125,30 @@ class PolyhedralSurface:
         n = len(vertices)
         if faces.min(initial=0) < 0 or faces.max(initial=-1) >= n:
             raise GeometryError("face index out of range")
-        for f_idx, tri in enumerate(faces):
+        for f_idx, tri in enumerate(faces.tolist()):
             if len(set(tri)) != 3:
                 raise GeometryError(f"face {f_idx} repeats a vertex index: {tuple(tri)}")
 
-        self._check_manifold(faces, n)
+        directed = self._check_manifold(faces, n)
         self._check_coincidence(vertices, tol)
 
         if _signed_volume(vertices, faces) < 0.0:
+            # reversing every face reverses every directed edge
             faces = faces[:, ::-1]
+            directed = {(v, u): f_idx for (u, v), f_idx in directed.items()}
 
         vertices.flags.writeable = False
         faces = np.ascontiguousarray(faces)
         faces.flags.writeable = False
         self.vertices = vertices
         self.faces = faces
+        self._directed_face = directed
 
     @staticmethod
     def _check_manifold(faces, n_vertices):
+        """Validate the face list; return the map directed edge -> face."""
         directed = {}
-        for f_idx, (a, b, c) in enumerate(faces):
+        for f_idx, (a, b, c) in enumerate(faces.tolist()):
             for u, v in ((a, b), (b, c), (c, a)):
                 if (u, v) in directed:
                     raise GeometryError(
@@ -181,6 +185,7 @@ class PolyhedralSurface:
                     stack.append(v)
         if not seen.all():
             raise GeometryError("surface is not connected")
+        return directed
 
     @staticmethod
     def _check_coincidence(vertices, tol):
@@ -209,23 +214,11 @@ class PolyhedralSurface:
     @cached_property
     def edges(self):
         """Undirected edges as sorted (i, j) pairs, lexicographically ordered."""
-        pairs = set()
-        for a, b, c in map(tuple, self.faces.tolist()):
-            pairs.update({tuple(sorted((a, b))), tuple(sorted((b, c))), tuple(sorted((c, a)))})
-        return tuple(sorted(pairs))
+        return tuple(sorted((u, v) for u, v in self._directed_face if u < v))
 
     @property
     def n_edges(self):
         return len(self.edges)
-
-    @cached_property
-    def _directed_face(self):
-        table = {}
-        for f_idx, (a, b, c) in enumerate(self.faces):
-            table[(a, b)] = f_idx
-            table[(b, c)] = f_idx
-            table[(c, a)] = f_idx
-        return table
 
     def edge_faces(self, i, j):
         """Indices of the faces containing directed edges (i,j) and (j,i)."""
@@ -233,6 +226,13 @@ class PolyhedralSurface:
             return self._directed_face[(i, j)], self._directed_face[(j, i)]
         except KeyError:
             raise GeometryError(f"({i}, {j}) is not an edge of the surface") from None
+
+    @cached_property
+    def flanking_faces(self):
+        """(E, 2) read-only array: row k holds edge_faces(*edges[k])."""
+        flanks = np.array([self.edge_faces(i, j) for i, j in self.edges])
+        flanks.flags.writeable = False
+        return flanks
 
     @cached_property
     def vertex_faces(self):
@@ -277,15 +277,19 @@ class PolyhedralSurface:
     def diameter(self):
         return diameter(self.vertices)
 
-    def face_normal(self, f_idx, tol: Tolerances = DEFAULT_TOL):
-        """Outward unit normal of face f_idx; error if the face is degenerate."""
-        a, b, c = self.faces[f_idx]
-        p = self.vertices
-        cross = np.cross(p[b] - p[a], p[c] - p[a])
-        area2 = np.linalg.norm(cross)
-        if area2 <= tol.geom_tol * self.diameter**2:
-            raise GeometryError(f"face {f_idx} = {(a, b, c)} is degenerate (zero area)")
-        return cross / area2
+    @cached_property
+    def face_cross(self):
+        """(F, 3) read-only array: (b - a) x (c - a) for each face (a, b, c),
+        the outward normal scaled by twice the face area."""
+        corners = self.vertices[self.faces]
+        cross = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
+        cross.flags.writeable = False
+        return cross
+
+    def degenerate_faces(self, tol: Tolerances = DEFAULT_TOL):
+        """Boolean (F,) mask of the zero-area faces: doubled area at or
+        below geom_tol * diameter**2."""
+        return np.linalg.norm(self.face_cross, axis=1) <= tol.geom_tol * self.diameter**2
 
     def _replace_vertices(self, new_vertices, tol: Tolerances):
         return PolyhedralSurface(new_vertices, np.array(self.faces), tol=tol)
@@ -301,21 +305,44 @@ def _signed_volume(vertices, faces):
 # ---------------------------------------------------------------------------
 
 
-def dihedral_angle(surface, edge, tol: Tolerances = DEFAULT_TOL):
-    """Interior dihedral angle along an edge, in (0, 2*pi).
+def dihedral_angles(surface, tol: Tolerances = DEFAULT_TOL):
+    """Interior dihedral angle at every edge, in (0, 2*pi), as an (E,)
+    array in `surface.edges` order.
 
     Measured inside the solid bounded by the surface: a convex edge gives
     an angle below pi, a reflex ("non-convex") edge gives one above pi.
+    The angle is NaN at an edge flanked by a degenerate (zero-area) face,
+    so it compares as neither below nor above pi.
     """
-    i, j = edge
-    f1, f2 = surface.edge_faces(i, j)
-    n1 = surface.face_normal(f1, tol)
-    n2 = surface.face_normal(f2, tol)
-    u = unit(surface.vertices[j] - surface.vertices[i])
-    angle = np.pi - np.arctan2(np.dot(np.cross(n1, n2), u), np.dot(n1, n2))
-    if angle <= 0.0:
-        angle += 2.0 * np.pi
-    return float(angle)
+    cross = surface.face_cross
+    with np.errstate(divide="ignore", invalid="ignore"):
+        normals = cross / np.linalg.norm(cross, axis=1)[:, None]
+    f1, f2 = surface.flanking_faces.T
+    n1, n2 = normals[f1], normals[f2]
+    i, j = np.array(surface.edges).T
+    u = surface.vertices[j] - surface.vertices[i]
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    angles = np.pi - np.arctan2(
+        np.einsum("ex,ex->e", np.cross(n1, n2), u), np.einsum("ex,ex->e", n1, n2)
+    )
+    angles[angles <= 0.0] += 2.0 * np.pi
+    degenerate = surface.degenerate_faces(tol)
+    angles[degenerate[f1] | degenerate[f2]] = np.nan
+    return angles
+
+
+def dihedral_angle(surface, edge, tol: Tolerances = DEFAULT_TOL):
+    """One entry of dihedral_angles, for the edge {i, j} in either order;
+    GeometryError if it is not an edge or a flanking face is degenerate."""
+    i, j = sorted(int(v) for v in edge)
+    flanks = surface.edge_faces(i, j)
+    angle = float(dihedral_angles(surface, tol)[surface.edges.index((i, j))])
+    if np.isnan(angle):
+        f_idx = next(f for f in flanks if surface.degenerate_faces(tol)[f])
+        raise GeometryError(
+            f"face {f_idx} = {tuple(surface.faces[f_idx].tolist())} is degenerate (zero area)"
+        )
+    return angle
 
 
 class Convexity(Enum):
@@ -350,20 +377,11 @@ class ConvexityReport:
 
 
 def _edge_flags(surface, tol):
-    flags = {}
-    for e in surface.edges:
-        try:
-            a = dihedral_angle(surface, e, tol)
-        except GeometryError:
-            flags[e] = "flat"
-            continue
-        if a > np.pi + tol.geom_tol:
-            flags[e] = "reflex"
-        elif a < np.pi - tol.geom_tol:
-            flags[e] = "convex"
-        else:
-            flags[e] = "flat"
-    return flags
+    angles = dihedral_angles(surface, tol)
+    kinds = np.select(
+        [angles > np.pi + tol.geom_tol, angles < np.pi - tol.geom_tol], ["reflex", "convex"], "flat"
+    )
+    return dict(zip(surface.edges, kinds.tolist()))
 
 
 def support_functional(points, touching, tol: Tolerances = DEFAULT_TOL):

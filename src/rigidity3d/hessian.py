@@ -355,24 +355,17 @@ def decompose_star(surface, apex, tol: Tolerances = DEFAULT_TOL):
     """
     apex = int(apex)
     p = surface.vertices
-    blocked = []
-    tets = []
-    cone_partners = set()
-    for face in map(tuple, surface.faces.tolist()):
-        if apex in face:
-            continue
-        a, b, c = face
-        n = np.cross(p[b] - p[a], p[c] - p[a])
-        side = float(np.dot(p[apex] - p[a], n))
-        if side >= -tol.geom_tol * surface.diameter**3:
-            blocked.append(face)
-            continue
-        tets.append((apex, a, b, c))
-        cone_partners.update(face)
-    if blocked:
+    faces = surface.faces
+    cone = ~(faces == apex).any(axis=1)
+    side = np.einsum("fx,fx->f", p[apex] - p[faces[:, 0]], surface.face_cross)
+    blocked = cone & (side >= -tol.geom_tol * surface.diameter**3)
+    if blocked.any():
         raise DecompositionError(
-            f"surface is not star-shaped from vertex {apex}; blocked faces: {blocked}"
+            f"surface is not star-shaped from vertex {apex}; "
+            f"blocked faces: {list(map(tuple, faces[blocked].tolist()))}"
         )
+    tets = [(apex, a, b, c) for a, b, c in faces[cone].tolist()]
+    cone_partners = set(faces[cone].ravel().tolist())
     surf_edges = set(surface.edges)
     interior = sorted(
         tuple(sorted((apex, w))) for w in cone_partners

@@ -72,12 +72,10 @@ class Suspension:
                 f"a suspension needs at least 3 equator vertices, got {len(vertices) - 2}"
             )
         surface = PolyhedralSurface(vertices, bipyramid_faces(len(vertices) - 2), tol)
-        p = surface.vertices
-        diam = surface.diameter
-        for a, b, c in map(tuple, surface.faces.tolist()):
-            doubled_area = np.linalg.norm(np.cross(p[b] - p[a], p[c] - p[a]))
-            if doubled_area <= tol.geom_tol * diam**2:
-                raise SuspensionError(f"face ({a}, {b}, {c}) is degenerate (zero area)")
+        degenerate = np.flatnonzero(surface.degenerate_faces(tol))
+        if degenerate.size:
+            a, b, c = surface.faces[degenerate[0]].tolist()
+            raise SuspensionError(f"face ({a}, {b}, {c}) is degenerate (zero area)")
         self.vertices = surface.vertices
         self.surface = surface
 

@@ -1,6 +1,7 @@
 """Tests for the low-level geometry kernel."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -17,8 +18,10 @@ from rigidity3d.geometry import (
     apply_projective,
     cayley_menger_feasible,
     classify_convexity,
+    _edge_flags,
     diameter,
     dihedral_angle,
+    dihedral_angles,
     hemisphere_witness,
     normalize_pole_frame,
     pole_frame_ok,
@@ -26,7 +29,10 @@ from rigidity3d.geometry import (
     transform_points,
     vertex_link,
 )
-from rigidity3d.shapes import cube, octahedron, square_pyramid, tetrahedron
+from rigidity3d.generators import dented_hull_star, random_convex_hull_surface, star_suspension
+from rigidity3d.hessian import tetra_angles_and_jacobian
+from rigidity3d.shapes import cube, icosahedron, octahedron, square_pyramid, tetrahedron
+from rigidity3d.suspensions import Suspension, SuspensionError
 
 
 def dented_octahedron():
@@ -82,6 +88,44 @@ def test_surface_rejects_repeated_index_and_coincident_vertices():
     squashed[5] = squashed[2] + 1e-12
     with pytest.raises(GeometryError, match="coincide"):
         PolyhedralSurface(squashed, base.faces)
+
+
+def test_error_messages_name_faces_as_plain_ints():
+    tet = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    with pytest.raises(GeometryError, match=re.escape("face 0 repeats a vertex index: (0, 0, 1)")):
+        PolyhedralSurface(tet, [(0, 0, 1), (0, 1, 2), (0, 2, 3), (1, 2, 3)])
+
+
+def surface_pool():
+    """Pinned random hulls, dented hulls and reflex suspensions."""
+    pool = [random_convex_hull_surface(np.random.default_rng((401, k)), 6 + 7 * k)
+            for k in range(6)]
+    pool += [dented_hull_star(np.random.default_rng((402, k)), 8 + k).surface for k in range(5)]
+    pool += [star_suspension(np.random.default_rng((403, k)), 4 + k, require_reflex=True).surface
+             for k in range(6)]
+    return pool
+
+
+def test_edges_and_flanking_faces_match_brute_force():
+    """edges, edge_faces and flanking_faces agree with a scan of the final
+    face list, also when the input faces were given inward and flipped."""
+    base = octahedron()
+    flipped = PolyhedralSurface(base.vertices, base.faces[:, ::-1])
+    assert (flipped.faces == base.faces).all()
+    shapes = [octahedron(), cube(), tetrahedron(), square_pyramid(), icosahedron()]
+    for surf in shapes + surface_pool() + [flipped]:
+        holder = {}
+        for f_idx, (a, b, c) in enumerate(surf.faces.tolist()):
+            holder.update({(a, b): f_idx, (b, c): f_idx, (c, a): f_idx})
+        edges = sorted({tuple(sorted(e)) for e in holder})
+        assert list(surf.edges) == edges
+        assert all(type(x) is int for e in surf.edges for x in e)
+        assert surf.flanking_faces.tolist() == [[holder[(i, j)], holder[(j, i)]] for i, j in edges]
+        for i, j in edges:
+            assert surf.edge_faces(i, j) == (holder[(i, j)], holder[(j, i)])
+            assert surf.edge_faces(j, i) == (holder[(j, i)], holder[(i, j)])
+    with pytest.raises(GeometryError, match="not an edge"):
+        base.edge_faces(2, 4)
 
 
 def test_diameter_and_closest_pair_match_brute_force():
@@ -140,6 +184,53 @@ def test_dihedral_mirror_invariance():
     mirrored = PolyhedralSurface(base.vertices * np.array([-1.0, 1.0, 1.0]), base.faces)
     for e in base.edges:
         assert dihedral_angle(mirrored, e) == pytest.approx(dihedral_angle(base, e))
+
+
+def test_dihedral_angles_match_flank_tetrahedra():
+    """Each batched angle, folded into (0, pi], is the simplex angle of the
+    flank tetrahedron found by scanning the faces; the angles above pi are
+    exactly the edges flagged reflex."""
+    n_reflex = 0
+    for surf in surface_pool():
+        angles = dihedral_angles(surf)
+        assert angles.shape == (surf.n_edges,)
+        third = {}
+        for a, b, c in surf.faces.tolist():
+            third.update({(a, b): c, (b, c): a, (c, a): b})
+        quads = [(i, j, third[(i, j)], third[(j, i)]) for i, j in surf.edges]
+        corners = surf.vertices[np.array(quads)]
+        first, second = np.array(list(itertools.combinations(range(4), 2))).T
+        lengths = np.linalg.norm(corners[:, first] - corners[:, second], axis=-1)
+        simplex = tetra_angles_and_jacobian(lengths)[0][:, 0]
+        np.testing.assert_allclose(np.minimum(angles, 2 * np.pi - angles), simplex, atol=1e-10)
+        reflex = {e for e, flag in _edge_flags(surf, DEFAULT_TOL).items() if flag == "reflex"}
+        assert {e for e, a in zip(surf.edges, angles) if a > np.pi} == reflex
+        n_reflex += len(reflex)
+        for k in (0, len(angles) // 2, -1):
+            assert dihedral_angle(surf, surf.edges[k][::-1]) == angles[k]
+    assert n_reflex >= 11  # at least one per dented hull and reflex suspension
+
+
+def test_zero_area_face_reads_flat():
+    """With vertex 3 of the octahedron at the midpoint of vertices 0 and 2,
+    face 0 = (0, 2, 3) has zero area: its edges read NaN and "flat", the
+    one-edge view names the face, and a suspension refuses it."""
+    v = octahedron().vertices.copy()
+    v[3] = 0.5 * (v[0] + v[2])
+    surf = PolyhedralSurface(v, octahedron().faces)
+    assert tuple(surf.faces[0].tolist()) == (0, 2, 3)
+    assert np.flatnonzero(surf.degenerate_faces()).tolist() == [0]
+    face_edges = [(0, 2), (0, 3), (2, 3)]
+    angles = dict(zip(surf.edges, dihedral_angles(surf)))
+    assert all(np.isnan(angles[e]) == (e in face_edges) for e in surf.edges)
+    flags = classify_convexity(surf).edge_flags
+    assert all(flags[e] == "flat" for e in face_edges)
+    with pytest.raises(GeometryError, match=re.escape("face 0 = (0, 2, 3) is degenerate")):
+        dihedral_angle(surf, (0, 2))
+    with pytest.raises(GeometryError, match="not an edge"):
+        dihedral_angle(surf, (2, 4))
+    with pytest.raises(SuspensionError, match=re.escape("face (0, 2, 3) is degenerate (zero area)")):
+        Suspension(v)
 
 
 # ---------------------------------------------------------------------------
