@@ -22,7 +22,9 @@ from .geometry import (  # noqa: F401
     classify_convexity,
     dihedral_angle,
     dihedral_angles,
+    edge_flags,
     hemisphere_witness,
+    is_weakly_convex,
     normalize_pole_frame,
     spherical_polygon_relation_residual,
     vertex_link,

@@ -21,9 +21,11 @@ from .geometry import (
     ProjectiveMap,
     Tolerances,
     dihedral_angles,
+    is_weakly_convex,
     transform_points,
 )
 from .hessian import DecompositionError, decompose_star, lambda_matrix
+from .shapes import hull_faces
 from .suspensions import (
     NS_EDGE,
     SuspensionError,
@@ -48,17 +50,6 @@ class GenerationError(Exception):
 # ---------------------------------------------------------------------------
 
 
-def _oriented_hull_faces(points, hull):
-    centroid = points.mean(axis=0)
-    faces = []
-    for a, b, c in hull.simplices:
-        n = np.cross(points[b] - points[a], points[c] - points[a])
-        if n @ (points[a] - centroid) < 0:
-            a, b, c = a, c, b
-        faces.append((int(a), int(b), int(c)))
-    return faces
-
-
 def random_convex_hull_surface(rng, n, tol: Tolerances = DEFAULT_TOL, max_tries=60):
     """Boundary surface of the convex hull of n random points on the unit
     sphere.  Samples are rejected until every point is a hull vertex and
@@ -76,7 +67,7 @@ def random_convex_hull_surface(rng, n, tol: Tolerances = DEFAULT_TOL, max_tries=
         if len(hull.vertices) != n:
             continue
         try:
-            surface = PolyhedralSurface(pts, _oriented_hull_faces(pts, hull), tol)
+            surface = PolyhedralSurface(pts, hull_faces(pts, hull.simplices), tol)
         except GeometryError:
             continue
         if not (dihedral_angles(surface, tol) < np.pi - FLAT_EDGE_MARGIN).all():
@@ -318,8 +309,6 @@ def probe_decomposition(kind, rng, tol: Tolerances = DEFAULT_TOL):
     if kind == "control_nonconvex":
         # pull one cylinder vertex far inside the hull: still decomposable,
         # no longer weakly convex
-        from .geometry import classify_convexity
-
         for _ in range(40):
             n = int(rng.integers(4, 9))
             az = _azimuths(rng, n)
@@ -330,7 +319,7 @@ def probe_decomposition(kind, rng, tol: Tolerances = DEFAULT_TOL):
             z[notch] = 0.5 * (z[(notch - 1) % n] + z[(notch + 1) % n])
             eq = np.stack([radii * np.cos(az), radii * np.sin(az), z], axis=1)
             s = build_suspension((0.0, 0.0, 1.3), (0.0, 0.0, -1.3), eq, tol)
-            if not classify_convexity(s.surface, tol).is_weakly_convex:
+            if not is_weakly_convex(s.surface):
                 return axis_decomposition(s, tol)
         raise GenerationError("control instance stayed weakly convex")
     raise GenerationError(f"unknown probe kind {kind!r}")

@@ -376,7 +376,11 @@ class ConvexityReport:
         return self.classification is not Convexity.NOT_WEAKLY_CONVEX
 
 
-def _edge_flags(surface, tol):
+def edge_flags(surface, tol: Tolerances = DEFAULT_TOL):
+    """Map each undirected edge (in `surface.edges` order) to "convex",
+    "reflex" or "flat" by its dihedral angle, geom_tol away from pi; the
+    same flags as classify_convexity(surface, tol).edge_flags, without the
+    hull or the exposure LPs."""
     angles = dihedral_angles(surface, tol)
     kinds = np.select(
         [angles > np.pi + tol.geom_tol, angles < np.pi - tol.geom_tol], ["reflex", "convex"], "flat"
@@ -415,33 +419,53 @@ def _is_exposed_edge(points, i, j, tol):
     return delta > tol.geom_tol
 
 
+def _hull_vertex_stage(surface):
+    """qhull of the vertices scaled to unit diameter.
+
+    Returns (points, hull, nonexposed): the scaled points, their hull
+    (None when qhull fails on a degenerate vertex set) and the vertices
+    that are not hull vertices (every vertex when the hull failed)."""
+    pts = surface.vertices / surface.diameter
+    try:
+        hull = ConvexHull(pts)
+    except QhullError:
+        return pts, None, tuple(range(surface.n_vertices))
+    on_hull = np.zeros(surface.n_vertices, dtype=bool)
+    on_hull[hull.vertices] = True
+    return pts, hull, tuple(np.flatnonzero(~on_hull).tolist())
+
+
+def is_weakly_convex(surface):
+    """Whether the surface has the same vertices as a convex polyhedron:
+    every vertex is a vertex of the convex hull, and the hull is
+    full-dimensional.  One qhull call, no LP; equals
+    classify_convexity(surface).is_weakly_convex."""
+    return not _hull_vertex_stage(surface)[2]
+
+
 def classify_convexity(surface, tol: Tolerances = DEFAULT_TOL):
     """Classify a closed surface by strict convexity of vertices and edges.
 
     Strongly strictly convex: every vertex and every edge is exposed on
-    the convex hull.  Weakly strictly convex: every vertex is exposed.
-    Vertices lying on the hull boundary without being hull vertices count
-    as not strictly convex (noted in the report).
+    the convex hull (one LP per edge).  Weakly strictly convex: every
+    vertex is exposed, the is_weakly_convex test.  Vertices lying on the
+    hull boundary without being hull vertices count as not strictly
+    convex (noted in the report).
     """
-    pts = surface.vertices / surface.diameter
-    flags = _edge_flags(surface, tol)
-    notes = []
-    try:
-        hull = ConvexHull(pts)
-    except QhullError:
+    pts, hull, nonexposed = _hull_vertex_stage(surface)
+    flags = edge_flags(surface, tol)
+    if hull is None:
         return ConvexityReport(
             Convexity.NOT_WEAKLY_CONVEX,
             flags,
-            tuple(range(surface.n_vertices)),
+            nonexposed,
             (),
             ("degenerate vertex set: convex hull is not full-dimensional",),
         )
-
-    exposed = set(int(v) for v in hull.vertices)
-    nonexposed = tuple(v for v in range(surface.n_vertices) if v not in exposed)
     if nonexposed:
         # distinguish interior points from points on the hull boundary
         gaps = pts[list(nonexposed)] @ hull.equations[:, :3].T + hull.equations[:, 3]
+        notes = []
         for v, gap in zip(nonexposed, gaps.max(axis=1)):
             where = "on the hull boundary" if gap >= -tol.geom_tol else "inside the hull"
             notes.append(f"vertex {v} is {where} but not a hull vertex")
@@ -453,9 +477,9 @@ def classify_convexity(surface, tol: Tolerances = DEFAULT_TOL):
             unexposed_edges.append(e)
     if unexposed_edges:
         return ConvexityReport(
-            Convexity.WEAKLY_STRICTLY_CONVEX, flags, (), tuple(unexposed_edges), tuple(notes)
+            Convexity.WEAKLY_STRICTLY_CONVEX, flags, (), tuple(unexposed_edges)
         )
-    return ConvexityReport(Convexity.STRONGLY_STRICTLY_CONVEX, flags, (), (), tuple(notes))
+    return ConvexityReport(Convexity.STRONGLY_STRICTLY_CONVEX, flags, (), ())
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,8 @@ from .geometry import (
     Tolerances,
     as_points,
     cayley_menger_feasible,
-    classify_convexity,
     diameter,
+    is_weakly_convex,
 )
 
 logger = logging.getLogger(__name__)
@@ -249,31 +249,43 @@ class Decomposition:
     @staticmethod
     def _check_face_gluing(vertices, tets, surface):
         """Each face is shared by at most two tetrahedra, which must then
-        lie on opposite sides of it (local non-overlap)."""
+        lie on opposite sides of it (local non-overlap); a face of one
+        tetrahedron only must be a surface face.  The first offending face,
+        in order of first appearance, raises."""
         face_owners = {}
         for t_idx, tet in enumerate(tets):
             for skip in range(4):
                 face = tuple(sorted(tet[k] for k in range(4) if k != skip))
                 face_owners.setdefault(face, []).append((t_idx, tet[skip]))
-        for face, owners in face_owners.items():
+        faces = list(face_owners)
+        counts = np.array([len(owners) for owners in face_owners.values()])
+        offending = counts > 2
+
+        shared = np.flatnonzero(counts == 2)
+        if shared.size:
+            corners = vertices[np.array([faces[k] for k in shared])]
+            apexes = vertices[np.array([[o[1] for o in face_owners[faces[k]]] for k in shared])]
+            a = corners[:, 0]
+            n = np.cross(corners[:, 1] - a, corners[:, 2] - a)
+            sides = np.einsum("sox,sx->so", apexes - a[:, None], n)
+            offending[shared] = sides[:, 0] * sides[:, 1] >= 0.0
+        if surface is not None:
+            surf_faces = set(map(tuple, np.sort(surface.faces, axis=1).tolist()))
+            offending |= (counts == 1) & np.array([f not in surf_faces for f in faces])
+
+        if offending.any():
+            face = faces[int(np.argmax(offending))]
+            owners = face_owners[face]
             if len(owners) > 2:
                 raise DecompositionError(f"face {face} is shared by {len(owners)} tetrahedra")
             if len(owners) == 2:
-                a, b, c = (vertices[v] for v in face)
-                n = np.cross(b - a, c - a)
-                s0 = float(np.dot(vertices[owners[0][1]] - a, n))
-                s1 = float(np.dot(vertices[owners[1][1]] - a, n))
-                if s0 * s1 >= 0.0:
-                    raise DecompositionError(
-                        f"tetrahedra {owners[0][0]} and {owners[1][0]} lie on the same "
-                        f"side of their shared face {face}"
-                    )
-            elif surface is not None:
-                surf_faces = {tuple(sorted(f)) for f in surface.faces.tolist()}
-                if face not in surf_faces:
-                    raise DecompositionError(
-                        f"face {face} borders one tetrahedron but is not a surface face"
-                    )
+                raise DecompositionError(
+                    f"tetrahedra {owners[0][0]} and {owners[1][0]} lie on the same "
+                    f"side of their shared face {face}"
+                )
+            raise DecompositionError(
+                f"face {face} borders one tetrahedron but is not a surface face"
+            )
 
     @staticmethod
     def _incident_cycle(tets, edge):
@@ -619,7 +631,7 @@ def pd_probe(trials=500, seed=0, include_controls=False, tol: Tolerances = DEFAU
             decomposition = generators.probe_decomposition(kind, rng, tol=tol)
             lam = lambda_matrix(decomposition, tol=tol)
             rigid = rigidity_from_lambda(decomposition, tol=tol)
-            weakly = classify_convexity(decomposition.surface, tol).is_weakly_convex
+            weakly = is_weakly_convex(decomposition.surface)
         except Exception as exc:  # generation failures are counted, not fatal
             logger.debug("probe trial %d (%s) failed: %s", k, kind, exc)
             failures += 1

@@ -9,6 +9,17 @@ NORTH = 0
 SOUTH = 1
 
 
+def hull_faces(points, simplices):
+    """qhull simplices of `points` as an (F, 3) face array, each ordered so
+    its normal (b - a) x (c - a) points away from the centroid."""
+    faces = np.array(simplices, dtype=int)
+    corners = points[faces]
+    normals = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
+    inward = (normals * (corners[:, 0] - points.mean(axis=0))).sum(axis=1) < 0
+    faces[inward] = faces[inward][:, [0, 2, 1]]
+    return faces
+
+
 def bipyramid_faces(n):
     """Faces of a bipyramid over an n-gon in the shared vertex layout."""
     faces = []
@@ -72,14 +83,7 @@ def icosahedron():
     v = np.array(v)
     from scipy.spatial import ConvexHull
 
-    hull = ConvexHull(v)
-    centroid = v.mean(axis=0)
-    faces = []
-    for a, b, c in hull.simplices:
-        if np.cross(v[b] - v[a], v[c] - v[a]) @ (v[a] - centroid) < 0:
-            b, c = c, b
-        faces.append((int(a), int(b), int(c)))
-    return PolyhedralSurface(v, faces)
+    return PolyhedralSurface(v, hull_faces(v, ConvexHull(v).simplices))
 
 
 def square_pyramid(apex_height=1.0, half_width=1.0):

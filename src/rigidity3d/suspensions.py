@@ -33,8 +33,9 @@ from .geometry import (
     PolyhedralSurface,
     Tolerances,
     as_points,
-    classify_convexity,
     diameter,
+    edge_flags,
+    is_weakly_convex,
     normalize_pole_frame,
     unit,
 )
@@ -417,12 +418,12 @@ def _small_star_stress(s, k, tol):
 
 
 def _stress_by_induction(s, tol, trace):
-    report = classify_convexity(s.surface, tol)
+    flags = edge_flags(s.surface, tol)
     reflex = [
         (pole, 2 + k)
         for pole in (NORTH, SOUTH)
         for k in range(s.n)
-        if report.edge_flags[tuple(sorted((pole, 2 + k)))] == "reflex"
+        if flags[tuple(sorted((pole, 2 + k)))] == "reflex"
     ]
     if s.n == 3 or not reflex:
         trace.append(f"direct solve at n={s.n}")
@@ -442,7 +443,7 @@ def _stress_by_induction(s, tol, trace):
         child_ns = is_ns_decomposable(child, tol)
         if not child_ns:
             child_ok, why = False, child_ns.reason
-        elif not classify_convexity(child.surface, tol).is_weakly_convex:
+        elif not is_weakly_convex(child.surface):
             child_ok, why = False, "reduced suspension is not weakly strictly convex"
     except (SuspensionError, GeometryError) as exc:
         child_ok, why = False, str(exc)
@@ -499,7 +500,7 @@ def inductive_proper_stress(s: Suspension, tol: Tolerances = DEFAULT_TOL):
     ns = is_ns_decomposable(s, tol)
     if not ns:
         raise SuspensionError(f"hypothesis failed: {ns.reason}")
-    if not classify_convexity(s.surface, tol).is_weakly_convex:
+    if not is_weakly_convex(s.surface):
         raise SuspensionError(
             "hypothesis failed: suspension is not weakly strictly convex"
         )
@@ -532,7 +533,7 @@ def suspension_rigidity(s: Suspension, tol: Tolerances = DEFAULT_TOL):
     is fed to the exchange argument, and the two verdicts must agree.
     """
     verdict = is_infinitesimally_rigid(Framework.from_surface(s.surface, tol=tol), tol)
-    if is_ns_decomposable(s, tol) and classify_convexity(s.surface, tol).is_weakly_convex:
+    if is_ns_decomposable(s, tol) and is_weakly_convex(s.surface):
         stress = inductive_proper_stress(s, tol)
         fw = tensegrity_labeling(s, include_ns=True, tol=tol)
         exchanged = exchange_rigidity_check(fw, stress, NS_EDGE, tol)

@@ -18,21 +18,34 @@ from rigidity3d.geometry import (
     apply_projective,
     cayley_menger_feasible,
     classify_convexity,
-    _edge_flags,
     diameter,
     dihedral_angle,
     dihedral_angles,
+    edge_flags,
     hemisphere_witness,
+    is_weakly_convex,
     normalize_pole_frame,
     pole_frame_ok,
     spherical_polygon_relation_residual,
     transform_points,
     vertex_link,
 )
-from rigidity3d.generators import dented_hull_star, random_convex_hull_surface, star_suspension
-from rigidity3d.hessian import tetra_angles_and_jacobian
-from rigidity3d.shapes import cube, icosahedron, octahedron, square_pyramid, tetrahedron
-from rigidity3d.suspensions import Suspension, SuspensionError
+from rigidity3d.generators import (
+    convex_suspension,
+    dented_hull_star,
+    flexible_suspension_fixture,
+    probe_decomposition,
+    random_convex_hull_surface,
+    star_suspension,
+)
+from rigidity3d.hessian import pd_probe, tetra_angles_and_jacobian
+from rigidity3d.shapes import cube, hull_faces, icosahedron, octahedron, square_pyramid, tetrahedron
+from rigidity3d.suspensions import (
+    Suspension,
+    SuspensionError,
+    inductive_proper_stress,
+    suspension_rigidity,
+)
 
 
 def dented_octahedron():
@@ -203,12 +216,38 @@ def test_dihedral_angles_match_flank_tetrahedra():
         lengths = np.linalg.norm(corners[:, first] - corners[:, second], axis=-1)
         simplex = tetra_angles_and_jacobian(lengths)[0][:, 0]
         np.testing.assert_allclose(np.minimum(angles, 2 * np.pi - angles), simplex, atol=1e-10)
-        reflex = {e for e, flag in _edge_flags(surf, DEFAULT_TOL).items() if flag == "reflex"}
+        reflex = {e for e, flag in edge_flags(surf, DEFAULT_TOL).items() if flag == "reflex"}
         assert {e for e, a in zip(surf.edges, angles) if a > np.pi} == reflex
         n_reflex += len(reflex)
         for k in (0, len(angles) // 2, -1):
             assert dihedral_angle(surf, surf.edges[k][::-1]) == angles[k]
     assert n_reflex >= 11  # at least one per dented hull and reflex suspension
+
+
+def test_hull_faces_match_the_per_simplex_rule():
+    """hull_faces orders each qhull simplex as flipping it on its own
+    against the centroid does, bit for bit: on the icosahedron, on pinned
+    random point clouds and on the generated random hull surfaces."""
+
+    def per_simplex(points, simplices):
+        centroid = points.mean(axis=0)
+        faces = []
+        for a, b, c in simplices:
+            if np.cross(points[b] - points[a], points[c] - points[a]) @ (points[a] - centroid) < 0:
+                b, c = c, b
+            faces.append([int(a), int(b), int(c)])
+        return faces
+
+    clouds = [icosahedron().vertices]
+    clouds += [np.random.default_rng((407, k)).normal(size=(5 + 9 * k, 3)) for k in range(6)]
+    for points in clouds:
+        simplices = ConvexHull(points).simplices
+        assert hull_faces(points, simplices).tolist() == per_simplex(points, simplices)
+    assert icosahedron().faces.tolist() == per_simplex(clouds[0], ConvexHull(clouds[0]).simplices)
+    for k in range(6):
+        surf = random_convex_hull_surface(np.random.default_rng((401, k)), 6 + 7 * k)
+        expected = per_simplex(surf.vertices, ConvexHull(surf.vertices).simplices)
+        assert surf.faces.tolist() == expected
 
 
 def test_zero_area_face_reads_flat():
@@ -260,14 +299,27 @@ def test_dented_octahedron_weakly_convex():
     assert (0, 1) in rep.unexposed_edges
 
 
-def test_interior_vertex_not_weakly_convex():
-    """Sinking the north pole below the equator plane puts it inside the
-    hull of the other five vertices."""
+def bowl_surface():
+    """The octahedron with its north pole sunk below the equator plane."""
     base = octahedron()
     v = base.vertices.copy()
     v[0] = [0.0, 0.0, -0.2]
-    bowl = PolyhedralSurface(v, base.faces)
-    rep = classify_convexity(bowl)
+    return PolyhedralSurface(v, base.faces)
+
+
+def flat_surface():
+    """A zero-volume tetrahedron surface on four coplanar points."""
+    v = np.array(
+        [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]],
+        dtype=float,
+    )
+    return PolyhedralSurface(v, [(0, 1, 2), (2, 1, 3), (0, 2, 3), (0, 3, 1)])
+
+
+def test_interior_vertex_not_weakly_convex():
+    """Sinking the north pole below the equator plane puts it inside the
+    hull of the other five vertices."""
+    rep = classify_convexity(bowl_surface())
     assert rep.classification is Convexity.NOT_WEAKLY_CONVEX
     assert 0 in rep.nonexposed_vertices
     assert any("inside the hull" in note for note in rep.notes)
@@ -276,12 +328,7 @@ def test_interior_vertex_not_weakly_convex():
 def test_degenerate_coplanar_surface_reports_not_convex():
     """A flat (zero-volume) surface classifies as not weakly convex with a
     diagnostic instead of raising."""
-    v = np.array(
-        [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]],
-        dtype=float,
-    )
-    flat = PolyhedralSurface(v, [(0, 1, 2), (2, 1, 3), (0, 2, 3), (0, 3, 1)])
-    rep = classify_convexity(flat)
+    rep = classify_convexity(flat_surface())
     assert rep.classification is Convexity.NOT_WEAKLY_CONVEX
     assert any("degenerate" in note for note in rep.notes)
 
@@ -302,6 +349,57 @@ def test_classification_is_rigid_motion_and_scale_invariant():
                 classify_convexity(moved).classification
                 is classify_convexity(surf).classification
             )
+
+
+def convexity_oracle_pool():
+    """surface_pool plus convex and unconstrained star suspensions, the
+    non-convex probe controls, the flexible threshold fixture, the dented
+    octahedron, the bowl and the qhull-degenerate flat surface."""
+    pool = surface_pool()
+    pool += [convex_suspension(np.random.default_rng((404, k)), 4 + k).surface for k in range(4)]
+    pool += [star_suspension(np.random.default_rng((405, k)), 4 + k).surface for k in range(6)]
+    pool += [probe_decomposition("control_nonconvex", np.random.default_rng((406, k))).surface
+             for k in range(4)]
+    pool += [flexible_suspension_fixture().suspension.surface]
+    return pool + [dented_octahedron(), bowl_surface(), flat_surface()]
+
+
+def test_fast_convexity_calls_match_the_lp_classification():
+    """is_weakly_convex and edge_flags give what classify_convexity (hull
+    vertices plus one exposure LP per edge) reports, on pools with both
+    verdicts and every edge flag."""
+    verdicts, flags_seen = set(), set()
+    for surf in convexity_oracle_pool():
+        for tol in (DEFAULT_TOL, Tolerances(geom_tol=1e-4)):
+            report = classify_convexity(surf, tol)
+            assert is_weakly_convex(surf) is report.is_weakly_convex
+            assert edge_flags(surf, tol) == report.edge_flags
+            assert list(edge_flags(surf, tol)) == list(surf.edges)
+            verdicts.add(report.is_weakly_convex)
+            flags_seen.update(report.edge_flags.values())
+    assert verdicts == {True, False}
+    assert flags_seen == {"convex", "reflex", "flat"}
+
+
+def test_weak_convexity_callers_solve_no_lp(monkeypatch):
+    """The probe, the control generator and the suspension induction read
+    only weak convexity and edge flags, so they solve no LP; the full
+    classification still solves one per edge."""
+    import rigidity3d.geometry as geometry
+
+    solves = []
+    original = geometry.linprog
+    monkeypatch.setattr(geometry, "linprog", lambda *a, **k: solves.append(1) or original(*a, **k))
+    for include_controls in (False, True):
+        report = pd_probe(trials=6, seed=1, include_controls=include_controls)
+        assert report.failures == 0 and report.n_trials == 6
+    for k in range(4):
+        s = star_suspension(np.random.default_rng((403, k)), 4 + k, require_reflex=True)
+        inductive_proper_stress(s)
+        suspension_rigidity(s)
+    assert len(solves) == 0
+    classify_convexity(octahedron())
+    assert len(solves) == 12
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Tests for the length-coordinate (cone-angle / lambda-matrix) machinery."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -206,6 +208,63 @@ def test_decomposition_validation():
     d = Decomposition(base.vertices, [(0, 1, 2, 3), (0, 1, 3, 4)], [(0, 1)],
                       closed_stars=False)
     assert d.r == 1
+
+
+def _per_face_gluing_error(vertices, tets, surface):
+    """The per-face rule of the face-gluing check, one face at a time in
+    order of first appearance: the message for the first offending face,
+    or None."""
+    face_owners = {}
+    for t_idx, tet in enumerate(tets):
+        for skip in range(4):
+            face = tuple(sorted(tet[k] for k in range(4) if k != skip))
+            face_owners.setdefault(face, []).append((t_idx, tet[skip]))
+    for face, owners in face_owners.items():
+        if len(owners) > 2:
+            return f"face {face} is shared by {len(owners)} tetrahedra"
+        if len(owners) == 2:
+            a, b, c = (vertices[v] for v in face)
+            n = np.cross(b - a, c - a)
+            s0 = float(np.dot(vertices[owners[0][1]] - a, n))
+            s1 = float(np.dot(vertices[owners[1][1]] - a, n))
+            if s0 * s1 >= 0.0:
+                return (
+                    f"tetrahedra {owners[0][0]} and {owners[1][0]} lie on the same "
+                    f"side of their shared face {face}"
+                )
+        elif surface is not None:
+            if face not in {tuple(sorted(f)) for f in surface.faces.tolist()}:
+                return f"face {face} borders one tetrahedron but is not a surface face"
+    return None
+
+
+def test_face_gluing_check_matches_the_per_face_rule():
+    """The batched face-gluing check raises the per-face rule's error for
+    the same first offending face, on the icosahedron's star, broken
+    copies of it, subsets of it and random tetrahedron sets."""
+    rng = np.random.default_rng(408)
+    ico = icosahedron()
+    star = decompose_star(ico, 0).tetrahedra
+    cases = [(ico.vertices, star, ico), (ico.vertices, star + star[:1], ico)]
+    for _ in range(20):
+        keep = rng.permutation(len(star))[: rng.integers(1, len(star))]
+        cases.append((ico.vertices, [star[k] for k in sorted(keep)], ico))
+    for _ in range(40):
+        pts = rng.normal(size=(7, 3))
+        tets = [tuple(int(v) for v in rng.choice(7, 4, replace=False))
+                for _ in range(rng.integers(2, 7))]
+        cases.append((pts, tets, None))
+    kinds = ("shared by", "same side", "not a surface face")
+    seen = set()
+    for vertices, tets, surface in cases:
+        expected = _per_face_gluing_error(vertices, tets, surface)
+        seen.add(next((kind for kind in kinds if kind in expected), None) if expected else None)
+        if expected is None:
+            Decomposition._check_face_gluing(vertices, tets, surface)
+        else:
+            with pytest.raises(DecompositionError, match=f"^{re.escape(expected)}$"):
+                Decomposition._check_face_gluing(vertices, tets, surface)
+    assert seen == {None, *kinds}
 
 
 def test_boundary_edges_must_match_surface():
