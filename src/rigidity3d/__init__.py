@@ -13,6 +13,7 @@ from .geometry import (  # noqa: F401
     Convexity,
     ConvexityReport,
     GeometryError,
+    InvariantError,
     PolyhedralSurface,
     ProjectiveMap,
     SphericalPolygon,

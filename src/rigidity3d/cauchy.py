@@ -21,6 +21,7 @@ from .frameworks import Framework, is_infinitesimally_rigid
 from .geometry import (
     DEFAULT_TOL,
     TETRA_EDGE_ORDER,
+    InvariantError,
     PolyhedralSurface,
     Tolerances,
     dihedral_angles,
@@ -298,7 +299,7 @@ def count_sign_changes(g: SignedPlanarGraph):
         face_sizes.append(len(cycle))
     s = sum(per_face)
     if s != sum(per_vertex.values()):
-        raise CauchyError(
+        raise InvariantError(
             "face-side and vertex-side change totals disagree: "
             f"{s} vs {sum(per_vertex.values())}"
         )
@@ -521,7 +522,7 @@ def dent_rigidity_harness(
         n = int(rng.integers(n_range[0], n_range[1] + 1))
         try:
             surface = generators.random_convex_hull_surface(rng, n, tol=tol)
-        except Exception as exc:  # degenerate sample
+        except generators.GenerationError as exc:  # degenerate sample
             logger.warning("trial %d: hull generation failed (%s)", t, exc)
             skipped += 1
             continue

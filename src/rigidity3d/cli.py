@@ -11,7 +11,7 @@ Subcommands operate on JSON documents (see `fileio`):
     probe-pd   spectrum scan of the Jacobian over random instances
 
 Exit codes: 0 on success, 1 for usage or input errors, 2 when an
-internal cross-check fails (those messages always name the check).
+internal cross-check fails (an InvariantError).
 """
 
 import argparse
@@ -39,7 +39,7 @@ from .frameworks import (
     nontrivial_flex,
 )
 from .generators import GenerationError, SUSPENSION_PROFILES, suspension_profile
-from .geometry import DEFAULT_TOL, GeometryError, Tolerances
+from .geometry import DEFAULT_TOL, GeometryError, InvariantError, Tolerances
 from .hessian import (
     DecompositionError,
     lambda_matrix,
@@ -58,10 +58,6 @@ logger = logging.getLogger(__name__)
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_INVARIANT = 2
-
-# every internal cross-check failure message names its check with one of
-# these phrases; anything else is treated as bad input
-_INVARIANT_MARKERS = ("disagree", "internal", "Gram check", "asymmetric beyond")
 
 
 def _tolerances(args):
@@ -449,17 +445,11 @@ def main(argv=None):
     )
     try:
         return args.func(args)
-    except (fileio.FileFormatError, OSError, ValueError) as exc:
+    except (fileio.FileFormatError, OSError, ValueError, GeometryError, FrameworkError,
+            SuspensionError, DecompositionError, CauchyError, GenerationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (GeometryError, FrameworkError, SuspensionError,
-            DecompositionError, CauchyError, GenerationError) as exc:
-        message = str(exc)
-        print(f"error: {message}", file=sys.stderr)
-        if any(marker in message for marker in _INVARIANT_MARKERS):
-            return EXIT_INVARIANT
-        return EXIT_INPUT
-    except AssertionError as exc:
+    except InvariantError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
 

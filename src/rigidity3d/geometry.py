@@ -35,6 +35,11 @@ class GeometryError(Exception):
     """Invalid geometric input (degenerate, non-manifold, unexposed...)."""
 
 
+class InvariantError(Exception):
+    """An internal cross-check failed: the code or the theorem it checks is
+    wrong.  No input error subclasses it, so no input handler swallows it."""
+
+
 @dataclass(frozen=True)
 class Tolerances:
     """Numerical cutoffs shared by every predicate in the package.
@@ -132,7 +137,8 @@ class PolyhedralSurface:
         directed = self._check_manifold(faces, n)
         self._check_coincidence(vertices, tol)
 
-        if _signed_volume(vertices, faces) < 0.0:
+        volume = _signed_volume(vertices, faces)
+        if volume < 0.0:
             # reversing every face reverses every directed edge
             faces = faces[:, ::-1]
             directed = {(v, u): f_idx for (u, v), f_idx in directed.items()}
@@ -143,6 +149,7 @@ class PolyhedralSurface:
         self.vertices = vertices
         self.faces = faces
         self._directed_face = directed
+        self.signed_volume = abs(volume)
 
     @staticmethod
     def _check_manifold(faces, n_vertices):
@@ -268,10 +275,6 @@ class PolyhedralSurface:
         if len(cycle) != len(succ):
             raise GeometryError(f"vertex star of {v} is not a single cycle")
         return cycle
-
-    @cached_property
-    def signed_volume(self):
-        return _signed_volume(self.vertices, self.faces)
 
     @cached_property
     def diameter(self):
@@ -702,7 +705,7 @@ def normalize_pole_frame(points, north, south, tol: Tolerances = DEFAULT_TOL):
     new_points[south] = 0.0
     new_points[north] = np.array([0.0, 0.0, 1.0])
     if not pole_frame_ok(new_points, north, south, tol):
-        raise GeometryError("pole normalization failed its own support-plane check")
+        raise InvariantError("pole normalization failed its own support-plane check")
     return pmap, new_points
 
 

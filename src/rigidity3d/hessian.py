@@ -25,6 +25,8 @@ from .frameworks import Framework, is_infinitesimally_rigid
 from .geometry import (
     DEFAULT_TOL,
     TETRA_EDGE_ORDER,
+    GeometryError,
+    InvariantError,
     Tolerances,
     as_points,
     cayley_menger_feasible,
@@ -42,7 +44,7 @@ E_INTERIOR_MARGIN = 1e-10
 
 
 class DecompositionError(Exception):
-    """Invalid decomposition, infeasible lengths, or verdict mismatch.
+    """Invalid decomposition or infeasible lengths.
 
     `tetrahedron` is the flat index of the row that tetra_angles_and_jacobian
     refused, when it raised."""
@@ -423,7 +425,7 @@ class LambdaMatrix:
         if m.size:
             scale = np.abs(m).max()
             if scale > 0 and np.abs(m - m.T).max() > SYM_TOL * scale:
-                raise DecompositionError(
+                raise InvariantError(
                     f"lambda matrix asymmetric beyond tolerance: "
                     f"{np.abs(m - m.T).max():.3e} vs scale {scale:.3e}"
                 )
@@ -506,7 +508,7 @@ def dihedral_table(d, interior_l=None):
     gram[:, c_v, d_v] = gram[:, d_v, c_v] = -np.cos(angles)
     failed = np.flatnonzero(np.linalg.det(gram) < -1e-9)
     if failed.size:
-        raise DecompositionError(f"dihedral angles of tetrahedron {failed[0]} fail the Gram check")
+        raise InvariantError(f"dihedral angles of tetrahedron {failed[0]} fail the Gram check")
     edges = d.interior_edges + d.boundary_edges
     return {
         (t_idx, edges[k]): float(angles[t_idx, m])
@@ -519,14 +521,14 @@ def rigidity_from_lambda(d, tol: Tolerances = DEFAULT_TOL):
     """Rigidity verdict from the lambda matrix: rigid iff nonsingular
     (r = 0 counts as rigid).  When the decomposition carries its boundary
     surface, the verdict is cross-checked against the rigidity matrix of
-    the boundary bar framework; disagreement is a hard error.
+    the boundary bar framework; disagreement raises InvariantError.
     """
     verdict = d.r == 0 or not lambda_matrix(d, tol=tol).is_singular
     if d.surface is not None:
         fw = Framework.from_surface(d.surface, tol=tol)
         other = is_infinitesimally_rigid(fw, tol)
         if other != verdict:
-            raise DecompositionError(
+            raise InvariantError(
                 "rigidity verdicts disagree: lambda matrix says "
                 f"{'rigid' if verdict else 'flexible'}, rigidity matrix says "
                 f"{'rigid' if other else 'flexible'}.\nvertices=\n{d.vertices!r}\n"
@@ -615,7 +617,7 @@ def pd_probe(trials=500, seed=0, include_controls=False, tol: Tolerances = DEFAU
     whose matrix fails positive definiteness.  Per-trial seeds derive
     from the probe seed, so every instance can be regenerated.
     """
-    from . import generators  # deferred: generators sits above this module
+    from . import generators, suspensions  # deferred: both sit above this module
 
     records = []
     failures = 0
@@ -632,7 +634,8 @@ def pd_probe(trials=500, seed=0, include_controls=False, tol: Tolerances = DEFAU
             lam = lambda_matrix(decomposition, tol=tol)
             rigid = rigidity_from_lambda(decomposition, tol=tol)
             weakly = is_weakly_convex(decomposition.surface)
-        except Exception as exc:  # generation failures are counted, not fatal
+        except (generators.GenerationError, GeometryError,
+                suspensions.SuspensionError, DecompositionError) as exc:  # degenerate draw
             logger.debug("probe trial %d (%s) failed: %s", k, kind, exc)
             failures += 1
             continue

@@ -30,6 +30,7 @@ from .frameworks import (
 from .geometry import (
     DEFAULT_TOL,
     GeometryError,
+    InvariantError,
     PolyhedralSurface,
     Tolerances,
     as_points,
@@ -228,7 +229,7 @@ def is_ns_decomposable(s: Suspension, tol: Tolerances = DEFAULT_TOL):
         for k in range(s.n)
     ]
     if len({d > 0 for d in dets}) != 1:
-        raise SuspensionError(
+        raise InvariantError(
             "internal: azimuth increments are consistent but tetrahedron "
             "orientations are not"
         )
@@ -363,7 +364,7 @@ def lambda_scalar(s: Suspension, tol: Tolerances = DEFAULT_TOL):
                                 theta, cyl.scale)
     t1, t2 = breakdown.total_simplex, breakdown.total_projected
     if abs(t1 - t2) > FORM_AGREEMENT_TOL * max(1.0, abs(t1)):
-        raise SuspensionError(
+        raise InvariantError(
             f"internal: the two closed forms disagree ({t1!r} vs {t2!r})"
         )
     return breakdown
@@ -482,7 +483,7 @@ def _stress_by_induction(s, tol, trace):
     leftover = omega.pop(chord)
     scale = max(abs(w) for w in omega.values())
     if abs(leftover) > 1e-9 * scale:
-        raise SuspensionError(
+        raise InvariantError(
             f"chord stress failed to cancel (leftover {leftover:.2e}, trace: {trace})"
         )
     return omega
@@ -501,9 +502,13 @@ def inductive_proper_stress(s: Suspension, tol: Tolerances = DEFAULT_TOL):
     if not ns:
         raise SuspensionError(f"hypothesis failed: {ns.reason}")
     if not is_weakly_convex(s.surface):
-        raise SuspensionError(
-            "hypothesis failed: suspension is not weakly strictly convex"
-        )
+        raise SuspensionError("hypothesis failed: suspension is not weakly strictly convex")
+    return _checked_proper_stress(s, tol)[0]
+
+
+def _checked_proper_stress(s, tol):
+    """(stress, tensegrity) of a suspension whose induction hypotheses the
+    caller has checked; equilibrium and properness are verified here."""
     trace = []
     omega = _stress_by_induction(s, tol, trace)
     fw = tensegrity_labeling(s, include_ns=True, tol=tol)
@@ -511,16 +516,16 @@ def inductive_proper_stress(s: Suspension, tol: Tolerances = DEFAULT_TOL):
     scale = max(abs(w) for w in omega.values())
     resid = equilibrium_residual(fw, stress)
     if resid > 1e-9 * scale * diameter(fw.vertices):
-        raise SuspensionError(
+        raise InvariantError(
             f"induction produced a non-equilibrium stress "
             f"(residual {resid:.2e}); trace: {trace}"
         )
     if not is_proper(fw, stress, slack=1e-12 * scale):
-        raise SuspensionError(
+        raise InvariantError(
             f"induction produced an improper stress; trace: {trace}; "
             f"stress: {omega}"
         )
-    return stress
+    return stress, fw
 
 
 def suspension_rigidity(s: Suspension, tol: Tolerances = DEFAULT_TOL):
@@ -534,11 +539,10 @@ def suspension_rigidity(s: Suspension, tol: Tolerances = DEFAULT_TOL):
     """
     verdict = is_infinitesimally_rigid(Framework.from_surface(s.surface, tol=tol), tol)
     if is_ns_decomposable(s, tol) and is_weakly_convex(s.surface):
-        stress = inductive_proper_stress(s, tol)
-        fw = tensegrity_labeling(s, include_ns=True, tol=tol)
+        stress, fw = _checked_proper_stress(s, tol)
         exchanged = exchange_rigidity_check(fw, stress, NS_EDGE, tol)
         if exchanged != verdict:
-            raise SuspensionError(
+            raise InvariantError(
                 f"exchange argument disagrees with the direct verdict "
                 f"({exchanged} vs {verdict})"
             )
@@ -585,17 +589,15 @@ def convex_profile_certificate(s: Suspension, tol: Tolerances = DEFAULT_TOL):
             False, f"projected equator is not strictly convex at slot {k}", None, None
         )
     if breakdown.height_terms.min() < -1e-12 or breakdown.vertex_terms.min() < -1e-12:
-        raise SuspensionError(
+        raise InvariantError(
             f"positivity violated in scope: height {breakdown.height_terms.min():.3e}, "
             f"vertex {breakdown.vertex_terms.min():.3e}"
         )
     if not breakdown.total > 1e-12:
-        raise SuspensionError(f"total invariant not positive: {breakdown.total!r}")
+        raise InvariantError(f"total invariant not positive: {breakdown.total!r}")
     rigid = is_infinitesimally_rigid(Framework.from_surface(s.surface, tol=tol), tol)
     if not rigid:
-        raise SuspensionError(
-            "positive invariant but the rigidity verdict is negative"
-        )
+        raise InvariantError("positive invariant but the rigidity verdict is negative")
     return ConvexProfileReport(True, None, breakdown, rigid)
 
 

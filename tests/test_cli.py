@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.random import default_rng
 
-from rigidity3d import fileio, generators, shapes, suspensions
+from rigidity3d import cauchy, fileio, generators, hessian, shapes, suspensions
 from rigidity3d.cli import main
 from rigidity3d.hessian import lambda_matrix
 
@@ -258,3 +258,49 @@ def test_probe_pd_report_deterministic_and_replayable(capsys, tmp_path):
     d = generators.probe_decomposition(trial["kind"], rng)
     lam = lambda_matrix(d)
     assert lam.min_eigenvalue == pytest.approx(trial["min_eigenvalue"], abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# a failed internal cross-check exits 2, whatever its message says
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def disagreeing_verdicts(monkeypatch):
+    original = hessian.is_infinitesimally_rigid
+    monkeypatch.setattr(hessian, "is_infinitesimally_rigid",
+                        lambda fw, tol: not original(fw, tol))
+
+
+def test_verdict_disagreement_exits_two_from_analyze(capsys, tmp_path, star_path,
+                                                     disagreeing_verdicts):
+    path = tmp_path / "axis.json"
+    fileio.save(path, suspensions.axis_decomposition(fileio.load(star_path).suspension))
+    code, _, err = run(capsys, "analyze", str(path))
+    assert code == 2 and "invariant violation: rigidity verdicts disagree" in err
+
+
+def test_verdict_disagreement_exits_two_from_probe_pd(capsys, tmp_path,
+                                                      disagreeing_verdicts):
+    code, out, err = run(capsys, "probe-pd", "--trials", "6", "--out", str(tmp_path))
+    assert code == 2 and "rigidity verdicts disagree" in err
+    assert "generation failures" not in out
+
+
+def test_improper_inductive_stress_exits_two(capsys, monkeypatch, star_path):
+    monkeypatch.setattr(suspensions, "is_proper", lambda *a, **k: False)
+    code, _, err = run(capsys, "stress", star_path, "--inductive")
+    assert code == 2 and "improper stress" in err
+
+
+def test_sign_change_totals_disagreement_exits_two(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "flex.json"
+    fileio.save(path, generators.flexible_suspension_fixture().suspension)
+    # the embedding's Euler check sees every face, the face-side count none
+    traced = []
+    original = cauchy._trace_faces
+    monkeypatch.setattr(cauchy, "_trace_faces",
+                        lambda rotation: [] if traced else traced.append(1) or original(rotation))
+    code, out, err = run(capsys, "signs", str(path), "--json")
+    assert code == 2 and "change totals disagree" in err
+    assert out == ""

@@ -164,6 +164,21 @@ def test_surface_orientation_normalized():
     assert flipped.signed_volume == pytest.approx(base.signed_volume)
 
 
+def test_signed_volume_computed_once_per_surface(monkeypatch):
+    """The constructor's orienting volume is the one the surface keeps."""
+    import rigidity3d.geometry as geometry
+
+    base = octahedron()
+    calls = []
+    original = geometry._signed_volume
+    monkeypatch.setattr(geometry, "_signed_volume",
+                        lambda *a: calls.append(1) or original(*a))
+    for faces in (base.faces, base.faces[:, ::-1]):
+        surf = PolyhedralSurface(base.vertices, faces)
+        assert surf.signed_volume == surf.signed_volume == pytest.approx(4.0 / 3.0)
+    assert len(calls) == 2
+
+
 # ---------------------------------------------------------------------------
 # dihedral angles
 # ---------------------------------------------------------------------------

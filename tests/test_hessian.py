@@ -7,7 +7,7 @@ import pytest
 
 from rigidity3d.frameworks import Framework, is_infinitesimally_rigid
 from rigidity3d.generators import flexible_suspension_fixture, probe_decomposition
-from rigidity3d.geometry import DEFAULT_TOL, PolyhedralSurface, dihedral_angle
+from rigidity3d.geometry import DEFAULT_TOL, InvariantError, PolyhedralSurface, dihedral_angle
 from rigidity3d.hessian import (
     Decomposition,
     DecompositionError,
@@ -407,7 +407,7 @@ def test_lambda_rejects_near_degenerate_simplices():
 
 
 def test_lambda_matrix_symmetry_guard():
-    with pytest.raises(DecompositionError, match="asymmetric"):
+    with pytest.raises(InvariantError, match="asymmetric"):
         LambdaMatrix(np.array([[1.0, 2.0], [1.0, 1.0]]), np.array([1.0, 1.0]), 2)
 
 

@@ -11,6 +11,7 @@ from rigidity3d.frameworks import (
     is_infinitesimally_rigid,
     is_proper,
 )
+from rigidity3d.generators import star_suspension
 from rigidity3d.geometry import classify_convexity, pole_frame_ok
 from rigidity3d.hessian import Decomposition, cone_angles, lambda_matrix
 from rigidity3d.shapes import octahedron
@@ -394,6 +395,29 @@ def test_inductive_stress_on_reflex_suspensions():
             v2 = -v2
         assert np.abs(v1 - v2).max() <= 1e-6
         assert suspension_rigidity(s)
+
+
+def test_suspension_rigidity_checks_hypotheses_once(monkeypatch):
+    """One decomposability check, one weak-convexity check and one
+    tensegrity per call on the suspension itself (the induction still
+    checks each reduced suspension), and the verdicts stay rigid."""
+    import rigidity3d.suspensions as suspensions
+
+    pool = [star_suspension(np.random.default_rng((403, k)), 4 + k, require_reflex=True)
+            for k in range(4)]
+    calls = []
+    for name in ("is_ns_decomposable", "is_weakly_convex", "tensegrity_labeling"):
+        def counted(arg, *a, _name=name, _original=getattr(suspensions, name), **k):
+            calls.append((_name, id(arg)))
+            return _original(arg, *a, **k)
+
+        monkeypatch.setattr(suspensions, name, counted)
+    for s in pool:
+        calls.clear()
+        assert suspension_rigidity(s)
+        assert calls.count(("is_ns_decomposable", id(s))) == 1
+        assert calls.count(("is_weakly_convex", id(s.surface))) == 1
+        assert calls.count(("tensegrity_labeling", id(s))) == 1
 
 
 def test_stress_construction_rejects_nonconvex_input():
