@@ -402,6 +402,8 @@ def support_functional(points, touching, tol: Tolerances = DEFAULT_TOL):
     points = np.asarray(points, dtype=float)
     touching = sorted(set(int(t) for t in touching))
     others = [k for k in range(len(points)) if k not in touching]
+    if not touching or not others:
+        raise GeometryError("the touching set must be a nonempty proper subset of the points")
     # variables: u(3), c, delta
     c_obj = np.array([0.0, 0.0, 0.0, 0.0, -1.0])
     a_eq = np.hstack([points[touching], -np.ones((len(touching), 1)), np.zeros((len(touching), 1))])
@@ -410,16 +412,37 @@ def support_functional(points, touching, tol: Tolerances = DEFAULT_TOL):
     b_ub = np.zeros(len(others))
     bounds = [(-1, 1)] * 3 + [(None, None), (0, None)]
     res = linprog(c_obj, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs")
-    if not res.success:
-        return np.zeros(3), 0.0, 0.0
+    _check_lp(res, "support_functional")
     u = res.x[:3]
     return u, float(res.x[3]), float(res.x[4])
 
 
-def _is_exposed_edge(points, i, j, tol):
-    """Exposure of edge (i, j) of points scaled to unit diameter."""
-    _, _, delta = support_functional(points, (i, j), tol)
-    return delta > tol.geom_tol
+def _check_lp(res, caller):
+    """The exposure and hemisphere LPs are feasible at zero and bounded by
+    |u|_inf <= 1, so an unsuccessful solve is a solver failure, never an
+    answer."""
+    if not res.success:
+        raise InvariantError(f"{caller}: LP solver failed on a feasible bounded problem: {res.message}")
+
+
+def _hull_neighbours(hull, n_vertices):
+    """Vertex adjacency of the qhull triangulation: a superset of the hull's
+    edge graph (it adds the diagonals of non-triangular facets)."""
+    neighbours = [set() for _ in range(n_vertices)]
+    for a, b, c in hull.simplices.tolist():
+        neighbours[a].update((b, c))
+        neighbours[b].update((a, c))
+        neighbours[c].update((a, b))
+    return neighbours
+
+
+def _edge_exposure(points, i, j, neighbours, tol):
+    """support_functional(points, (i, j))[2], solved over i, j and their hull
+    neighbours only.  Fewer rows can only raise delta; when that delta is
+    positive the plane supports the hull exactly along [p_i, p_j], and the
+    best vertex off that face is adjacent to it, so delta is the same."""
+    link = sorted((neighbours[i] | neighbours[j]) - {i, j})
+    return support_functional(points[[i, j, *link]], (0, 1), tol)[2]
 
 
 def _hull_vertex_stage(surface):
@@ -450,7 +473,9 @@ def classify_convexity(surface, tol: Tolerances = DEFAULT_TOL):
     """Classify a closed surface by strict convexity of vertices and edges.
 
     Strongly strictly convex: every vertex and every edge is exposed on
-    the convex hull (one LP per edge).  Weakly strictly convex: every
+    the convex hull (one LP per convex edge, whose rows are the edge's
+    hull neighbours: the second-best vertex of any linear functional is
+    adjacent to the optimal face).  Weakly strictly convex: every
     vertex is exposed, the is_weakly_convex test.  Vertices lying on the
     hull boundary without being hull vertices count as not strictly
     convex (noted in the report).
@@ -474,10 +499,11 @@ def classify_convexity(surface, tol: Tolerances = DEFAULT_TOL):
             notes.append(f"vertex {v} is {where} but not a hull vertex")
         return ConvexityReport(Convexity.NOT_WEAKLY_CONVEX, flags, nonexposed, (), tuple(notes))
 
-    unexposed_edges = []
-    for e, flag in flags.items():
-        if flag != "convex" or not _is_exposed_edge(pts, *e, tol=tol):
-            unexposed_edges.append(e)
+    neighbours = _hull_neighbours(hull, surface.n_vertices)
+    unexposed_edges = [
+        (i, j) for (i, j), flag in flags.items()
+        if flag != "convex" or _edge_exposure(pts, i, j, neighbours, tol) <= tol.geom_tol
+    ]
     if unexposed_edges:
         return ConvexityReport(
             Convexity.WEAKLY_STRICTLY_CONVEX, flags, (), tuple(unexposed_edges)
@@ -546,7 +572,8 @@ def hemisphere_witness(directions, tol: Tolerances = DEFAULT_TOL):
     b_ub = np.zeros(len(directions))
     bounds = [(-1, 1)] * 3 + [(0, None)]
     res = linprog(c_obj, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
-    if not res.success or res.x[3] <= tol.geom_tol:
+    _check_lp(res, "hemisphere_witness")
+    if res.x[3] <= tol.geom_tol:
         return None
     return unit(res.x[:3])
 

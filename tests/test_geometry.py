@@ -10,6 +10,7 @@ from scipy.spatial import ConvexHull
 from rigidity3d.geometry import (
     DEFAULT_TOL,
     Convexity,
+    ConvexityReport,
     GeometryError,
     PolyhedralSurface,
     ProjectiveMap,
@@ -27,6 +28,7 @@ from rigidity3d.geometry import (
     normalize_pole_frame,
     pole_frame_ok,
     spherical_polygon_relation_residual,
+    support_functional,
     transform_points,
     vertex_link,
 )
@@ -366,11 +368,25 @@ def test_classification_is_rigid_motion_and_scale_invariant():
             )
 
 
+def nearly_flat_cube():
+    """Cube with vertices 0 and 2 moved 5e-10 outward along the bottom
+    face's normal: the bottom diagonal (0, 2) bends by about 1.4e-9, more
+    than geom_tol, while its best support plane clears vertices 1 and 3
+    by only about 3e-10 of the diameter."""
+    base = cube()
+    v = base.vertices.copy()
+    v[[0, 2], 2] -= 5e-10
+    return PolyhedralSurface(v, base.faces)
+
+
 def convexity_oracle_pool():
-    """surface_pool plus convex and unconstrained star suspensions, the
-    non-convex probe controls, the flexible threshold fixture, the dented
-    octahedron, the bowl and the qhull-degenerate flat surface."""
-    pool = surface_pool()
+    """The five shapes, the nearly flat cube, surface_pool and an n = 80
+    hull, plus convex and unconstrained star suspensions, the non-convex
+    probe controls, the flexible threshold fixture, the dented octahedron,
+    the bowl and the qhull-degenerate flat surface."""
+    pool = [octahedron(), cube(), tetrahedron(), square_pyramid(), icosahedron(), nearly_flat_cube()]
+    pool += surface_pool()
+    pool.append(random_convex_hull_surface(np.random.default_rng(408), 80))
     pool += [convex_suspension(np.random.default_rng((404, k)), 4 + k).surface for k in range(4)]
     pool += [star_suspension(np.random.default_rng((405, k)), 4 + k).surface for k in range(6)]
     pool += [probe_decomposition("control_nonconvex", np.random.default_rng((406, k))).surface
@@ -379,19 +395,25 @@ def convexity_oracle_pool():
     return pool + [dented_octahedron(), bowl_surface(), flat_surface()]
 
 
-def test_fast_convexity_calls_match_the_lp_classification():
+@pytest.fixture(scope="module")
+def oracle_reports():
+    """(surface, tol, classify_convexity(surface, tol)) over the oracle pool
+    at two geom_tol values."""
+    return [(surf, tol, classify_convexity(surf, tol)) for surf in convexity_oracle_pool()
+            for tol in (DEFAULT_TOL, Tolerances(geom_tol=1e-4))]
+
+
+def test_fast_convexity_calls_match_the_lp_classification(oracle_reports):
     """is_weakly_convex and edge_flags give what classify_convexity (hull
-    vertices plus one exposure LP per edge) reports, on pools with both
+    vertices plus one exposure LP per convex edge) reports, on pools with both
     verdicts and every edge flag."""
     verdicts, flags_seen = set(), set()
-    for surf in convexity_oracle_pool():
-        for tol in (DEFAULT_TOL, Tolerances(geom_tol=1e-4)):
-            report = classify_convexity(surf, tol)
-            assert is_weakly_convex(surf) is report.is_weakly_convex
-            assert edge_flags(surf, tol) == report.edge_flags
-            assert list(edge_flags(surf, tol)) == list(surf.edges)
-            verdicts.add(report.is_weakly_convex)
-            flags_seen.update(report.edge_flags.values())
+    for surf, tol, report in oracle_reports:
+        assert is_weakly_convex(surf) is report.is_weakly_convex
+        assert edge_flags(surf, tol) == report.edge_flags
+        assert list(edge_flags(surf, tol)) == list(surf.edges)
+        verdicts.add(report.is_weakly_convex)
+        flags_seen.update(report.edge_flags.values())
     assert verdicts == {True, False}
     assert flags_seen == {"convex", "reflex", "flat"}
 
@@ -399,12 +421,18 @@ def test_fast_convexity_calls_match_the_lp_classification():
 def test_weak_convexity_callers_solve_no_lp(monkeypatch):
     """The probe, the control generator and the suspension induction read
     only weak convexity and edge flags, so they solve no LP; the full
-    classification still solves one per edge."""
+    classification still solves one per convex edge, each with at most
+    deg(i) + deg(j) inequality rows however large n is."""
     import rigidity3d.geometry as geometry
 
-    solves = []
+    rows = []
     original = geometry.linprog
-    monkeypatch.setattr(geometry, "linprog", lambda *a, **k: solves.append(1) or original(*a, **k))
+
+    def counting(*args, **kwargs):
+        rows.append(len(kwargs["A_ub"]))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "linprog", counting)
     for include_controls in (False, True):
         report = pd_probe(trials=6, seed=1, include_controls=include_controls)
         assert report.failures == 0 and report.n_trials == 6
@@ -412,9 +440,68 @@ def test_weak_convexity_callers_solve_no_lp(monkeypatch):
         s = star_suspension(np.random.default_rng((403, k)), 4 + k, require_reflex=True)
         inductive_proper_stress(s)
         suspension_rigidity(s)
-    assert len(solves) == 0
+    assert len(rows) == 0
     classify_convexity(octahedron())
-    assert len(solves) == 12
+    assert len(rows) == 12
+    for n in (60, 120):
+        surf = random_convex_hull_surface(np.random.default_rng((407, n)), n)
+        degree = np.bincount(np.array(surf.edges).ravel(), minlength=n)
+        rows.clear()
+        assert classify_convexity(surf).classification is Convexity.STRONGLY_STRICTLY_CONVEX
+        assert len(rows) == surf.n_edges
+        assert all(r <= degree[i] + degree[j] for r, (i, j) in zip(rows, surf.edges))
+
+
+def test_support_functional_rejects_empty_or_full_touching_sets():
+    """Only a nonempty proper touching set gives a bounded LP."""
+    pts = octahedron().vertices
+    for touching in ((), range(len(pts))):
+        with pytest.raises(GeometryError, match="nonempty proper subset"):
+            support_functional(pts, touching)
+
+
+def test_convex_flagged_edge_can_be_unexposed():
+    """An edge whose dihedral angle reads convex but whose exposure LP gives
+    delta <= geom_tol is listed among the unexposed edges."""
+    surf = nearly_flat_cube()
+    report = classify_convexity(surf)
+    assert report.edge_flags[(0, 2)] == "convex"
+    assert np.pi - dihedral_angle(surf, (0, 2)) > DEFAULT_TOL.geom_tol
+    assert (0, 2) in report.unexposed_edges
+    assert report.classification is Convexity.WEAKLY_STRICTLY_CONVEX
+
+
+def test_neighbourhood_exposure_matches_the_full_lp(oracle_reports):
+    """On the oracle pool at two geom_tol values: the neighbourhood LP gives
+    the full LP's delta on every convex edge, and the whole report equals a
+    classification whose exposure LPs have a row for every vertex (the slow
+    oracle)."""
+    from rigidity3d.geometry import _edge_exposure, _hull_neighbours
+
+    full_delta, outcomes = {}, set()
+    for surf, tol, report in oracle_reports:
+        outcomes.add(report.classification)
+        if not report.is_weakly_convex:
+            continue
+        pts = surf.vertices / surf.diameter
+        if id(surf) not in full_delta:
+            # delta does not depend on tol, and the DEFAULT_TOL convex edges
+            # include the 1e-4 ones
+            neighbours = _hull_neighbours(ConvexHull(pts), surf.n_vertices)
+            deltas = full_delta[id(surf)] = {}
+            for (i, j), flag in edge_flags(surf).items():
+                if flag == "convex":
+                    deltas[i, j] = support_functional(pts, (i, j))[2]
+                    local = _edge_exposure(pts, i, j, neighbours, DEFAULT_TOL)
+                    assert local == pytest.approx(deltas[i, j], abs=1e-9)
+        flags = edge_flags(surf, tol)
+        unexposed = tuple(
+            e for e, flag in flags.items()
+            if flag != "convex" or full_delta[id(surf)][e] <= tol.geom_tol
+        )
+        kind = Convexity.WEAKLY_STRICTLY_CONVEX if unexposed else Convexity.STRONGLY_STRICTLY_CONVEX
+        assert report == ConvexityReport(kind, flags, (), unexposed)
+    assert outcomes == set(Convexity)
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 from numpy.random import default_rng
+from scipy.optimize import OptimizeResult
 
 import rigidity3d
 from rigidity3d import cauchy, generators, geometry, hessian, suspensions
 from rigidity3d.cauchy import count_sign_changes, dent_rigidity_harness, sign_subgraph
 from rigidity3d.frameworks import Framework, nontrivial_flex
-from rigidity3d.geometry import InvariantError, normalize_pole_frame
+from rigidity3d.geometry import (
+    InvariantError,
+    classify_convexity,
+    hemisphere_witness,
+    normalize_pole_frame,
+    vertex_link,
+)
 from rigidity3d.hessian import (
     decompose_star,
     dihedral_table,
@@ -59,14 +66,14 @@ def test_invariant_error_is_no_input_error():
     assert rigidity3d.InvariantError is InvariantError
 
 
-def test_exactly_the_fourteen_cross_checks_raise_it():
+def test_exactly_the_fifteen_cross_checks_raise_it():
     raised = {}
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
                     and getattr(node.exc.func, "id", None) == "InvariantError"):
                 raised[path.stem] = raised.get(path.stem, 0) + 1
-    assert raised == {"cauchy": 1, "geometry": 1, "hessian": 3, "suspensions": 9}
+    assert raised == {"cauchy": 1, "geometry": 2, "hessian": 3, "suspensions": 9}
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +185,20 @@ def test_pole_frame_self_check(monkeypatch):
     monkeypatch.setattr(geometry, "pole_frame_ok", lambda *a: False)
     with pytest.raises(InvariantError, match="failed its own support-plane check"):
         normalize_pole_frame(reflex_star().vertices, 0, 1)
+
+
+def test_lp_solver_failure(monkeypatch):
+    """Both LPs are feasible at zero and bounded, so an unsuccessful solve
+    is a solver failure: it raises instead of reading as 'not exposed' or
+    'no witness'."""
+    failed = OptimizeResult(success=False, status=4, message="numerical difficulties", x=None)
+    monkeypatch.setattr(geometry, "linprog", lambda *a, **k: failed)
+    with pytest.raises(InvariantError, match="support_functional: LP solver failed"):
+        classify_convexity(octahedron())
+    with pytest.raises(InvariantError, match="support_functional: LP solver failed"):
+        normalize_pole_frame(reflex_star().vertices, 0, 1)
+    with pytest.raises(InvariantError, match="hemisphere_witness: LP solver failed"):
+        hemisphere_witness(vertex_link(octahedron(), 0))
 
 
 def test_sign_change_totals(monkeypatch):
