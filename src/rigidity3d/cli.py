@@ -291,6 +291,9 @@ def cmd_signs(args):
 
 
 def cmd_probe_pd(args):
+    if args.trials < 1:
+        print(f"error: --trials must be at least 1, got {args.trials}", file=sys.stderr)
+        return EXIT_INPUT
     tol = _tolerances(args)
     seed = 0 if args.seed is None else args.seed
     os.makedirs(args.out, exist_ok=True)

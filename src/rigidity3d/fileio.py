@@ -14,9 +14,9 @@ import io
 import json
 import time
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
 
-import jsonschema
 import numpy as np
 
 from .frameworks import EdgeKind, Framework
@@ -31,14 +31,16 @@ class FileFormatError(Exception):
     pass
 
 
-def _schema():
+@cache
+def _validator():
+    """The document-schema validator, built on first use: commands that
+    read or write no document never import jsonschema."""
+    import jsonschema
+
     text = resources.files("rigidity3d.schema").joinpath(
         "framework.schema.json"
     ).read_text()
-    return json.loads(text)
-
-
-_VALIDATOR = jsonschema.Draft202012Validator(_schema())
+    return jsonschema.Draft202012Validator(json.loads(text))
 
 
 def _pointer(path):
@@ -47,7 +49,7 @@ def _pointer(path):
 
 def validate_document(doc):
     """Schema plus index-range validation; errors carry a JSON pointer."""
-    errors = sorted(_VALIDATOR.iter_errors(doc), key=lambda e: list(e.absolute_path))
+    errors = sorted(_validator().iter_errors(doc), key=lambda e: list(e.absolute_path))
     if errors:
         e = errors[0]
         raise FileFormatError(f"{_pointer(e.absolute_path)}: {e.message}")

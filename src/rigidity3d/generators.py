@@ -189,6 +189,8 @@ SUSPENSION_PROFILES = ("convex", "star", "random")
 
 
 def suspension_profile(profile, rng, n, tol: Tolerances = DEFAULT_TOL):
+    if n < 3:
+        raise GenerationError(f"a suspension needs at least 3 equator vertices, got n={n}")
     if profile == "convex":
         return convex_suspension(rng, n, tol)
     if profile == "star":

@@ -21,7 +21,6 @@ from enum import Enum
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, QhullError
 from scipy.spatial.distance import pdist
 
@@ -135,7 +134,7 @@ class PolyhedralSurface:
                 raise GeometryError(f"face {f_idx} repeats a vertex index: {tuple(tri)}")
 
         directed = self._check_manifold(faces, n)
-        self._check_coincidence(vertices, tol)
+        diam = self._check_coincidence(vertices, tol)
 
         volume = _signed_volume(vertices, faces)
         if volume < 0.0:
@@ -150,6 +149,7 @@ class PolyhedralSurface:
         self.faces = faces
         self._directed_face = directed
         self.signed_volume = abs(volume)
+        self.diameter = diam
 
     @staticmethod
     def _check_manifold(faces, n_vertices):
@@ -196,6 +196,8 @@ class PolyhedralSurface:
 
     @staticmethod
     def _check_coincidence(vertices, tol):
+        """Reject coincident vertices; return the diameter, from the same
+        pairwise distances."""
         dist = pdist(vertices)
         diam = float(dist.max()) if dist.size else 0.0
         if diam == 0.0:
@@ -207,6 +209,7 @@ class PolyhedralSurface:
             i = int(np.searchsorted(np.cumsum(np.arange(n - 1, 0, -1)), k, side="right"))
             j = k - i * n + i * (i + 1) // 2 + i + 1
             raise GeometryError(f"vertices {i} and {j} coincide within tolerance")
+        return diam
 
     # -- derived combinatorics ---------------------------------------------
 
@@ -275,10 +278,6 @@ class PolyhedralSurface:
         if len(cycle) != len(succ):
             raise GeometryError(f"vertex star of {v} is not a single cycle")
         return cycle
-
-    @cached_property
-    def diameter(self):
-        return diameter(self.vertices)
 
     @cached_property
     def face_cross(self):
@@ -411,6 +410,8 @@ def support_functional(points, touching, tol: Tolerances = DEFAULT_TOL):
     a_ub = np.hstack([points[others], -np.ones((len(others), 1)), np.ones((len(others), 1))])
     b_ub = np.zeros(len(others))
     bounds = [(-1, 1)] * 3 + [(None, None), (0, None)]
+    from scipy.optimize import linprog  # deferred: only LP callers pay its import
+
     res = linprog(c_obj, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs")
     _check_lp(res, "support_functional")
     u = res.x[:3]
@@ -571,6 +572,8 @@ def hemisphere_witness(directions, tol: Tolerances = DEFAULT_TOL):
     a_ub = np.hstack([-directions, np.ones((len(directions), 1))])
     b_ub = np.zeros(len(directions))
     bounds = [(-1, 1)] * 3 + [(0, None)]
+    from scipy.optimize import linprog  # deferred: only LP callers pay its import
+
     res = linprog(c_obj, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
     _check_lp(res, "hemisphere_witness")
     if res.x[3] <= tol.geom_tol:

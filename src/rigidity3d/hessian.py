@@ -580,8 +580,10 @@ class ProbeReport:
 
     @property
     def diagonal_positive_rate(self):
+        """Share of trials with a positive diagonal; None when no trial
+        succeeded, so the JSON report says null rather than NaN."""
         if not self.trials:
-            return float("nan")
+            return None
         return sum(t.diagonal_positive for t in self.trials) / len(self.trials)
 
     def to_dict(self):

@@ -2,11 +2,17 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.random import default_rng
 
+import rigidity3d
 from rigidity3d import cauchy, fileio, generators, hessian, shapes, suspensions
 from rigidity3d.cli import main
 from rigidity3d.hessian import lambda_matrix
@@ -116,6 +122,15 @@ def test_suspend_deterministic_and_analyzable(capsys, tmp_path):
     assert verdicts["ns_decomposable"] is True
     assert verdicts["lambda"] > 0
     assert verdicts["rigid"] is True
+
+
+@pytest.mark.parametrize("n", ["-1", "0", "2"])
+def test_suspend_rejects_fewer_than_three_equator_vertices(capsys, tmp_path, n):
+    out = tmp_path / "s.json"
+    code, _, err = run(capsys, "suspend", "--n", n, "--out", str(out))
+    assert code == 1
+    assert err == f"error: a suspension needs at least 3 equator vertices, got n={n}\n"
+    assert not out.exists()
 
 
 def test_lambda_scalar_csv_sums_to_total(capsys, tmp_path):
@@ -258,6 +273,64 @@ def test_probe_pd_report_deterministic_and_replayable(capsys, tmp_path):
     d = generators.probe_decomposition(trial["kind"], rng)
     lam = lambda_matrix(d)
     assert lam.min_eigenvalue == pytest.approx(trial["min_eigenvalue"], abs=1e-9)
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_probe_pd_rejects_fewer_than_one_trial(capsys, tmp_path, trials):
+    code, _, err = run(capsys, "probe-pd", "--trials", trials, "--out", str(tmp_path / "pd"))
+    assert code == 1 and f"--trials must be at least 1, got {trials}" in err
+    assert not (tmp_path / "pd").exists()
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_probe_pd_report_is_json_when_no_trial_succeeds(capsys, monkeypatch, tmp_path):
+    def degenerate(*args, **kwargs):
+        raise generators.GenerationError("degenerate draw")
+
+    monkeypatch.setattr(generators, "probe_decomposition", degenerate)
+    code, text, _ = run(capsys, "probe-pd", "--trials", "2", "--out", str(tmp_path))
+    assert code == 0 and "trials 0  generation failures 2" in text
+    report = json.loads((tmp_path / "report.json").read_text(), parse_constant=_reject_constant)
+    assert report["summary"]["diagonal_positive_rate"] is None
+    assert report["trials"] == []
+
+
+def test_probe_pd_imports_neither_lp_solver_nor_schema_validator(capsys, tmp_path):
+    """probe-pd solves no LP and reads no document, so a fresh process
+    running it never imports scipy.optimize or jsonschema; analyze of a
+    hull document then loads both and reaches the same verdicts."""
+    hull = tmp_path / "hull.json"
+    fileio.save(hull, generators.random_convex_hull_surface(default_rng(11), 12))
+    script = textwrap.dedent("""
+        import contextlib, io, json, sys
+        from rigidity3d.cli import main
+
+        heavy = ("scipy.optimize", "jsonschema")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["probe-pd", "--trials", "6", "--seed", "1", "--out", sys.argv[1]]) == 0
+        before = [m for m in heavy if m in sys.modules]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["analyze", sys.argv[2], "--json"]) == 0
+        after = [m for m in heavy if m in sys.modules]
+        verdicts = json.loads(out.getvalue())["verdicts"]
+        print(json.dumps({"before": before, "after": after, "verdicts": verdicts}))
+    """)
+    src = str(Path(rigidity3d.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "pd"), str(hull)],
+                          capture_output=True, text=True, env=env, check=True)
+    fresh = json.loads(proc.stdout)
+    assert fresh["before"] == []
+    assert fresh["after"] == ["scipy.optimize", "jsonschema"]
+    code, out, _ = run(capsys, "analyze", str(hull), "--json")
+    verdicts = json.loads(out)["verdicts"]
+    assert code == 0 and fresh["verdicts"] == verdicts
+    assert verdicts["convexity"] == "strongly_strictly_convex" and verdicts["rigid"] is True
 
 
 # ---------------------------------------------------------------------------

@@ -181,6 +181,22 @@ def test_signed_volume_computed_once_per_surface(monkeypatch):
     assert len(calls) == 2
 
 
+def test_diameter_measured_once_per_surface(monkeypatch):
+    """The coincidence check's pairwise distances give the diameter the
+    surface keeps, bit for bit."""
+    import rigidity3d.geometry as geometry
+
+    base = octahedron()
+    scaled = base.vertices * [1.0, 2.0, 3.0]
+    calls = []
+    original = geometry.pdist
+    monkeypatch.setattr(geometry, "pdist", lambda *a: calls.append(1) or original(*a))
+    surf = PolyhedralSurface(scaled, base.faces)
+    assert surf.diameter == surf.diameter
+    assert len(calls) == 1
+    assert surf.diameter == geometry.diameter(scaled) == 6.0
+
+
 # ---------------------------------------------------------------------------
 # dihedral angles
 # ---------------------------------------------------------------------------
@@ -425,14 +441,16 @@ def test_weak_convexity_callers_solve_no_lp(monkeypatch):
     deg(i) + deg(j) inequality rows however large n is."""
     import rigidity3d.geometry as geometry
 
+    import scipy.optimize
+
     rows = []
-    original = geometry.linprog
+    original = scipy.optimize.linprog
 
     def counting(*args, **kwargs):
         rows.append(len(kwargs["A_ub"]))
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(geometry, "linprog", counting)
+    monkeypatch.setattr(scipy.optimize, "linprog", counting)
     for include_controls in (False, True):
         report = pd_probe(trials=6, seed=1, include_controls=include_controls)
         assert report.failures == 0 and report.n_trials == 6

@@ -11,8 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
 from numpy.random import default_rng
-from scipy.optimize import OptimizeResult
 
 import rigidity3d
 from rigidity3d import cauchy, generators, geometry, hessian, suspensions
@@ -191,8 +191,10 @@ def test_lp_solver_failure(monkeypatch):
     """Both LPs are feasible at zero and bounded, so an unsuccessful solve
     is a solver failure: it raises instead of reading as 'not exposed' or
     'no witness'."""
-    failed = OptimizeResult(success=False, status=4, message="numerical difficulties", x=None)
-    monkeypatch.setattr(geometry, "linprog", lambda *a, **k: failed)
+    failed = scipy.optimize.OptimizeResult(
+        success=False, status=4, message="numerical difficulties", x=None
+    )
+    monkeypatch.setattr(scipy.optimize, "linprog", lambda *a, **k: failed)
     with pytest.raises(InvariantError, match="support_functional: LP solver failed"):
         classify_convexity(octahedron())
     with pytest.raises(InvariantError, match="support_functional: LP solver failed"):
