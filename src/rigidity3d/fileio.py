@@ -240,7 +240,7 @@ def analysis_report(loaded: LoadedInstance, tol: Tolerances = DEFAULT_TOL, seed=
     timings section, which is informational only and excluded from the
     instance hash.
     """
-    from .frameworks import bar_flex_space, equilibrium_stress_space
+    from .frameworks import rigidity_rank, trivial_motion_basis
     from .geometry import classify_convexity
     from .hessian import lambda_matrix, rigidity_from_lambda
     from .suspensions import is_ns_decomposable, lambda_scalar
@@ -249,13 +249,16 @@ def analysis_report(loaded: LoadedInstance, tol: Tolerances = DEFAULT_TOL, seed=
     timings = {}
 
     t0 = time.perf_counter()
-    space = bar_flex_space(loaded.framework, tol)
-    verdicts["rigid"] = space.dimension == space.trivial_dimension
-    verdicts["flex_dimension"] = space.dimension
-    verdicts["trivial_dimension"] = space.trivial_dimension
-    verdicts["stress_space_dimension"] = len(
-        equilibrium_stress_space(loaded.framework, tol)
-    )
+    # dimensions of the flex and stress spaces by counting from one rank;
+    # no basis is formed
+    fw = loaded.framework
+    rank = rigidity_rank(fw, tol)
+    flex_dimension = 3 * fw.n_vertices - rank
+    trivial_dimension = len(trivial_motion_basis(fw, tol))
+    verdicts["rigid"] = flex_dimension == trivial_dimension
+    verdicts["flex_dimension"] = flex_dimension
+    verdicts["trivial_dimension"] = trivial_dimension
+    verdicts["stress_space_dimension"] = fw.n_edges - rank
     timings["framework"] = time.perf_counter() - t0
 
     if loaded.surface is not None:

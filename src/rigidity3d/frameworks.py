@@ -95,10 +95,12 @@ class Framework:
             norm_edges.append((i, j, kind))
 
         if norm_edges:
-            diam = diameter(vertices)
-            for i, j, _ in norm_edges:
-                if np.linalg.norm(vertices[i] - vertices[j]) < tol.geom_tol * diam:
-                    raise FrameworkError(f"edge ({i}, {j}) has (near-)zero length")
+            pairs = _index_pairs(norm_edges)
+            lengths = np.linalg.norm(vertices[pairs[:, 0]] - vertices[pairs[:, 1]], axis=1)
+            short = np.flatnonzero(lengths < tol.geom_tol * diameter(vertices))
+            if short.size:
+                i, j, _ = norm_edges[short[0]]
+                raise FrameworkError(f"edge ({i}, {j}) has (near-)zero length")
 
         vertices.flags.writeable = False
         self.vertices = vertices
@@ -156,6 +158,21 @@ class Framework:
         for array in factors:
             array.flags.writeable = False
         return factors
+
+    @cached_property
+    def singular_values(self):
+        """Read-only singular values of the rigidity matrix, descending.
+
+        The `s` of `svd` when that is already cached; otherwise a
+        values-only SVD, which skips forming the E x E and 3n x 3n factors
+        that only a basis needs.  Every rank of this framework is read
+        from here.
+        """
+        if "svd" in self.__dict__:
+            return self.svd[1]
+        values = np.linalg.svd(rigidity_matrix(self), compute_uv=False)
+        values.flags.writeable = False
+        return values
 
 
 @dataclass(frozen=True)
@@ -243,19 +260,24 @@ class FlexSpace:
 # ---------------------------------------------------------------------------
 
 
+def _index_pairs(edges):
+    """(E, 2) integer array of the (i, j) of each edge, in order."""
+    return np.array([(i, j) for i, j, _ in edges], dtype=np.intp).reshape(-1, 2)
+
+
 def rigidity_matrix(fw):
     """The (edge count) x (3 * vertex count) rigidity matrix."""
-    r = np.zeros((fw.n_edges, 3 * fw.n_vertices))
-    p = fw.vertices
-    for row, (i, j, _) in enumerate(fw.edges):
-        d = p[i] - p[j]
-        r[row, 3 * i : 3 * i + 3] = d
-        r[row, 3 * j : 3 * j + 3] = -d
-    return r
+    pairs = _index_pairs(fw.edges)
+    rows = np.arange(fw.n_edges)
+    d = fw.vertices[pairs[:, 0]] - fw.vertices[pairs[:, 1]]
+    r = np.zeros((fw.n_edges, fw.n_vertices, 3))
+    r[rows, pairs[:, 0]] = d
+    r[rows, pairs[:, 1]] = -d
+    return r.reshape(fw.n_edges, 3 * fw.n_vertices)
 
 
 def rigidity_rank(fw, tol: Tolerances = DEFAULT_TOL):
-    return tol.numerical_rank(fw.svd[1])
+    return tol.numerical_rank(fw.singular_values)
 
 
 def _sign_fix(vec):
@@ -279,7 +301,8 @@ def trivial_motion_basis(fw, tol: Tolerances = DEFAULT_TOL):
 
 def _flex_rows(fw, tol):
     """Orthonormal rows spanning the null space of the rigidity matrix."""
-    return fw.svd[2][rigidity_rank(fw, tol) :]
+    vt = fw.svd[2]  # before the rank, which then reuses this factorization
+    return vt[rigidity_rank(fw, tol) :]
 
 
 def bar_flex_space(fw, tol: Tolerances = DEFAULT_TOL):
@@ -308,7 +331,8 @@ def is_infinitesimally_rigid(fw, tol: Tolerances = DEFAULT_TOL):
             "configuration does not span 3-space; lower-dimensional rigidity "
             "analysis is out of scope"
         )
-    return len(_flex_rows(fw, tol)) == len(trivial_motion_basis(fw, tol))
+    flex_dimension = 3 * fw.n_vertices - rigidity_rank(fw, tol)
+    return flex_dimension == len(trivial_motion_basis(fw, tol))
 
 
 def nontrivial_flex(fw, tol: Tolerances = DEFAULT_TOL):
@@ -371,7 +395,8 @@ def equilibrium_stress_space(fw, tol: Tolerances = DEFAULT_TOL):
     """Orthonormal basis of the space of equilibrium stresses (left null
     space of the rigidity matrix), sign-fixed so each basis vector's
     largest-magnitude entry is positive.  Empty list if only zero."""
-    basis = fw.svd[0][:, rigidity_rank(fw, tol) :].T
+    u = fw.svd[0]  # before the rank, which then reuses this factorization
+    basis = u[:, rigidity_rank(fw, tol) :].T
     return [Stress.from_vector(fw, _sign_fix(row)) for row in basis]
 
 

@@ -84,13 +84,18 @@ def random_convex_hull_surface(rng, n, tol: Tolerances = DEFAULT_TOL, max_tries=
 
 
 def _azimuths(rng, n, max_tries=100):
-    """n sorted azimuths with every cyclic gap strictly inside (0, pi)."""
+    """n sorted azimuths with every cyclic gap inside (0.05, pi - 0.05).
+
+    The smallest drawn gap is about 0.6 / n, so past n ~ 34 it is the lower
+    bound that fails."""
     for _ in range(max_tries):
         gaps = rng.uniform(0.15, 2.9, n)
         gaps *= 2.0 * np.pi / gaps.sum()
         if gaps.max() < np.pi - 0.05 and gaps.min() > 0.05:
             return np.concatenate([[0.0], np.cumsum(gaps)[:-1]])
-    raise GenerationError("could not draw azimuth gaps below pi")
+    raise GenerationError(
+        f"could not draw {n} azimuth gaps inside (0.05, pi - 0.05) in {max_tries} tries"
+    )
 
 
 def random_convex_polygon(rng, n, max_tries=200):

@@ -390,6 +390,11 @@ def edge_flags(surface, tol: Tolerances = DEFAULT_TOL):
     return dict(zip(surface.edges, kinds.tolist()))
 
 
+# The exposure and hemisphere LPs have a handful of rows and 4-5 columns:
+# HiGHS presolve finds nothing to remove and only adds its own setup time.
+_LP_OPTIONS = {"presolve": False}
+
+
 def support_functional(points, touching, tol: Tolerances = DEFAULT_TOL):
     """Best support plane touching the hull exactly at `touching`.
 
@@ -412,7 +417,10 @@ def support_functional(points, touching, tol: Tolerances = DEFAULT_TOL):
     bounds = [(-1, 1)] * 3 + [(None, None), (0, None)]
     from scipy.optimize import linprog  # deferred: only LP callers pay its import
 
-    res = linprog(c_obj, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs")
+    res = linprog(
+        c_obj, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds,
+        method="highs", options=_LP_OPTIONS,
+    )
     _check_lp(res, "support_functional")
     u = res.x[:3]
     return u, float(res.x[3]), float(res.x[4])
@@ -574,7 +582,7 @@ def hemisphere_witness(directions, tol: Tolerances = DEFAULT_TOL):
     bounds = [(-1, 1)] * 3 + [(0, None)]
     from scipy.optimize import linprog  # deferred: only LP callers pay its import
 
-    res = linprog(c_obj, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
+    res = linprog(c_obj, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs", options=_LP_OPTIONS)
     _check_lp(res, "hemisphere_witness")
     if res.x[3] <= tol.geom_tol:
         return None

@@ -133,6 +133,19 @@ def test_suspend_rejects_fewer_than_three_equator_vertices(capsys, tmp_path, n):
     assert not out.exists()
 
 
+def test_suspend_names_the_gap_bounds_when_azimuths_run_out(capsys, tmp_path):
+    """At n = 50 the smallest drawn gap (about 0.6 / n) falls below the 0.05
+    floor, not above pi - 0.05; the message gives n and both bounds."""
+    out = tmp_path / "s.json"
+    code, _, err = run(capsys, "suspend", "--n", "50", "--profile", "convex",
+                       "--seed", "7", "--out", str(out))
+    assert code == 1
+    assert err == (
+        "error: could not draw 50 azimuth gaps inside (0.05, pi - 0.05) in 100 tries\n"
+    )
+    assert not out.exists()
+
+
 def test_lambda_scalar_csv_sums_to_total(capsys, tmp_path):
     path = tmp_path / "square.json"
     fileio.save(path, square_bipyramid())

@@ -23,8 +23,13 @@ from rigidity3d.frameworks import (
     tensegrity_flex_test,
     trivial_motion_basis,
 )
+from rigidity3d.cauchy import CauchyError, dent
 from rigidity3d.fileio import analysis_report, from_document, to_document
-from rigidity3d.generators import random_convex_hull_surface, random_framework
+from rigidity3d.generators import (
+    flexible_suspension_fixture,
+    random_convex_hull_surface,
+    random_framework,
+)
 from rigidity3d.geometry import (
     DEFAULT_TOL,
     ProjectiveMap,
@@ -418,7 +423,9 @@ def _projector(rows):
     return rows.T @ rows
 
 
-def test_cached_svd_views_match_a_direct_full_svd():
+def svd_pool():
+    """Braced (E > 3n), hull (E = 3n - 6), flexible (one hull edge removed)
+    and bare (no edge) frameworks."""
     rng = np.random.default_rng
     braced = [random_framework(rng((2200, k)), 14 + k % 4) for k in range(6)]
     assert all(fw.n_edges > 3 * fw.n_vertices for fw in braced)
@@ -429,12 +436,49 @@ def test_cached_svd_views_match_a_direct_full_svd():
     flexible = [fw.without_edge(fw.edge_pairs[k]) for k, fw in enumerate(hulls)]
     assert all(fw.n_edges < 3 * fw.n_vertices for fw in hulls + flexible)
     bare = Framework(rng(2202).normal(size=(5, 3)), [])
-    for fw in braced + hulls + flexible + [bare]:
+    return braced + hulls + flexible + [bare]
+
+
+def two_dent_hulls():
+    """Random hulls dented at an edge, then at a second edge sharing one of
+    its vertices."""
+    surfaces = []
+    for k in range(3):
+        surface = random_convex_hull_surface(np.random.default_rng((2204, k)), 10 + 2 * k)
+        first = dent(surface, surface.edges[0])
+        for edge in surface.edges:
+            if len(set(edge) & set(first.removed_edge)) != 1:
+                continue
+            try:
+                surfaces.append(dent(first.surface, edge).surface)
+            except CauchyError:
+                continue
+            break
+    assert len(surfaces) == 3
+    return surfaces
+
+
+def test_cached_svd_views_match_a_direct_full_svd():
+    for fw in svd_pool():
         n3, e = 3 * fw.n_vertices, fw.n_edges
         u, s, vt = np.linalg.svd(rigidity_matrix(fw))
         rank = int((s > DEFAULT_TOL.rank_tol * s[0]).sum()) if s.size else 0
-        assert rigidity_rank(fw) == rank
+        rigid = n3 - rank == len(trivial_motion_basis(fw))
 
+        # rank questions asked first read a values-only SVD ...
+        values_first = Framework(fw.vertices, fw.edges)
+        assert rigidity_rank(values_first) == rank
+        assert is_infinitesimally_rigid(values_first) == rigid
+        assert "svd" not in vars(values_first)
+        assert np.allclose(values_first.singular_values, s, rtol=0, atol=1e-12)
+        assert not values_first.singular_values.flags.writeable
+        # ... and asked after a basis reuse the full one
+        basis_first = Framework(fw.vertices, fw.edges)
+        assert basis_first.svd[1] is basis_first.singular_values
+        assert rigidity_rank(basis_first) == rank
+        assert is_infinitesimally_rigid(basis_first) == rigid
+
+        assert rigidity_rank(fw) == rank
         space = bar_flex_space(fw)
         assert space.dimension == n3 - rank
         flexes = [m.flat for m in space.basis]
@@ -445,7 +489,6 @@ def test_cached_svd_views_match_a_direct_full_svd():
         if stresses:
             assert np.abs(_projector(stresses) - _projector(u[:, rank:].T)).max() <= 1e-10
 
-        rigid = n3 - rank == len(trivial_motion_basis(fw))
         assert is_infinitesimally_rigid(fw) == rigid
         flex = nontrivial_flex(fw)
         assert (flex is None) == rigid
@@ -457,20 +500,88 @@ def test_cached_svd_views_match_a_direct_full_svd():
         assert not any(a.flags.writeable for a in fw.svd)
 
 
+def test_analysis_report_counts_the_dimensions_of_the_bases():
+    """The report's dimensions, counted from one rank, equal the sizes of
+    the flex and stress bases on braced, hull, flexible, bare, suspension and
+    two-dent frameworks, rigid and not."""
+    fixture = flexible_suspension_fixture().suspension
+    documents = [to_document(fw) for fw in svd_pool()]
+    documents += [to_document(fixture)] + [to_document(s) for s in two_dent_hulls()]
+    rigid_seen = set()
+    for doc in documents:
+        verdicts = analysis_report(from_document(doc))["verdicts"]
+        fw = from_document(doc).framework
+        space = bar_flex_space(fw)
+        assert verdicts["flex_dimension"] == space.dimension == len(space.basis)
+        assert verdicts["trivial_dimension"] == space.trivial_dimension
+        assert verdicts["stress_space_dimension"] == len(equilibrium_stress_space(fw))
+        assert verdicts["rigid"] is (space.nontrivial_dimension == 0)
+        rigid_seen.add(verdicts["rigid"])
+    assert rigid_seen == {True, False}
+
+
+def _loop_rigidity_matrix(fw):
+    """The per-edge loop the scattered rigidity_matrix replaced."""
+    r = np.zeros((fw.n_edges, 3 * fw.n_vertices))
+    p = fw.vertices
+    for row, (i, j, _) in enumerate(fw.edges):
+        d = p[i] - p[j]
+        r[row, 3 * i : 3 * i + 3] = d
+        r[row, 3 * j : 3 * j + 3] = -d
+    return r
+
+
+def test_rigidity_matrix_is_bit_identical_to_the_edge_loop():
+    pool = svd_pool() + [suspension_tensegrity(6, np.random.default_rng(2205))]
+    for fw in pool:
+        r = rigidity_matrix(fw)
+        assert r.shape == (fw.n_edges, 3 * fw.n_vertices)
+        assert np.array_equal(r, _loop_rigidity_matrix(fw))
+
+
+def _count_svds(monkeypatch):
+    """Record (shape, compute_uv) of every np.linalg.svd call."""
+    calls = []
+    real_svd = np.linalg.svd
+
+    def counting_svd(a, *args, compute_uv=True, **kwargs):
+        calls.append((np.shape(a), compute_uv))
+        return real_svd(a, *args, compute_uv=compute_uv, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    return calls
+
+
 def test_analysis_report_factors_the_rigidity_matrix_once(monkeypatch):
     surface = random_convex_hull_surface(np.random.default_rng(2203), 12)
     loaded = from_document(to_document(surface))
     shape = (loaded.framework.n_edges, 3 * loaded.framework.n_vertices)
-    shapes_seen = []
-    real_svd = np.linalg.svd
-
-    def counting_svd(a, *args, **kwargs):
-        shapes_seen.append(np.shape(a))
-        return real_svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    calls = _count_svds(monkeypatch)
     analysis_report(loaded)
-    assert shapes_seen.count(shape) == 1
+    assert [uv for seen, uv in calls if seen == shape] == [False]
+
+
+def test_rank_questions_skip_the_full_svd_and_bases_form_it_once(monkeypatch):
+    surface = random_convex_hull_surface(np.random.default_rng(2206), 12)
+    shape = (surface.n_edges, 3 * surface.n_vertices)
+    calls = _count_svds(monkeypatch)
+
+    def rigidity_matrix_calls(run):
+        calls.clear()
+        run(Framework.from_surface(surface))
+        return [uv for seen, uv in calls if seen == shape]
+
+    assert rigidity_matrix_calls(is_infinitesimally_rigid) == [False]
+    assert rigidity_matrix_calls(rigidity_rank) == [False]
+    assert rigidity_matrix_calls(bar_flex_space) == [True]
+    assert rigidity_matrix_calls(equilibrium_stress_space) == [True]
+    assert rigidity_matrix_calls(nontrivial_flex) == [True]
+
+    def stresses_then_verdict(fw):
+        equilibrium_stress_space(fw)
+        assert is_infinitesimally_rigid(fw)
+
+    assert rigidity_matrix_calls(stresses_then_verdict) == [True]
 
 
 def test_rebuilt_frameworks_and_suspensions_keep_the_tolerances():

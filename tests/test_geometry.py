@@ -522,6 +522,46 @@ def test_neighbourhood_exposure_matches_the_full_lp(oracle_reports):
     assert outcomes == set(Convexity)
 
 
+def test_lps_without_presolve_match_the_presolved_solve(monkeypatch, oracle_reports):
+    """The exposure and hemisphere LPs skip HiGHS presolve.  On the oracle
+    pool at two geom_tol values, every margin delta is within 1e-12 of the
+    same LP solved with presolve on, and the reports and hemisphere
+    witnesses computed from the presolved solves are the same."""
+    import scipy.optimize
+
+    small = {id(surf): surf for surf, _, report in oracle_reports
+             if report.is_weakly_convex and surf.n_vertices <= 12}
+    links = [vertex_link(surf, v) for surf in small.values() for v in range(surf.n_vertices)]
+    witnesses = [hemisphere_witness(link) for link in links]
+
+    original = scipy.optimize.linprog
+    solved, gaps = {}, []
+
+    def presolved(c, **kwargs):
+        # the second geom_tol repeats the first one's LPs: solve each once
+        options = kwargs.pop("options")
+        assert options == {"presolve": False}
+        matrices = (kwargs["A_ub"], kwargs.get("A_eq"))
+        key = tuple((a.shape, a.tobytes()) for a in matrices if a is not None)
+        if key not in solved:
+            solved[key] = res = original(c, **kwargs)
+            gaps.append(abs(res.x[-1] - original(c, **kwargs, options=options).x[-1]))
+        return solved[key]
+
+    monkeypatch.setattr(scipy.optimize, "linprog", presolved)
+    for surf, tol, report in oracle_reports:
+        assert classify_convexity(surf, tol) == report
+    exposure_lps = len(gaps)
+    for link, witness in zip(links, witnesses):
+        # the best direction need not be unique; its margin is
+        again = hemisphere_witness(link)
+        assert (again is None) is (witness is None)
+        if witness is not None:
+            assert (link.vertices @ again > 0).all()
+    assert exposure_lps > 0 and len(gaps) > exposure_lps
+    assert max(gaps) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # vertex links
 # ---------------------------------------------------------------------------
