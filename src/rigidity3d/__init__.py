@@ -89,6 +89,7 @@ from .suspensions import (  # noqa: F401
     is_ns_decomposable,
     lambda_scalar,
     normalize_poles,
+    reflex_lateral_edges,
     suspension_rigidity,
     tensegrity_labeling,
     theta_prime,

@@ -25,6 +25,7 @@ from .geometry import (
     PolyhedralSurface,
     Tolerances,
     dihedral_angles,
+    edge_flags,
 )
 from .hessian import DecompositionError, tetra_angles_and_jacobian
 
@@ -389,8 +390,7 @@ def vertex_sign_change_check(surface, sv: SignVector, tol: Tolerances = DEFAULT_
     signs: at a locally convex vertex either all incident signs vanish or
     there are at least 4 sign changes; at a non-convex vertex either all
     vanish or both signs occur on at least 3 nonzero edges."""
-    angles = dihedral_angles(surface, tol)
-    nonconvex = {v for e, a in zip(surface.edges, angles) if a > np.pi + SIGN_RATE_TOL for v in e}
+    nonconvex = {v for e, flag in edge_flags(surface, tol).items() if flag == "reflex" for v in e}
     reports = []
     for v in range(surface.n_vertices):
         nbrs = surface.neighbors_cyclic(v)

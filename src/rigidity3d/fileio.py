@@ -203,9 +203,10 @@ def from_document(doc, tol: Tolerances = DEFAULT_TOL):
     return LoadedInstance(doc, framework, surface, suspension, decomposition)
 
 
-def save(path, obj, metadata=None, tol: Tolerances = DEFAULT_TOL):
-    doc = obj if isinstance(obj, dict) else to_document(obj, metadata)
-    validate_document(doc)
+def save(path, obj, metadata=None):
+    """Write a document (validated here) or an object (to_document validates
+    it) as JSON; returns the document."""
+    doc = validate_document(obj) if isinstance(obj, dict) else to_document(obj, metadata)
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")

@@ -27,12 +27,12 @@ from .geometry import (
 from .hessian import DecompositionError, decompose_star, lambda_matrix
 from .shapes import hull_faces
 from .suspensions import (
-    NS_EDGE,
     SuspensionError,
     axis_decomposition,
     build_suspension,
     is_ns_decomposable,
     lambda_scalar,
+    reflex_lateral_edges,
 )
 
 logger = logging.getLogger(__name__)
@@ -162,11 +162,8 @@ def star_suspension(rng, n, require_reflex=False, tol: Tolerances = DEFAULT_TOL,
             continue
         if not is_ns_decomposable(s, tol):
             continue
-        if require_reflex:
-            lateral = np.isin(np.array(s.surface.edges), NS_EDGE).any(axis=1)
-            reflex = dihedral_angles(s.surface, tol) > np.pi + tol.geom_tol
-            if not (lateral & reflex).any():
-                continue
+        if require_reflex and not reflex_lateral_edges(s, tol):
+            continue
         return s
     raise GenerationError("no suitable cylinder suspension found")
 

@@ -454,18 +454,18 @@ def _edge_exposure(points, i, j, neighbours, tol):
     return support_functional(points[[i, j, *link]], (0, 1), tol)[2]
 
 
-def _hull_vertex_stage(surface):
-    """qhull of the vertices scaled to unit diameter.
+def _hull_vertex_stage(vertices, diam):
+    """qhull of the vertices scaled to unit diameter (`diam` is theirs).
 
     Returns (points, hull, nonexposed): the scaled points, their hull
     (None when qhull fails on a degenerate vertex set) and the vertices
     that are not hull vertices (every vertex when the hull failed)."""
-    pts = surface.vertices / surface.diameter
+    pts = vertices / diam
     try:
         hull = ConvexHull(pts)
     except QhullError:
-        return pts, None, tuple(range(surface.n_vertices))
-    on_hull = np.zeros(surface.n_vertices, dtype=bool)
+        return pts, None, tuple(range(len(pts)))
+    on_hull = np.zeros(len(pts), dtype=bool)
     on_hull[hull.vertices] = True
     return pts, hull, tuple(np.flatnonzero(~on_hull).tolist())
 
@@ -475,7 +475,7 @@ def is_weakly_convex(surface):
     every vertex is a vertex of the convex hull, and the hull is
     full-dimensional.  One qhull call, no LP; equals
     classify_convexity(surface).is_weakly_convex."""
-    return not _hull_vertex_stage(surface)[2]
+    return not _hull_vertex_stage(surface.vertices, surface.diameter)[2]
 
 
 def classify_convexity(surface, tol: Tolerances = DEFAULT_TOL):
@@ -489,7 +489,7 @@ def classify_convexity(surface, tol: Tolerances = DEFAULT_TOL):
     hull boundary without being hull vertices count as not strictly
     convex (noted in the report).
     """
-    pts, hull, nonexposed = _hull_vertex_stage(surface)
+    pts, hull, nonexposed = _hull_vertex_stage(surface.vertices, surface.diameter)
     flags = edge_flags(surface, tol)
     if hull is None:
         return ConvexityReport(
@@ -694,6 +694,26 @@ def pole_frame_ok(points, north, south, tol: Tolerances = DEFAULT_TOL):
     return bool(np.all(z > eps) and np.all(z < 1.0 - eps))
 
 
+def axis_frame(axis):
+    """Unit vectors (v1, v2) completing the unit vector `axis` to the
+    right-handed orthonormal frame (v1, v2, axis)."""
+    seed = np.eye(3)[np.abs(axis).argmin()]
+    v1 = unit(seed - (seed @ axis) * axis)
+    return v1, np.cross(axis, v1)
+
+
+def _vertex_support_normal(pts, hull, k, tol):
+    """Unit normal u of a plane touching the hull of the unit-diameter
+    points `pts` only at the hull vertex k, or None when its plane does not
+    clear every other point by more than geom_tol.
+
+    u is the sum of the outward normals of the hull facets at k, which lies
+    inside the normal cone of k, so the plane meets the hull at k alone."""
+    u = unit(hull.equations[(hull.simplices == k).any(axis=1), :3].sum(axis=0))
+    gaps = (pts[k] - np.delete(pts, k, axis=0)) @ u
+    return u if gaps.min() > tol.geom_tol else None
+
+
 def normalize_pole_frame(points, north, south, tol: Tolerances = DEFAULT_TOL):
     """Projective map carrying the configuration into the standard pole
     frame: south at the origin, north at (0,0,1), all other vertices with
@@ -701,30 +721,32 @@ def normalize_pole_frame(points, north, south, tol: Tolerances = DEFAULT_TOL):
     the configuration.
 
     Returns (map, new_points).  If the input already satisfies the
-    condition the identity map is returned.  Raises GeometryError when a
-    pole is not an exposed point of the hull.
+    condition the identity map is returned.  The support plane at a pole
+    comes from the same qhull as is_weakly_convex: a pole is exposed iff it
+    is a hull vertex and the plane normal to the unit sum of its facets'
+    outward normals clears every other point by more than
+    geom_tol * diameter.  Raises GeometryError when a pole is not exposed.
     """
     points = as_points(points)
     if pole_frame_ok(points, north, south, tol):
         return ProjectiveMap.identity(), points
 
-    diam = diameter(points)
-    u_n, c_n, delta_n = support_functional(points, (north,), tol)
-    if delta_n <= tol.geom_tol * diam:
-        raise GeometryError(f"north pole (vertex {north}) is not an exposed point")
-    u_s, c_s, delta_s = support_functional(points, (south,), tol)
-    if delta_s <= tol.geom_tol * diam:
-        raise GeometryError(f"south pole (vertex {south}) is not an exposed point")
+    pts, hull, nonexposed = _hull_vertex_stage(points, diameter(points))
+    normals = []
+    for name, pole in (("north", north), ("south", south)):
+        u = None if pole in nonexposed else _vertex_support_normal(pts, hull, pole, tol)
+        if u is None:
+            raise GeometryError(f"{name} pole (vertex {pole}) is not an exposed point")
+        normals.append(u)
+    u_n, u_s = normals
+    c_n, c_s = u_n @ points[north], u_s @ points[south]
 
     # Homogeneous functionals F = u_n.x - c_n and G = u_s.x - c_s are zero on
     # the support planes and negative elsewhere on the configuration.  The map
     # (x, 1) -> (v1.(x - S), v2.(x - S), -G, -(F + G)) sends the southern
     # support plane to z=0, the northern one to z=1, S to the origin and N to
     # (0,0,1); -(F+G) > 0 on the configuration, so nothing hits infinity.
-    axis = unit(points[north] - points[south])
-    seed = np.eye(3)[np.abs(axis).argmin()]
-    v1 = unit(seed - (seed @ axis) * axis)
-    v2 = np.cross(axis, v1)
+    v1, v2 = axis_frame(unit(points[north] - points[south]))
     s_pos = points[south]
 
     m = np.empty((4, 4))

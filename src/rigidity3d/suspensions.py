@@ -34,11 +34,11 @@ from .geometry import (
     PolyhedralSurface,
     Tolerances,
     as_points,
+    axis_frame,
     diameter,
     edge_flags,
     is_weakly_convex,
     normalize_pole_frame,
-    unit,
 )
 from .hessian import Decomposition, DecompositionError
 from .shapes import NORTH, SOUTH, bipyramid_faces
@@ -150,9 +150,7 @@ def cylindrical_equator(s: Suspension, tol: Tolerances = DEFAULT_TOL):
     axis = s.north - s.south
     scale = float(np.linalg.norm(axis))
     e3 = axis / scale
-    seed = np.eye(3)[np.abs(e3).argmin()]
-    v1 = unit(seed - (seed @ e3) * e3)
-    v2 = np.cross(e3, v1)
+    v1, v2 = axis_frame(e3)
     q = (s.equator - s.south) / scale
     x, y, z = q @ v1, q @ v2, q @ e3
     r = np.hypot(x, y)
@@ -418,14 +416,20 @@ def _small_star_stress(s, k, tol):
     }
 
 
-def _stress_by_induction(s, tol, trace):
+def reflex_lateral_edges(s: Suspension, tol: Tolerances = DEFAULT_TOL):
+    """Lateral edges (pole, equator vertex) that edge_flags marks reflex:
+    the north pole's first, then the south pole's, each in equator order."""
     flags = edge_flags(s.surface, tol)
-    reflex = [
+    return [
         (pole, 2 + k)
         for pole in (NORTH, SOUTH)
         for k in range(s.n)
-        if flags[tuple(sorted((pole, 2 + k)))] == "reflex"
+        if flags[(pole, 2 + k)] == "reflex"
     ]
+
+
+def _stress_by_induction(s, tol, trace):
+    reflex = reflex_lateral_edges(s, tol)
     if s.n == 3 or not reflex:
         trace.append(f"direct solve at n={s.n}")
         return _oriented_direct_stress(s, tol)

@@ -28,8 +28,10 @@ from rigidity3d.frameworks import (
 from rigidity3d.geometry import (
     Convexity,
     PolyhedralSurface,
+    Tolerances,
     classify_convexity,
     dihedral_angle,
+    edge_flags,
 )
 from rigidity3d.shapes import cube, icosahedron, octahedron, square_pyramid, tetrahedron
 
@@ -259,6 +261,22 @@ def test_vertex_check_on_hand_labeling():
     # poles: four incident -'s, no change -> impossible for a flex
     assert not reports[0].ok and not reports[1].ok
     assert all(reports[v].ok for v in (2, 3, 4, 5))
+
+
+def test_vertex_check_reads_the_callers_geom_tol():
+    """Lowering cube vertices 1 and 3 by 1e-6 bends the bottom diagonal
+    (0, 2) reflex by about 1e-6: "flat" at geom_tol = 1e-4, where its
+    endpoints are convex vertices, and reflex at the default tolerance."""
+    base = cube()
+    v = base.vertices.copy()
+    v[[1, 3], 2] -= 1e-6
+    surf = PolyhedralSurface(v, base.faces)
+    zero = SignVector({e: 0 for e in surf.edges})
+    loose = Tolerances(geom_tol=1e-4)
+    assert edge_flags(surf, loose)[(0, 2)] == "flat"
+    assert all(r.convex for r in vertex_sign_change_check(surf, zero, loose))
+    assert edge_flags(surf)[(0, 2)] == "reflex"
+    assert {r.vertex for r in vertex_sign_change_check(surf, zero) if not r.convex} == {0, 2}
 
 
 # ---------------------------------------------------------------------------

@@ -94,6 +94,26 @@ def test_save_accepts_raw_document(tmp_path):
     assert fileio.load(path).document == doc
 
 
+def test_save_validates_each_document_once(tmp_path, monkeypatch):
+    """to_document already validates what it builds, so save validates
+    only the documents it is handed; an invalid one is still refused."""
+    doc = octa_doc()
+    calls = []
+    original = fileio.validate_document
+
+    def counting(document):
+        calls.append(document)
+        return original(document)
+
+    monkeypatch.setattr(fileio, "validate_document", counting)
+    fileio.save(tmp_path / "object.json", shapes.octahedron())
+    assert len(calls) == 1
+    fileio.save(tmp_path / "dict.json", doc)
+    assert len(calls) == 2
+    with pytest.raises(FileFormatError, match="out of range"):
+        fileio.save(tmp_path / "bad.json", dict(doc, faces=[[0, 1, 99]] + doc["faces"][1:]))
+
+
 def test_edge_kind_defaults_to_bar():
     doc = octa_doc()
     for e in doc["edges"]:

@@ -45,6 +45,7 @@ from rigidity3d.shapes import cube, hull_faces, icosahedron, octahedron, square_
 from rigidity3d.suspensions import (
     Suspension,
     SuspensionError,
+    convex_profile_certificate,
     inductive_proper_stress,
     suspension_rigidity,
 )
@@ -436,9 +437,10 @@ def test_fast_convexity_calls_match_the_lp_classification(oracle_reports):
 
 def test_weak_convexity_callers_solve_no_lp(monkeypatch):
     """The probe, the control generator and the suspension induction read
-    only weak convexity and edge flags, so they solve no LP; the full
-    classification still solves one per convex edge, each with at most
-    deg(i) + deg(j) inequality rows however large n is."""
+    only weak convexity and edge flags, and the pole frame (with the
+    certificate built on it) reads the same qhull, so none of them solves
+    an LP; the full classification still solves one per convex edge, each
+    with at most deg(i) + deg(j) inequality rows however large n is."""
     import rigidity3d.geometry as geometry
 
     import scipy.optimize
@@ -458,6 +460,11 @@ def test_weak_convexity_callers_solve_no_lp(monkeypatch):
         s = star_suspension(np.random.default_rng((403, k)), 4 + k, require_reflex=True)
         inductive_proper_stress(s)
         suspension_rigidity(s)
+        normalize_pole_frame(s.vertices, 0, 1)
+        convex_profile_certificate(s)
+    for k in range(4):
+        certificate = convex_profile_certificate(convex_suspension(np.random.default_rng((409, k)), 5))
+        assert certificate.in_scope and certificate.rigid
     assert len(rows) == 0
     classify_convexity(octahedron())
     assert len(rows) == 12
@@ -784,6 +791,14 @@ def test_normalize_poles_rejects_unexposed_pole():
     v[0] = [0.0, 0.0, -0.2]  # north pole inside the hull
     with pytest.raises(GeometryError, match="not an exposed point"):
         normalize_pole_frame(v, 0, 1)
+
+
+def test_normalize_poles_rejects_a_flat_configuration():
+    """qhull fails on coplanar points, so no pole is a hull vertex; in their
+    plane the poles would still be exposed polygon corners."""
+    flat = [[0, 0, 1], [0, 0, -1], [1, 0, 0], [-1, 0, 0.5], [0.5, 0, -0.5]]
+    with pytest.raises(GeometryError, match=r"north pole \(vertex 0\) is not an exposed point"):
+        normalize_pole_frame(flat, 0, 1)
 
 
 # ---------------------------------------------------------------------------

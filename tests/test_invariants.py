@@ -197,8 +197,6 @@ def test_lp_solver_failure(monkeypatch):
     monkeypatch.setattr(scipy.optimize, "linprog", lambda *a, **k: failed)
     with pytest.raises(InvariantError, match="support_functional: LP solver failed"):
         classify_convexity(octahedron())
-    with pytest.raises(InvariantError, match="support_functional: LP solver failed"):
-        normalize_pole_frame(reflex_star().vertices, 0, 1)
     with pytest.raises(InvariantError, match="hemisphere_witness: LP solver failed"):
         hemisphere_witness(vertex_link(octahedron(), 0))
 

@@ -11,10 +11,29 @@ from rigidity3d.frameworks import (
     is_infinitesimally_rigid,
     is_proper,
 )
-from rigidity3d.generators import star_suspension
-from rigidity3d.geometry import classify_convexity, pole_frame_ok
+from rigidity3d import suspensions
+from rigidity3d.generators import (
+    GenerationError,
+    convex_suspension,
+    random_suspension,
+    star_suspension,
+)
+from rigidity3d.geometry import (
+    DEFAULT_TOL,
+    GeometryError,
+    ProjectiveMap,
+    as_points,
+    axis_frame,
+    classify_convexity,
+    diameter,
+    normalize_pole_frame,
+    pole_frame_ok,
+    support_functional,
+    transform_points,
+    unit,
+)
 from rigidity3d.hessian import Decomposition, cone_angles, lambda_matrix
-from rigidity3d.shapes import octahedron
+from rigidity3d.shapes import NORTH, SOUTH, octahedron
 from rigidity3d.suspensions import (
     NS_EDGE,
     Suspension,
@@ -535,3 +554,99 @@ def test_normalize_poles_octahedron():
     assert np.allclose(s_norm.vertices[1], [0, 0, 0])
     assert np.allclose(s_norm.equator[:, 2], 0.5)
     assert lambda_scalar(s_norm).total == pytest.approx(8.0, abs=1e-9)
+
+
+def lp_pole_frame(points, north, south, tol=DEFAULT_TOL):
+    """Reference pole frame from two exposure LPs: each pole's plane is
+    support_functional's, and the map is normalize_pole_frame's."""
+    points = as_points(points)
+    if pole_frame_ok(points, north, south, tol):
+        return ProjectiveMap.identity(), points
+    planes = []
+    for name, pole in (("north", north), ("south", south)):
+        u, c, delta = support_functional(points, (pole,), tol)
+        if delta <= tol.geom_tol * diameter(points):
+            raise GeometryError(f"{name} pole (vertex {pole}) is not an exposed point")
+        planes.append((u, c))
+    (u_n, c_n), (u_s, c_s) = planes
+    v1, v2 = axis_frame(unit(points[north] - points[south]))
+    m = np.empty((4, 4))
+    m[:3, 0], m[3, 0] = v1, -v1 @ points[south]
+    m[:3, 1], m[3, 1] = v2, -v2 @ points[south]
+    m[:3, 2], m[3, 2] = -u_s, c_s
+    m[:3, 3], m[3, 3] = -(u_n + u_s), c_n + c_s
+    pmap = ProjectiveMap(m)
+    new_points = transform_points(pmap, points, tol)
+    new_points[south] = 0.0
+    new_points[north] = (0.0, 0.0, 1.0)
+    return pmap, new_points
+
+
+def pole_frame_pool():
+    """The first 40 of test_07's convex suspensions, reflex star and random
+    suspensions, tilted octahedra and a suspension whose north pole is not
+    exposed."""
+    pool = []
+    for k in range(40):
+        rng = np.random.default_rng((4700, k))
+        pool.append(convex_suspension(rng, int(rng.integers(3, 13))))
+    for seed, make in ((4800, lambda rng, n: star_suspension(rng, n, require_reflex=True)),
+                       (4900, random_suspension)):
+        for k in range(100):
+            rng = np.random.default_rng((seed, k))
+            try:
+                pool.append(make(rng, int(rng.integers(4, 13))))
+            except GenerationError:
+                pass
+    rng = np.random.default_rng(99)
+    for _ in range(5):
+        m = np.eye(4)
+        m[:3, :3] += 0.15 * rng.normal(size=(3, 3))
+        m[:3, 3] = 0.1 * rng.normal(size=3)
+        m[3, :3] = 0.2 * rng.normal(size=3)
+        pool.append(Suspension(transform_points(ProjectiveMap(m), octahedron().vertices)))
+    az = np.arange(4) * np.pi / 2
+    eq = np.stack([np.cos(az), np.sin(az), [0.5, -0.5, 0.5, -0.5]], axis=1)
+    pool.append(build_suspension([0, 0, 0.05], [0, 0, -1.0], eq))
+    return pool
+
+
+def test_pole_frame_matches_the_lp_frame(monkeypatch):
+    """The hull-normal pole frame accepts and rejects the poles the LP frame
+    does, and the certificate reads the same (in_scope, rigid, sign(total)).
+
+    in_scope is not a projective invariant: the projection centre on the
+    axis is where the two support planes' sum vanishes, so another pair of
+    planes can tip a projected equator that is barely convex.  A differing
+    scope is accepted only there, |b.min()| < 1e-2 in both frames, and on
+    at most 1% of the pool."""
+    pool = pole_frame_pool()
+    rejected = flips = 0
+    for s in pool:
+        readings = []
+        for frame in (normalize_pole_frame, lp_pole_frame):
+            try:
+                pmap, pts = frame(s.vertices, NORTH, SOUTH)
+            except GeometryError as exc:
+                pts = str(exc)
+                monkeypatch.setattr(suspensions, "normalize_pole_frame", frame)
+            else:
+                assert pole_frame_ok(pts, NORTH, SOUTH)
+                # the certificate reuses this frame instead of solving it again
+                monkeypatch.setattr(
+                    suspensions, "normalize_pole_frame", lambda *a, result=(pmap, pts): result
+                )
+            rep = convex_profile_certificate(s)
+            total = None if rep.breakdown is None else np.sign(rep.breakdown.total)
+            readings.append((pts, (rep.in_scope, rep.rigid, total)))
+        (hull_pts, hull_cert), (lp_pts, lp_cert) = readings
+        if isinstance(hull_pts, str) or isinstance(lp_pts, str):
+            assert hull_pts == lp_pts
+            rejected += 1
+        if hull_cert != lp_cert:
+            flips += 1
+            b_mins = [lambda_scalar(Suspension(pts)).b.min() for pts in (hull_pts, lp_pts)]
+            assert max(map(abs, b_mins)) < 1e-2, (hull_cert, lp_cert, b_mins)
+            assert {hull_cert[1], lp_cert[1]} == {True, None}
+    assert rejected == 1
+    assert flips <= len(pool) // 100
