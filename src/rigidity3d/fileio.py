@@ -205,8 +205,15 @@ def from_document(doc, tol: Tolerances = DEFAULT_TOL):
 
 def save(path, obj, metadata=None):
     """Write a document (validated here) or an object (to_document validates
-    it) as JSON; returns the document."""
-    doc = validate_document(obj) if isinstance(obj, dict) else to_document(obj, metadata)
+    it) as JSON; returns the document.  `metadata` is merged into a
+    document's own "metadata" (a copy: the caller's dict is not changed)."""
+    if isinstance(obj, dict):
+        own = obj.get("metadata", {})
+        if metadata and isinstance(own, dict):  # else validation refuses `own`
+            obj = {**obj, "metadata": {**own, **metadata}}
+        doc = validate_document(obj)
+    else:
+        doc = to_document(obj, metadata)
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import DEFAULT_TOL, Tolerances, as_points, diameter
+from .geometry import DEFAULT_TOL, Tolerances, _cross, as_points, diameter
 
 __all__ = [
     "EdgeKind",
@@ -289,13 +289,14 @@ def _sign_fix(vec):
 def trivial_motion_basis(fw, tol: Tolerances = DEFAULT_TOL):
     """Orthonormal basis of the restrictions of ambient infinitesimal
     isometries (3 translations + 3 rotations), as rows of shape (k, 3n)."""
-    p = fw.vertices
-    gens = []
-    for t in np.eye(3):
-        gens.append(np.tile(t, fw.n_vertices))
-    for a in np.eye(3):
-        gens.append(np.cross(a, p).ravel())
-    _, s, vt = np.linalg.svd(np.array(gens), full_matrices=False)
+    # rows 0-2 translate along e_k, rows 3-5 rotate about e_k (e_k x p);
+    # the rotations keep the cross product's signed zeros, which the SVD
+    # below can see
+    axes = np.eye(3)[:, None, :]
+    gens = np.empty((6, fw.n_vertices, 3))
+    gens[:3] = axes
+    gens[3:] = _cross(axes, fw.vertices)
+    _, s, vt = np.linalg.svd(gens.reshape(6, -1), full_matrices=False)
     return vt[: tol.numerical_rank(s)]
 
 

@@ -92,6 +92,20 @@ def diameter(points):
     return float(dist.max()) if dist.size else 0.0
 
 
+def _cross(a, b):
+    """Cross product of float (..., 3) arrays, broadcast as np.cross does
+    and with the same products and differences, minus its per-call
+    overhead on the small arrays this package works with."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    c0 = a1 * b2 - a2 * b1
+    out = np.empty(np.shape(c0) + (3,))
+    out[..., 0] = c0
+    out[..., 1] = a2 * b0 - a0 * b2
+    out[..., 2] = a0 * b1 - a1 * b0
+    return out
+
+
 def unit(v):
     n = np.linalg.norm(v)
     if n == 0.0:
@@ -284,7 +298,7 @@ class PolyhedralSurface:
         """(F, 3) read-only array: (b - a) x (c - a) for each face (a, b, c),
         the outward normal scaled by twice the face area."""
         corners = self.vertices[self.faces]
-        cross = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
+        cross = _cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
         cross.flags.writeable = False
         return cross
 
@@ -299,7 +313,7 @@ class PolyhedralSurface:
 
 def _signed_volume(vertices, faces):
     v = vertices[faces]
-    return float(np.einsum("ij,ij->i", v[:, 0], np.cross(v[:, 1], v[:, 2])).sum() / 6.0)
+    return float(np.einsum("ij,ij->i", v[:, 0], _cross(v[:, 1], v[:, 2])).sum() / 6.0)
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +339,7 @@ def dihedral_angles(surface, tol: Tolerances = DEFAULT_TOL):
     u = surface.vertices[j] - surface.vertices[i]
     u /= np.linalg.norm(u, axis=1)[:, None]
     angles = np.pi - np.arctan2(
-        np.einsum("ex,ex->e", np.cross(n1, n2), u), np.einsum("ex,ex->e", n1, n2)
+        np.einsum("ex,ex->e", _cross(n1, n2), u), np.einsum("ex,ex->e", n1, n2)
     )
     angles[angles <= 0.0] += 2.0 * np.pi
     degenerate = surface.degenerate_faces(tol)
@@ -699,7 +713,7 @@ def axis_frame(axis):
     right-handed orthonormal frame (v1, v2, axis)."""
     seed = np.eye(3)[np.abs(axis).argmin()]
     v1 = unit(seed - (seed @ axis) * axis)
-    return v1, np.cross(axis, v1)
+    return v1, _cross(axis, v1)
 
 
 def _vertex_support_normal(pts, hull, k, tol):
@@ -778,6 +792,9 @@ TETRA_EDGE_ORDER = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 # the four faces (012, 013, 023, 123), each as its edges (ab, bc, ca) in
 # TETRA_EDGE_ORDER positions
 _FACE_CYCLES = np.array([[0, 3, 1], [0, 4, 2], [1, 5, 2], [3, 5, 4]])
+# the same cycles rotated by one and by two places: (bc, ca, ab), (ca, ab, bc)
+_FACE_CYCLES_NEXT = _FACE_CYCLES[:, [1, 2, 0]]
+_FACE_CYCLES_PREV = _FACE_CYCLES[:, [2, 0, 1]]
 # position of the squared length d_ij in the padded vector (0, d01^2, ..., d23^2)
 _CM_INDEX = np.array([[0, 1, 2, 3], [1, 0, 4, 5], [2, 4, 0, 6], [3, 5, 6, 0]])
 
@@ -798,9 +815,8 @@ def cayley_menger_feasible(lengths, tol: Tolerances = DEFAULT_TOL):
 
     scale = lengths.max(axis=-1)
     # triangle inequalities d_ab + d_bc >= d_ca on every face, in every rotation
-    sides = lengths[..., _FACE_CYCLES]
-    broken = sides + np.roll(sides, -1, axis=-1) < (
-        np.roll(sides, -2, axis=-1) - tol.geom_tol * scale[..., None, None]
+    broken = lengths[..., _FACE_CYCLES] + lengths[..., _FACE_CYCLES_NEXT] < (
+        lengths[..., _FACE_CYCLES_PREV] - tol.geom_tol * scale[..., None, None]
     )
 
     cm = np.ones(lengths.shape[:-1] + (5, 5))

@@ -28,6 +28,7 @@ from .geometry import (
     GeometryError,
     InvariantError,
     Tolerances,
+    _cross,
     as_points,
     cayley_menger_feasible,
     diameter,
@@ -94,7 +95,13 @@ def tetra_angles_and_jacobian(lengths):
     map squared-lengths -> Gram entries, _GRAM_MAP.
     """
     lengths = np.asarray(lengths, dtype=float)
-    feasible, _ = cayley_menger_feasible(lengths)
+    return _angles_and_jacobian(lengths, cayley_menger_feasible(lengths)[0])
+
+
+def _angles_and_jacobian(lengths, feasible):
+    """tetra_angles_and_jacobian on a float (..., 6) array whose
+    Cayley-Menger check the caller has already made: `feasible` is its
+    first output."""
     m = np.einsum("...q,kgq->...kg", lengths**2, _GRAM_MAP)
     m00, m11, m22, m01, m02, m12 = np.moveaxis(m, -1, 0)
     big_g = (
@@ -168,7 +175,8 @@ class Decomposition:
     e_1..e_r (the coordinates of the cone-angle map).  Unless
     closed_stars=False, every interior edge must be surrounded by a
     closed cycle of tetrahedra, so its total angle is well defined and
-    equals 2*pi at the embedded lengths.
+    equals 2*pi at the embedded lengths.  `tol` is kept: lambda assemblies
+    check the Cayley-Menger feasibility of their lengths at it.
     """
 
     vertices: np.ndarray
@@ -176,6 +184,7 @@ class Decomposition:
     interior_edges: tuple
     boundary_edges: tuple
     surface: object = None
+    tol: Tolerances = DEFAULT_TOL
 
     def __init__(
         self,
@@ -191,7 +200,12 @@ class Decomposition:
         interior = tuple(tuple(sorted(int(v) for v in e)) for e in interior_edges)
         if len(set(interior)) != len(interior):
             raise DecompositionError("duplicate interior edge")
-        diam = diameter(vertices)
+        if surface is None:
+            diam = diameter(vertices)
+        elif np.array_equal(surface.vertices, vertices):
+            diam = surface.diameter  # the same pdist of the same points
+        else:
+            raise DecompositionError("vertices differ from the surface's vertices")
 
         for t_idx, tet in enumerate(tets):
             if len(set(tet)) != 4:
@@ -238,6 +252,7 @@ class Decomposition:
         self.interior_edges = interior
         self.boundary_edges = boundary
         self.surface = surface
+        self.tol = tol
         # edges are numbered interior first, then boundary; _edge_index[t, m]
         # is the number of the m-th edge (TETRA_EDGE_ORDER) of tetrahedron t
         number = {e: k for k, e in enumerate(interior + boundary)}
@@ -268,7 +283,7 @@ class Decomposition:
             corners = vertices[np.array([faces[k] for k in shared])]
             apexes = vertices[np.array([[o[1] for o in face_owners[faces[k]]] for k in shared])]
             a = corners[:, 0]
-            n = np.cross(corners[:, 1] - a, corners[:, 2] - a)
+            n = _cross(corners[:, 1] - a, corners[:, 2] - a)
             sides = np.einsum("sox,sx->so", apexes - a[:, None], n)
             offending[shared] = sides[:, 0] * sides[:, 1] >= 0.0
         if surface is not None:
@@ -460,10 +475,12 @@ def _assemble_lambda(d, interior_l):
     the magnitude the entries of lambda are sums and differences of.
 
     Refuses near-degenerate tetrahedra (squared volume below the interior
-    margin relative to the longest edge), where the derivatives blow up.
+    margin relative to the longest edge), where the derivatives blow up,
+    and lengths that fail the Cayley-Menger check at the decomposition's
+    tolerances.  That check runs once: the angle kernel reuses it.
     """
     lengths = d._lengths(interior_l)
-    feasible, vol = cayley_menger_feasible(lengths)
+    feasible, vol = cayley_menger_feasible(lengths, d.tol)
     refused = np.flatnonzero(~feasible | (vol**2 < E_INTERIOR_MARGIN * lengths.max(axis=1) ** 6))
     if refused.size:
         t = int(refused[0])
@@ -471,7 +488,7 @@ def _assemble_lambda(d, interior_l):
             f"tetrahedron {t} = {d.tetrahedra[t]} is degenerate or too "
             f"close to the boundary of the feasible length domain"
         )
-    _, jac = tetra_angles_and_jacobian(lengths)
+    _, jac = _angles_and_jacobian(lengths, feasible)
     rows = np.broadcast_to(d._edge_index[:, :, None], jac.shape)
     cols = np.broadcast_to(d._edge_index[:, None, :], jac.shape)
     interior = (rows < d.r) & (cols < d.r)

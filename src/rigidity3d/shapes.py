@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .geometry import PolyhedralSurface
+from .geometry import PolyhedralSurface, _cross
 
 # vertex layout shared with suspensions: north = 0, south = 1, equator = 2..n+1
 NORTH = 0
@@ -14,7 +14,7 @@ def hull_faces(points, simplices):
     its normal (b - a) x (c - a) points away from the centroid."""
     faces = np.array(simplices, dtype=int)
     corners = points[faces]
-    normals = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
+    normals = _cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
     inward = (normals * (corners[:, 0] - points.mean(axis=0))).sum(axis=1) < 0
     faces[inward] = faces[inward][:, [0, 2, 1]]
     return faces

@@ -217,16 +217,13 @@ def is_ns_decomposable(s: Suspension, tol: Tolerances = DEFAULT_TOL):
     # consistency: the tetrahedra are pairwise non-overlapping exactly when
     # their orientation signs agree
     p = s.vertices
-    dets = [
-        np.linalg.det(
-            np.stack(
-                [p[SOUTH] - p[NORTH], p[s.equator_index(k)] - p[NORTH],
-                 p[s.equator_index(k + 1)] - p[NORTH]]
-            )
-        )
-        for k in range(s.n)
-    ]
-    if len({d > 0 for d in dets}) != 1:
+    slots = np.arange(s.n)
+    frames = np.empty((s.n, 3, 3))
+    frames[:, 0] = p[SOUTH] - p[NORTH]
+    frames[:, 1] = p[s.equator_index(slots)] - p[NORTH]
+    frames[:, 2] = p[s.equator_index(slots + 1)] - p[NORTH]
+    positive = np.linalg.det(frames) > 0
+    if positive.any() != positive.all():
         raise InvariantError(
             "internal: azimuth increments are consistent but tetrahedron "
             "orientations are not"

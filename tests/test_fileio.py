@@ -94,6 +94,21 @@ def test_save_accepts_raw_document(tmp_path):
     assert fileio.load(path).document == doc
 
 
+def test_save_merges_metadata_into_a_raw_document(tmp_path):
+    doc = octa_doc()
+    doc["metadata"] = {"origin": "octahedron"}
+    path = tmp_path / "raw.json"
+    written = fileio.save(path, doc, metadata={"seed": 3})
+    loaded = fileio.load(path)
+    assert loaded.metadata == {"origin": "octahedron", "seed": 3}
+    assert written == loaded.document
+    assert doc["metadata"] == {"origin": "octahedron"}  # the caller's dict is kept
+    assert fileio.instance_hash(loaded.document) == fileio.instance_hash(doc)
+    assert fileio.instance_hash(loaded.document) == fileio.instance_hash(octa_doc())
+    with pytest.raises(FileFormatError, match="/metadata"):
+        fileio.save(path, octa_doc(metadata="x"), metadata={"seed": 3})
+
+
 def test_save_validates_each_document_once(tmp_path, monkeypatch):
     """to_document already validates what it builds, so save validates
     only the documents it is handed; an invalid one is still refused."""

@@ -170,6 +170,37 @@ def test_flex_space_contains_trivial_motions():
         assert np.abs(r @ t).max() <= 1e-10
 
 
+def test_trivial_basis_matches_the_np_cross_generators():
+    """The generators filled by assignment give the basis the tiled
+    translations and np.cross rotations gave, bit for bit, on general,
+    integer-grid, coplanar and collinear configurations."""
+
+    def reference(fw, tol=DEFAULT_TOL):
+        gens = [np.tile(t, fw.n_vertices) for t in np.eye(3)]
+        gens += [np.cross(a, fw.vertices).ravel() for a in np.eye(3)]
+        _, s, vt = np.linalg.svd(np.array(gens), full_matrices=False)
+        return vt[: tol.numerical_rank(s)]
+
+    rng = np.random.default_rng(410)
+    configs = [octahedron().vertices, cube().vertices, tetrahedron().vertices]
+    configs += [rng.normal(size=(int(rng.integers(3, 16)), 3)) for _ in range(20)]
+    configs += [rng.integers(-2, 3, size=(int(rng.integers(3, 12)), 3)).astype(float)
+                for _ in range(40)]
+    planar = rng.normal(size=(7, 3))
+    planar[:, 2] = 0.0
+    configs.append(planar)  # coplanar, in a coordinate plane
+    configs.append(rng.normal(size=(6, 2)) @ rng.normal(size=(2, 3)))  # coplanar through 0
+    configs.append(np.outer(rng.normal(size=5), [0.0, 0.0, 1.0]))  # collinear on an axis
+    configs.append(np.outer(rng.normal(size=5), rng.normal(size=3)) + 1.0)  # collinear
+    ranks = set()
+    for points in configs:
+        fw = Framework(points, [])
+        got = trivial_motion_basis(fw)
+        assert got.tobytes() == reference(fw).tobytes()
+        ranks.add(len(got))
+    assert ranks == {5, 6}
+
+
 def test_octahedron_rigid_and_edge_deletion_flexes():
     fw = octahedron_framework()
     assert is_infinitesimally_rigid(fw)

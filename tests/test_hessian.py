@@ -7,7 +7,13 @@ import pytest
 
 from rigidity3d.frameworks import Framework, is_infinitesimally_rigid
 from rigidity3d.generators import flexible_suspension_fixture, probe_decomposition
-from rigidity3d.geometry import DEFAULT_TOL, InvariantError, PolyhedralSurface, dihedral_angle
+from rigidity3d.geometry import (
+    DEFAULT_TOL,
+    InvariantError,
+    PolyhedralSurface,
+    Tolerances,
+    dihedral_angle,
+)
 from rigidity3d.hessian import (
     Decomposition,
     DecompositionError,
@@ -318,10 +324,50 @@ def test_cone_angle_of_single_tet_star():
     assert cone_angles(d)[0] == pytest.approx(np.arccos(1 / 3), abs=1e-12)
 
 
+def test_decomposition_vertices_must_be_the_surfaces():
+    """The diameter comes from the surface, so its vertices must be the
+    decomposition's."""
+    base = octahedron()
+    tets = [(0, 1, 3, 2), (0, 1, 4, 3), (0, 1, 5, 4), (0, 1, 2, 5)]
+    assert Decomposition(base.vertices, tets, [(0, 1)], surface=base).r == 1
+    with pytest.raises(DecompositionError, match="vertices differ"):
+        Decomposition(2.0 * base.vertices, tets, [(0, 1)], surface=base)
+
+
 def test_cone_angles_reject_infeasible_lengths():
     d = decompose_star(octahedron(), 0)
     with pytest.raises(DecompositionError, match="tetrahedron 0"):
         cone_angles(d, np.array([50.0]))
+
+
+def test_lambda_assembly_checks_feasibility_at_the_decomposition_tolerance():
+    """The assembly's Cayley-Menger check reads the decomposition's tol.
+    The interior length of the octahedron's star is bounded by sqrt(6); at
+    2.4494 each tetrahedron's volume is about 4e-4 of its longest edge
+    cubed, which the default geom_tol accepts and geom_tol = 5e-4 refuses.
+    The embedded lambda is the same at both."""
+    coarse = Tolerances(geom_tol=5e-4)
+    default = decompose_star(octahedron(), 0)
+    strict = decompose_star(octahedron(), 0, tol=coarse)
+    assert default.tol == DEFAULT_TOL and strict.tol == coarse
+    near_flat = np.array([2.4494])
+    assert lambda_matrix(default, near_flat).r == 1
+    with pytest.raises(DecompositionError, match="tetrahedron 0"):
+        lambda_matrix(strict, near_flat)
+    assert lambda_matrix(strict).matrix.tobytes() == lambda_matrix(default).matrix.tobytes()
+
+
+def test_lambda_assembly_runs_one_cayley_menger_pass(monkeypatch):
+    import rigidity3d.hessian as hessian
+
+    calls = []
+    original = hessian.cayley_menger_feasible
+    monkeypatch.setattr(hessian, "cayley_menger_feasible",
+                        lambda *a: calls.append(1) or original(*a))
+    d = decompose_star(octahedron(), 0)
+    lambda_matrix(d)
+    lambda_matrix(d, np.array([2.1]))
+    assert len(calls) == 2  # one per assembly: embedded, then stretched
 
 
 def test_mean_curvature_single_regular_tetrahedron():

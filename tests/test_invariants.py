@@ -104,10 +104,17 @@ def test_rigidity_from_lambda_verdicts_disagree(monkeypatch):
 
 def test_ns_decomposable_orientation_check(monkeypatch):
     s = reflex_star()
-    signs = iter([1.0] + [-1.0] * s.n)
-    monkeypatch.setattr(np.linalg, "det", lambda m: next(signs))
+    stacks = []
+
+    def mixed_signs(m):
+        # one batched call over the (n, 3, 3) stack of slot frames
+        stacks.append(np.shape(m))
+        return np.array([1.0] + [-1.0] * (len(m) - 1))
+
+    monkeypatch.setattr(np.linalg, "det", mixed_signs)
     with pytest.raises(InvariantError, match="internal: azimuth increments"):
         is_ns_decomposable(s)
+    assert stacks == [(s.n, 3, 3)]
 
 
 def test_lambda_scalar_closed_forms(monkeypatch):

@@ -200,6 +200,45 @@ def test_decomposable_random_cylinder_family():
         assert is_ns_decomposable(cylinder_suspension(rng))
 
 
+def test_batched_orientation_signs_match_per_slot_dets(monkeypatch):
+    """is_ns_decomposable's one det call over the (n, 3, 3) stack gives the
+    per-slot determinants bit for bit, on the pinned reflex star and random
+    suspension pools, the octahedron and random cylinders."""
+    original = np.linalg.det
+    calls = []
+    monkeypatch.setattr(np.linalg, "det", lambda m: calls.append(m) or original(m))
+    pool = [octa_suspension()]
+    pool += [cylinder_suspension(np.random.default_rng((411, k))) for k in range(10)]
+    for seed, make in ((4800, lambda rng, n: star_suspension(rng, n, require_reflex=True)),
+                       (4900, random_suspension)):
+        for k in range(40):
+            rng = np.random.default_rng((seed, k))
+            try:
+                pool.append(make(rng, int(rng.integers(4, 13))))
+            except GenerationError:
+                pass
+    checked = 0
+    for s in pool:
+        calls.clear()
+        decomposable = is_ns_decomposable(s)
+        assert len(calls) == bool(decomposable)
+        if not decomposable:
+            continue
+        p = s.vertices
+        per_slot = [
+            original(np.stack([p[SOUTH] - p[NORTH], p[s.equator_index(k)] - p[NORTH],
+                               p[s.equator_index(k + 1)] - p[NORTH]]))
+            for k in range(s.n)
+        ]
+        (stack,) = calls
+        assert stack.shape == (s.n, 3, 3)
+        batched = original(stack)
+        assert batched.tobytes() == np.array(per_slot).tobytes()
+        assert len({d > 0 for d in per_slot}) == 1
+        checked += 1
+    assert checked >= 60
+
+
 # ---------------------------------------------------------------------------
 # tensegrity labeling and decomposition
 # ---------------------------------------------------------------------------
