@@ -72,7 +72,7 @@ def dihedral_rates(surface, motion, tol: Tolerances = DEFAULT_TOL):
     lengths = np.linalg.norm(diff, axis=-1)
     lrates = np.einsum("ekx,ekx->ek", diff, dvel) / lengths
     try:
-        _, jac = tetra_angles_and_jacobian(lengths)
+        _, jac = tetra_angles_and_jacobian(lengths, tol)
     except DecompositionError as exc:
         i, j = edges[exc.tetrahedron]
         raise CauchyError(

@@ -15,6 +15,7 @@ internal cross-check fails (an InvariantError).
 """
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -386,19 +387,19 @@ def build_parser():
     p = sub.add_parser("analyze", parents=[common],
                        help="verdict report for a document")
     p.add_argument("file")
-    p.set_defaults(func=cmd_analyze)
+    p.set_defaults(handler="cmd_analyze")
 
     p = sub.add_parser("stress", parents=[common],
                        help="equilibrium stresses of the edge framework")
     p.add_argument("file")
     p.add_argument("--inductive", action="store_true",
                    help="peel-and-solve proper stress (suspensions only)")
-    p.set_defaults(func=cmd_stress)
+    p.set_defaults(handler="cmd_stress")
 
     p = sub.add_parser("lambda", parents=[common],
                        help="axis invariant or interior-edge Jacobian")
     p.add_argument("file")
-    p.set_defaults(func=cmd_lambda)
+    p.set_defaults(handler="cmd_lambda")
 
     p = sub.add_parser("dent", parents=[common],
                        help="replace the two faces at an edge by the other "
@@ -407,21 +408,21 @@ def build_parser():
     p.add_argument("--edge", type=_edge, action="append", required=True,
                    metavar="I,J", help="edge to dent (repeatable, in order)")
     p.add_argument("--out", required=True, help="output document path")
-    p.set_defaults(func=cmd_dent)
+    p.set_defaults(handler="cmd_dent")
 
     p = sub.add_parser("suspend", parents=[common],
                        help="generate a suspension document")
     p.add_argument("--n", type=int, required=True, help="equator size")
     p.add_argument("--profile", choices=SUSPENSION_PROFILES, default="convex")
     p.add_argument("--out", required=True, help="output document path")
-    p.set_defaults(func=cmd_suspend)
+    p.set_defaults(handler="cmd_suspend")
 
     p = sub.add_parser("signs", parents=[common],
                        help="dihedral-rate signs of an infinitesimal flex")
     p.add_argument("file")
     p.add_argument("--flex-index", type=int, default=None,
                    help="flex-basis index (default: a nontrivial flex)")
-    p.set_defaults(func=cmd_signs)
+    p.set_defaults(handler="cmd_signs")
 
     p = sub.add_parser("probe-pd", parents=[common],
                        help="eigenvalue scan of the Jacobian over random "
@@ -430,15 +431,22 @@ def build_parser():
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--include-controls", action="store_true",
                    help="also probe non-weakly-convex controls")
-    p.set_defaults(func=cmd_probe_pd)
+    p.set_defaults(handler="cmd_probe_pd")
 
     return parser
 
 
+@functools.cache
+def _parser():
+    """build_parser(), built once per process.  Subcommands name their
+    handler, which main looks up at each call, so a cmd_* replaced after
+    import still runs."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code == 0 else EXIT_INPUT
     logging.basicConfig(
@@ -447,7 +455,7 @@ def main(argv=None):
         stream=sys.stderr,
     )
     try:
-        return args.func(args)
+        return globals()[args.handler](args)
     except (fileio.FileFormatError, OSError, ValueError, GeometryError, FrameworkError,
             SuspensionError, DecompositionError, CauchyError, GenerationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

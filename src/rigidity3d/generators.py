@@ -10,7 +10,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull
 
 from .cauchy import CauchyError, dent
 from .frameworks import Framework
@@ -57,6 +56,8 @@ def random_convex_hull_surface(rng, n, tol: Tolerances = DEFAULT_TOL, max_tries=
     result is strongly strictly convex with a simplicial face lattice."""
     if n < 4:
         raise GenerationError("need at least 4 points for a hull surface")
+    from scipy.spatial import ConvexHull  # deferred: only hull callers pay its import
+
     for _ in range(max_tries):
         x = rng.normal(size=(n, 3))
         norms = np.linalg.norm(x, axis=1)
@@ -122,6 +123,8 @@ def convex_suspension(rng, n, tol: Tolerances = DEFAULT_TOL, max_tries=40):
     Jitter is halved towards the guaranteed planar equator; if that never
     converges (a pole offset outside a small polygon can make the hull
     skip equator vertices entirely), the whole instance is redrawn."""
+    from scipy.spatial import ConvexHull  # deferred: only hull callers pay its import
+
     for _ in range(max_tries):
         radii, az = random_convex_polygon(rng, n)
         base = np.stack([radii * np.cos(az), radii * np.sin(az), np.zeros(n)], axis=1)

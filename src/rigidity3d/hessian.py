@@ -79,14 +79,15 @@ def _gram_map():
 _GRAM_MAP = _gram_map()
 
 
-def tetra_angles_and_jacobian(lengths):
+def tetra_angles_and_jacobian(lengths, tol: Tolerances = DEFAULT_TOL):
     """Six dihedral angles of each tetrahedron and their length derivatives.
 
     lengths has shape (..., 6), each row in TETRA_EDGE_ORDER = (01, 02, 03,
     12, 13, 23); the k-th angle sits at the k-th edge.  Returns (angles,
     jacobian) of shapes (..., 6) and (..., 6, 6), with
     jacobian[..., k, m] = d alpha_k / d length_m.  Raises DecompositionError
-    naming the first row that is not a nondegenerate tetrahedron.
+    naming the first row that is not a nondegenerate tetrahedron, by the
+    Cayley-Menger check at `tol`.
 
     The angle at edge (a, b) comes from the Gram matrix M of the frame
     based at a: with G = det M = 36 V^2 and c = M00*M12 - M01*M02
@@ -95,7 +96,7 @@ def tetra_angles_and_jacobian(lengths):
     map squared-lengths -> Gram entries, _GRAM_MAP.
     """
     lengths = np.asarray(lengths, dtype=float)
-    return _angles_and_jacobian(lengths, cayley_menger_feasible(lengths)[0])
+    return _angles_and_jacobian(lengths, cayley_menger_feasible(lengths, tol)[0])
 
 
 def _angles_and_jacobian(lengths, feasible):
@@ -203,7 +204,7 @@ class Decomposition:
         if surface is None:
             diam = diameter(vertices)
         elif np.array_equal(surface.vertices, vertices):
-            diam = surface.diameter  # the same pdist of the same points
+            diam = surface.diameter  # the same pairwise distances of the same points
         else:
             raise DecompositionError("vertices differ from the surface's vertices")
 
@@ -412,7 +413,7 @@ def cone_angles(d, interior_l=None):
     """Total dihedral angle collected around each interior edge at the
     given interior lengths (default: the embedded lengths, where every
     entry is 2*pi for closed stars)."""
-    angles, _ = tetra_angles_and_jacobian(d._lengths(interior_l))
+    angles, _ = tetra_angles_and_jacobian(d._lengths(interior_l), d.tol)
     interior = d._edge_index < d.r
     theta = np.zeros(d.r)
     np.add.at(theta, d._edge_index[interior], angles[interior])
@@ -423,7 +424,7 @@ def mean_curvature_H(d, interior_l=None):
     """Sum over (tetrahedron, edge) incidences of length times dihedral
     angle; its gradient in the interior lengths is the cone-angle vector."""
     lengths = d._lengths(interior_l)
-    angles, _ = tetra_angles_and_jacobian(lengths)
+    angles, _ = tetra_angles_and_jacobian(lengths, d.tol)
     return float((lengths * angles).sum())
 
 
@@ -517,7 +518,7 @@ def lambda_matrix(d, interior_l=None, tol: Tolerances = DEFAULT_TOL):
 def dihedral_table(d, interior_l=None):
     """Angle per (tetrahedron, edge) incidence, with a per-tetrahedron
     Gram consistency check on the four outward face normals."""
-    angles, _ = tetra_angles_and_jacobian(d._lengths(interior_l))
+    angles, _ = tetra_angles_and_jacobian(d._lengths(interior_l), d.tol)
     # faces are indexed by their opposite vertex: the edge (a, b) is shared
     # by the faces opposite the *other* two vertices
     c_v, d_v = np.array([sorted(set(range(4)) - set(pair)) for pair in TETRA_EDGE_ORDER]).T

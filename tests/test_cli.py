@@ -64,6 +64,18 @@ def test_bad_edge_syntax_is_usage_error(capsys, octa_path):
     assert code == 1
 
 
+def test_parser_is_built_once_and_handlers_are_looked_up_per_call(capsys, monkeypatch,
+                                                                   octa_path):
+    from rigidity3d import cli
+
+    assert run(capsys, "--help")[0] == 0
+    monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("parser rebuilt"))
+    monkeypatch.setattr(cli, "cmd_analyze", lambda args: 7)
+    assert run(capsys, "analyze", octa_path)[0] == 7
+    assert run(capsys, "stress", octa_path, "--json")[0] == 0
+    assert run(capsys, "stress", "--bogus")[0] == 1
+
+
 def test_missing_file_exits_one(capsys, tmp_path):
     code, _, err = run(capsys, "analyze", str(tmp_path / "nope.json"))
     assert code == 1 and "error" in err
@@ -311,6 +323,17 @@ def test_probe_pd_report_is_json_when_no_trial_succeeds(capsys, monkeypatch, tmp
     assert report["trials"] == []
 
 
+def _fresh_python(script, *args):
+    """Run `script` in a new interpreter that imports this rigidity3d; its
+    stdout, parsed as JSON."""
+    src = str(Path(rigidity3d.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", script, *map(str, args)],
+                          capture_output=True, text=True, env=env, check=True)
+    return json.loads(proc.stdout)
+
+
 def test_probe_pd_imports_neither_lp_solver_nor_schema_validator(capsys, tmp_path):
     """probe-pd solves no LP and reads no document, so a fresh process
     running it never imports scipy.optimize or jsonschema; analyze of a
@@ -332,18 +355,43 @@ def test_probe_pd_imports_neither_lp_solver_nor_schema_validator(capsys, tmp_pat
         verdicts = json.loads(out.getvalue())["verdicts"]
         print(json.dumps({"before": before, "after": after, "verdicts": verdicts}))
     """)
-    src = str(Path(rigidity3d.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "pd"), str(hull)],
-                          capture_output=True, text=True, env=env, check=True)
-    fresh = json.loads(proc.stdout)
+    fresh = _fresh_python(script, tmp_path / "pd", hull)
     assert fresh["before"] == []
     assert fresh["after"] == ["scipy.optimize", "jsonschema"]
     code, out, _ = run(capsys, "analyze", str(hull), "--json")
     verdicts = json.loads(out)["verdicts"]
     assert code == 0 and fresh["verdicts"] == verdicts
     assert verdicts["convexity"] == "strongly_strictly_convex" and verdicts["rigid"] is True
+
+
+def test_only_hull_commands_import_qhull(capsys, tmp_path):
+    """A fresh `import rigidity3d.cli` loads no scipy module.  signs and
+    plain stress compute no convex hull and load no scipy.spatial; analyze
+    loads it with its first hull and reaches the verdicts of an in-process
+    run."""
+    hull, flex = tmp_path / "hull.json", tmp_path / "flex.json"
+    fileio.save(hull, generators.random_convex_hull_surface(default_rng(11), 12))
+    fileio.save(flex, generators.flexible_suspension_fixture().suspension)
+    script = textwrap.dedent("""
+        import contextlib, io, json, sys
+        from rigidity3d.cli import main
+
+        steps = {"import": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}
+        for name, argv in (("signs", ["signs", sys.argv[2], "--json"]),
+                           ("stress", ["stress", sys.argv[1], "--json"]),
+                           ("analyze", ["analyze", sys.argv[1], "--json"])):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(argv) == 0
+            steps[name] = "scipy.spatial" in sys.modules
+        steps["verdicts"] = json.loads(out.getvalue())["verdicts"]
+        print(json.dumps(steps))
+    """)
+    fresh = _fresh_python(script, hull, flex)
+    assert fresh["import"] == []
+    assert (fresh["signs"], fresh["stress"], fresh["analyze"]) == (False, False, True)
+    code, out, _ = run(capsys, "analyze", str(hull), "--json")
+    assert code == 0 and fresh["verdicts"] == json.loads(out)["verdicts"]
 
 
 # ---------------------------------------------------------------------------

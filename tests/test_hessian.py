@@ -5,7 +5,8 @@ import re
 import numpy as np
 import pytest
 
-from rigidity3d.frameworks import Framework, is_infinitesimally_rigid
+from rigidity3d.cauchy import CauchyError, dihedral_rates
+from rigidity3d.frameworks import Framework, Motion, is_infinitesimally_rigid
 from rigidity3d.generators import flexible_suspension_fixture, probe_decomposition
 from rigidity3d.geometry import (
     DEFAULT_TOL,
@@ -27,7 +28,7 @@ from rigidity3d.hessian import (
     schlafli_residual,
     tetra_angles_and_jacobian,
 )
-from rigidity3d.shapes import icosahedron, octahedron, tetrahedron
+from rigidity3d.shapes import icosahedron, octahedron, square_pyramid, tetrahedron
 from rigidity3d.suspensions import axis_decomposition
 
 TETRA_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -355,6 +356,34 @@ def test_lambda_assembly_checks_feasibility_at_the_decomposition_tolerance():
     with pytest.raises(DecompositionError, match="tetrahedron 0"):
         lambda_matrix(strict, near_flat)
     assert lambda_matrix(strict).matrix.tobytes() == lambda_matrix(default).matrix.tobytes()
+
+
+def test_angle_kernel_callers_check_feasibility_at_the_decomposition_tolerance():
+    """cone_angles, mean_curvature_H and dihedral_table refuse the lengths
+    that lambda_matrix refuses at the decomposition's tol (see above), and
+    accept them at the default tol; so do cauchy's flank tetrahedra at the
+    caller's tol."""
+    coarse = Tolerances(geom_tol=5e-4)
+    default = decompose_star(octahedron(), 0)
+    strict = decompose_star(octahedron(), 0, tol=coarse)
+    near_flat = np.array([2.4494])
+    for angle_function in (cone_angles, mean_curvature_H, dihedral_table):
+        angle_function(default, near_flat)
+        with pytest.raises(DecompositionError, match="tetrahedron 0"):
+            angle_function(strict, near_flat)
+    with pytest.raises(DecompositionError, match="tetrahedron 0"):
+        lambda_matrix(strict, near_flat)
+
+    # the base diagonal (0, 2) of a square pyramid bent by 3e-3 is flanked
+    # by a tetrahedron of volume 1e-3 = 1.25e-4 times its longest edge cubed
+    pyramid = square_pyramid()
+    bent = pyramid.vertices.copy()
+    bent[1, 2] = -3e-3
+    surface = PolyhedralSurface(bent, pyramid.faces)
+    motion = Motion(np.random.default_rng(0).normal(size=(5, 3)))
+    assert np.isfinite(dihedral_rates(surface, motion)[(0, 2)])
+    with pytest.raises(CauchyError, match=r"edge \(0, 2\) is flat"):
+        dihedral_rates(surface, motion, coarse)
 
 
 def test_lambda_assembly_runs_one_cayley_menger_pass(monkeypatch):

@@ -85,7 +85,7 @@ def test_dihedral_table_gram_check(monkeypatch):
     d = decompose_star(octahedron(), 0)
     # four faces pairwise at 0.1 rad cannot bound a tetrahedron
     monkeypatch.setattr(hessian, "tetra_angles_and_jacobian",
-                        lambda lengths: (np.full(lengths.shape, 0.1), None))
+                        lambda lengths, tol: (np.full(lengths.shape, 0.1), None))
     with pytest.raises(InvariantError, match="fail the Gram check"):
         dihedral_table(d)
 
