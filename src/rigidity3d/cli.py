@@ -362,7 +362,11 @@ def _edge(text):
         raise argparse.ArgumentTypeError(f"edge endpoints must be integers: {text!r}")
 
 
+@functools.cache
 def build_parser():
+    """The CLI's parser, built once per process.  Subcommands name their
+    handler, which main looks up at each call, so a cmd_* replaced after
+    import still runs."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--rank-tol", type=float, default=DEFAULT_TOL.rank_tol,
                         help="relative singular-value cutoff")
@@ -436,17 +440,9 @@ def build_parser():
     return parser
 
 
-@functools.cache
-def _parser():
-    """build_parser(), built once per process.  Subcommands name their
-    handler, which main looks up at each call, so a cmd_* replaced after
-    import still runs."""
-    return build_parser()
-
-
 def main(argv=None):
     try:
-        args = _parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code == 0 else EXIT_INPUT
     logging.basicConfig(

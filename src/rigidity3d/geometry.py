@@ -93,26 +93,13 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _squared_distances(points):
-    """(n, n) squared distances of a point configuration.
-
-    The squared coordinate differences are summed from 0 in axis order, as
-    scipy's Euclidean pdist sums them, so the square root of any entry is
-    pdist's distance bit for bit.  Two n x n buffers, no (n, n, 3)."""
-    points = np.asarray(points, dtype=float)
-    sq = np.zeros((len(points), len(points)))
-    diff = np.empty_like(sq)
-    for x in points.T:
-        np.subtract(x[:, None], x, out=diff)
-        diff *= diff
-        sq += diff
-    return sq
-
-
 def diameter(points):
     """Largest pairwise distance of a point configuration (0.0 for fewer
     than two points)."""
-    return float(np.sqrt(_squared_distances(points).max(initial=0.0)))
+    from scipy.spatial.distance import pdist  # deferred: importing geometry loads no scipy
+
+    dist = pdist(np.asarray(points, dtype=float))
+    return float(dist.max()) if dist.size else 0.0
 
 
 def _cross(a, b):
@@ -235,16 +222,18 @@ class PolyhedralSurface:
     def _check_coincidence(vertices, tol):
         """Reject coincident vertices; return the diameter, from the same
         pairwise distances."""
-        sq = _squared_distances(vertices)
-        diam = float(np.sqrt(sq.max(initial=0.0)))
+        from scipy.spatial.distance import pdist
+
+        dist = pdist(vertices)
+        diam = float(dist.max()) if dist.size else 0.0
         if diam == 0.0:
             raise GeometryError("all vertices coincide")
-        np.fill_diagonal(sq, np.inf)
-        closest = np.sqrt(sq.min())
-        if closest <= tol.geom_tol * diam:
-            # sq is symmetric, so the first hit in row-major order is the
-            # first pair (i, j), i < j, that pdist's argmin would name
-            i, j = divmod(int(np.argmax(np.sqrt(sq) == closest)), len(sq))
+        k = int(dist.argmin())
+        if dist[k] <= tol.geom_tol * diam:
+            # condensed index k -> pair (i, j), i < j; row i holds n - 1 - i entries
+            n = len(vertices)
+            i = int(np.searchsorted(np.cumsum(np.arange(n - 1, 0, -1)), k, side="right"))
+            j = k - i * n + i * (i + 1) // 2 + i + 1
             raise GeometryError(f"vertices {i} and {j} coincide within tolerance")
         return diam
 

@@ -204,7 +204,7 @@ class Decomposition:
         if surface is None:
             diam = diameter(vertices)
         elif np.array_equal(surface.vertices, vertices):
-            diam = surface.diameter  # the same pairwise distances of the same points
+            diam = surface.diameter  # the same pdist of the same points
         else:
             raise DecompositionError("vertices differ from the surface's vertices")
 

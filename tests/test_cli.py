@@ -69,11 +69,12 @@ def test_parser_is_built_once_and_handlers_are_looked_up_per_call(capsys, monkey
     from rigidity3d import cli
 
     assert run(capsys, "--help")[0] == 0
-    monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("parser rebuilt"))
+    misses = cli.build_parser.cache_info().misses
     monkeypatch.setattr(cli, "cmd_analyze", lambda args: 7)
     assert run(capsys, "analyze", octa_path)[0] == 7
     assert run(capsys, "stress", octa_path, "--json")[0] == 0
     assert run(capsys, "stress", "--bogus")[0] == 1
+    assert cli.build_parser.cache_info().misses == misses == 1
 
 
 def test_missing_file_exits_one(capsys, tmp_path):
@@ -364,32 +365,33 @@ def test_probe_pd_imports_neither_lp_solver_nor_schema_validator(capsys, tmp_pat
     assert verdicts["convexity"] == "strongly_strictly_convex" and verdicts["rigid"] is True
 
 
-def test_only_hull_commands_import_qhull(capsys, tmp_path):
-    """A fresh `import rigidity3d.cli` loads no scipy module.  signs and
-    plain stress compute no convex hull and load no scipy.spatial; analyze
-    loads it with its first hull and reaches the verdicts of an in-process
-    run."""
-    hull, flex = tmp_path / "hull.json", tmp_path / "flex.json"
+def test_cli_import_loads_no_scipy(capsys, tmp_path):
+    """A fresh `import rigidity3d.cli` loads no scipy module, nor do
+    `--help` and a usage error; analyze loads scipy.spatial with its first
+    surface and reaches the verdicts of an in-process run."""
+    hull = tmp_path / "hull.json"
     fileio.save(hull, generators.random_convex_hull_surface(default_rng(11), 12))
-    fileio.save(flex, generators.flexible_suspension_fixture().suspension)
     script = textwrap.dedent("""
         import contextlib, io, json, sys
         from rigidity3d.cli import main
 
-        steps = {"import": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}
-        for name, argv in (("signs", ["signs", sys.argv[2], "--json"]),
-                           ("stress", ["stress", sys.argv[1], "--json"]),
-                           ("analyze", ["analyze", sys.argv[1], "--json"])):
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out):
-                assert main(argv) == 0
-            steps[name] = "scipy.spatial" in sys.modules
+        def scipy_modules():
+            return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+        steps = {"import": scipy_modules()}
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(["--help"]) == 0 and main(["stress", "--bogus"]) == 1
+        steps["usage"] = scipy_modules()
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["analyze", sys.argv[1], "--json"]) == 0
+        steps["analyze"] = "scipy.spatial" in sys.modules
         steps["verdicts"] = json.loads(out.getvalue())["verdicts"]
         print(json.dumps(steps))
     """)
-    fresh = _fresh_python(script, hull, flex)
-    assert fresh["import"] == []
-    assert (fresh["signs"], fresh["stress"], fresh["analyze"]) == (False, False, True)
+    fresh = _fresh_python(script, hull)
+    assert fresh["import"] == fresh["usage"] == []
+    assert fresh["analyze"] is True
     code, out, _ = run(capsys, "analyze", str(hull), "--json")
     assert code == 0 and fresh["verdicts"] == json.loads(out)["verdicts"]
 

@@ -160,48 +160,6 @@ def test_diameter_and_closest_pair_match_brute_force():
             PolyhedralSurface._check_coincidence(points, DEFAULT_TOL)
 
 
-def distance_configurations():
-    """(name, points) pairs with n from 2 to 300: Gaussian clouds, clouds
-    rounded to a dyadic grid (many tied distances) and clouds with several
-    pairs pushed together by the same tiny offsets (tied closest pairs)."""
-    rng = np.random.default_rng(2401)
-    for n in (2, 3, 4, 5, 9, 33, 100, 300):
-        cloud = rng.normal(size=(n, 3)) * rng.uniform(0.01, 100.0)
-        yield f"gaussian n={n}", cloud
-        yield f"dyadic n={n}", np.round(cloud * 8.0) / 8.0
-        near = np.round(cloud * 64.0) / 64.0
-        offset = 2.0**-40 * rng.choice([-1.0, 1.0], size=3)
-        for i, j in rng.choice(n, size=(min(3, n // 2), 2), replace=False):
-            near[j] = near[i] + offset
-        yield f"near-coincident n={n}", near
-
-
-def test_distance_kernel_matches_pdist_bit_for_bit():
-    """Square roots of the kernel's entries are pdist's distances, so the
-    diameter, the closest distance and the coincident pair it names are
-    the ones pdist gives."""
-    import rigidity3d.geometry as geometry
-    from scipy.spatial.distance import pdist
-
-    for name, points in distance_configurations():
-        n = len(points)
-        expected = pdist(points)
-        upper = np.triu_indices(n, 1)
-        sq = geometry._squared_distances(points)
-        assert np.sqrt(sq[upper]).tobytes() == expected.tobytes(), name
-        assert (sq == sq.T).all(), name
-        assert diameter(points) == expected.max(), name
-        k = int(expected.argmin())
-        pair = f"vertices {upper[0][k]} and {upper[1][k]} coincide"
-        ratio = expected[k] / expected.max()
-        if ratio < 1e-3:
-            loose = Tolerances(geom_tol=min(2.0 * ratio, 9.9e-4))
-            with pytest.raises(GeometryError, match=pair):
-                PolyhedralSurface._check_coincidence(points, loose)
-        else:
-            assert PolyhedralSurface._check_coincidence(points, DEFAULT_TOL) == expected.max()
-
-
 def test_surface_orientation_normalized():
     """Inward-oriented input is flipped to outward (positive volume)."""
     base = octahedron()
@@ -228,13 +186,15 @@ def test_signed_volume_computed_once_per_surface(monkeypatch):
 def test_diameter_measured_once_per_surface(monkeypatch):
     """The coincidence check's pairwise distances give the diameter the
     surface keeps, bit for bit."""
+    import scipy.spatial.distance
+
     import rigidity3d.geometry as geometry
 
     base = octahedron()
     scaled = base.vertices * [1.0, 2.0, 3.0]
     calls = []
-    original = geometry._squared_distances
-    monkeypatch.setattr(geometry, "_squared_distances",
+    original = scipy.spatial.distance.pdist
+    monkeypatch.setattr(scipy.spatial.distance, "pdist",
                         lambda *a: calls.append(1) or original(*a))
     surf = PolyhedralSurface(scaled, base.faces)
     assert surf.diameter == surf.diameter
