@@ -33,6 +33,7 @@ from .geometry import (
     InvariantError,
     PolyhedralSurface,
     Tolerances,
+    _cross,
     as_points,
     axis_frame,
     diameter,
@@ -190,45 +191,41 @@ def is_ns_decomposable(s: Suspension, tol: Tolerances = DEFAULT_TOL):
         cyl = cylindrical_equator(s, tol)
     except SuspensionError as exc:
         return NSDecomposability(False, str(exc), None)
-    theta = cyl.theta
-    eps = tol.geom_tol
-    if np.any(theta <= eps):
-        k = int(np.argmin(theta))
-        return NSDecomposability(
-            False,
-            f"projected equator does not advance around the axis between "
-            f"slots {k} and {(k + 1) % cyl.n} (increment {theta[k]:.3e})",
-            cyl,
-        )
-    if np.any(theta >= np.pi - eps):
-        k = int(np.argmax(theta))
-        return NSDecomposability(
-            False,
-            f"equator vertices at slots {k} and {(k + 1) % cyl.n} are "
-            f"axis-coplanar or beyond (increment {theta[k]:.6f})",
-            cyl,
-        )
+    theta, eps = cyl.theta, tol.geom_tol
+    k = int(np.argmin(theta) if theta.min() <= eps else np.argmax(theta))
+    reason = _increment_fault(k, cyl.n, theta[k], eps)
+    if reason:
+        return NSDecomposability(False, reason, cyl)
     total = float(theta.sum())
     if abs(total - 2 * np.pi) > eps * cyl.n:
         winding = total / (2 * np.pi)
         return NSDecomposability(
             False, f"projected equator winds {winding:g} times around the axis", cyl
         )
-    # consistency: the tetrahedra are pairwise non-overlapping exactly when
-    # their orientation signs agree
-    p = s.vertices
     slots = np.arange(s.n)
-    frames = np.empty((s.n, 3, 3))
-    frames[:, 0] = p[SOUTH] - p[NORTH]
-    frames[:, 1] = p[s.equator_index(slots)] - p[NORTH]
-    frames[:, 2] = p[s.equator_index(slots + 1)] - p[NORTH]
-    positive = np.linalg.det(frames) > 0
+    _check_orientations(s.vertices, s.equator_index(slots), s.equator_index(slots + 1))
+    return NSDecomposability(True, None, cyl)
+
+
+def _check_orientations(p, i, j):
+    """InvariantError unless the tetrahedra [N, S, p_i, p_j] share one orientation."""
+    positive = np.linalg.det(p[np.column_stack([np.full(len(i), SOUTH), i, j])] - p[NORTH]) > 0
     if positive.any() != positive.all():
         raise InvariantError(
             "internal: azimuth increments are consistent but tetrahedron "
             "orientations are not"
         )
-    return NSDecomposability(True, None, cyl)
+
+
+def _increment_fault(k, n, turn, eps):
+    """Why the azimuth increment from slot k to (k + 1) % n breaks decomposability, or None."""
+    if turn <= eps:
+        return (f"projected equator does not advance around the axis between "
+                f"slots {k} and {(k + 1) % n} (increment {turn:.3e})")
+    if turn >= np.pi - eps:
+        return (f"equator vertices at slots {k} and {(k + 1) % n} are "
+                f"axis-coplanar or beyond (increment {turn:.6f})")
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -239,12 +236,9 @@ def is_ns_decomposable(s: Suspension, tol: Tolerances = DEFAULT_TOL):
 def tensegrity_labeling(s: Suspension, include_ns=True, tol: Tolerances = DEFAULT_TOL):
     """The suspension's tensegrity: equator edges (and optionally the
     axis) as cables, lateral edges as bars."""
-    edges = []
-    for k in range(s.n):
-        edges.append((s.equator_index(k), s.equator_index(k + 1), EdgeKind.CABLE))
-    for k in range(s.n):
-        edges.append((NORTH, s.equator_index(k), EdgeKind.BAR))
-        edges.append((SOUTH, s.equator_index(k), EdgeKind.BAR))
+    ring = list(range(2, s.n + 2))
+    edges = [(i, j, EdgeKind.CABLE) for i, j in zip(ring, ring[1:] + ring[:1])]
+    edges += [(pole, i, EdgeKind.BAR) for i in ring for pole in (NORTH, SOUTH)]
     if include_ns:
         edges.append((NORTH, SOUTH, EdgeKind.CABLE))
     return Framework(s.vertices, edges, tol=tol)
@@ -274,13 +268,16 @@ def theta_prime(z1, r1, z2, r2, theta):
 
     Coordinates are in the unit-axis frame: S at the origin, N at
     (0, 0, 1), p_k at distance r_k from the axis, height z_k, and theta
-    the azimuth angle between p1 and p2.
+    the azimuth angle between p1 and p2.  Arrays give one simplex per
+    entry; the error then names the first bad one as "simplex {i}: ...".
     """
-    if r1 <= 0.0 or r2 <= 0.0:
-        raise SuspensionError("radii must be positive")
-    sin_t = np.sin(theta)
-    if abs(sin_t) < 1e-12:
-        raise SuspensionError(f"degenerate simplex: sin(theta) = {sin_t:.3e}")
+    bad_r, sin_t = np.broadcast_arrays(np.minimum(r1, r2) <= 0.0, np.sin(theta))
+    bad = np.flatnonzero(bad_r | (np.abs(sin_t) < 1e-12))
+    if bad.size:
+        i = int(bad[0])
+        why = ("radii must be positive" if bad_r.flat[i]
+               else f"degenerate simplex: sin(theta) = {sin_t.flat[i]:.3e}")
+        raise SuspensionError(f"simplex {i}: {why}" if sin_t.ndim else why)
     cos_t = np.cos(theta)
     return (
         (z1 - z2) ** 2
@@ -335,16 +332,8 @@ def lambda_scalar(s: Suspension, tol: Tolerances = DEFAULT_TOL):
     if not ns:
         raise SuspensionError(f"not axis-decomposable: {ns.reason}")
     cyl = ns.cylindrical
-    n = cyl.n
     r, z, theta = cyl.r, cyl.z, cyl.theta
-
-    simplex_terms = np.empty(n)
-    for i in range(n):
-        j = (i + 1) % n
-        try:
-            simplex_terms[i] = theta_prime(z[i], r[i], z[j], r[j], theta[i])
-        except SuspensionError as exc:
-            raise SuspensionError(f"simplex {i}: {exc}") from exc
+    simplex_terms = theta_prime(z, r, np.roll(z, -1), np.roll(r, -1), theta)
 
     u = cyl.projected()
     un = np.roll(u, -1, axis=0)
@@ -388,105 +377,115 @@ def _oriented_direct_stress(s, tol):
     return omega
 
 
-def _small_star_stress(s, k, tol):
+def _small_star_stress(vertices, ids, k, tol):
     """Equilibrium stress of the complete framework on the five points
-    N, S, p_k-1, p_k, p_k+1, keyed by global vertex pairs.  Handles the
-    coplanar case transparently: when N, p_k-1, p_k, p_k+1 are coplanar
-    the stress is supported on those four points alone."""
-    ids = (
-        NORTH,
-        SOUTH,
-        s.equator_index(k - 1),
-        s.equator_index(k),
-        s.equator_index(k + 1),
-    )
-    pts = s.vertices[list(ids)]
-    fw = Framework(pts, [(a, b) for a in range(5) for b in range(a + 1, 5)], tol=tol)
+    ids = (N, S, p_k-1, p_k, p_k+1), keyed by their vertex pairs.  Handles
+    the coplanar case transparently: when N, p_k-1, p_k, p_k+1 are
+    coplanar the stress is supported on those four points alone."""
+    fw = Framework(vertices[list(ids)], [(a, b) for a in range(5) for b in range(a + 1, 5)],
+                   tol=tol)
     basis = equilibrium_stress_space(fw, tol)
     if len(basis) != 1:
-        raise SuspensionError(
-            f"five-point star around equator slot {k} has a "
-            f"{len(basis)}-dimensional stress space, expected 1"
-        )
-    return {
-        tuple(sorted((ids[a], ids[b]))): w for (a, b), w in basis[0].omega.items()
-    }
+        raise SuspensionError(f"five-point star around equator slot {k} has a "
+                              f"{len(basis)}-dimensional stress space, expected 1")
+    return {tuple(sorted((ids[a], ids[b]))): w for (a, b), w in basis[0].omega.items()}
 
 
 def reflex_lateral_edges(s: Suspension, tol: Tolerances = DEFAULT_TOL):
     """Lateral edges (pole, equator vertex) that edge_flags marks reflex:
     the north pole's first, then the south pole's, each in equator order."""
     flags = edge_flags(s.surface, tol)
-    return [
-        (pole, 2 + k)
-        for pole in (NORTH, SOUTH)
-        for k in range(s.n)
-        if flags[(pole, 2 + k)] == "reflex"
-    ]
+    return [(pole, x) for pole in (NORTH, SOUTH) for x in range(2, s.n + 2)
+            if flags[(pole, x)] == "reflex"]
+
+
+def _peel_fault(s, ring, k, turn, tol):
+    """Why the suspension left by removing ring[k] fails the induction
+    hypotheses, or None, as rebuilding and re-checking it would say, from
+    its only new faces, azimuth increment `turn` and tetrahedron.  It
+    inherits weak convexity: a hull vertex of a point set is a hull vertex
+    of every subset that contains it."""
+    m = len(ring)
+    a, x, b = ring[k - 1], ring[k], ring[(k + 1) % m]
+    local = {NORTH: NORTH, SOUTH: SOUTH, a: 2 + (k - 1) % (m - 1), b: 2 + k % (m - 1)}
+    faces = np.array([[NORTH, a, b], [SOUTH, b, a]])
+    if s.surface.faces[0, 0] != NORTH:  # s reversed its faces to point them outward
+        faces = faces[:, ::-1]
+    p = s.vertices[faces]
+    doubled = np.linalg.norm(_cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]), axis=1)
+    if doubled.min() <= tol.geom_tol * s.surface.diameter**2:  # s's diameter bounds the new one
+        new_diameter = diameter(s.vertices[[NORTH, SOUTH, *ring[:k], *ring[k + 1:]]])
+        for face in faces[doubled <= tol.geom_tol * new_diameter**2].tolist():
+            return f"face {tuple(local[v] for v in face)} is degenerate (zero area)"
+    turn = turn - 2 * np.pi if turn > np.pi else turn  # into (-pi, pi], as arctan2 would
+    why = _increment_fault(local[a] - 2, m - 1, turn, tol.geom_tol)
+    if not why:
+        _check_orientations(s.vertices, [a, a], [b, x])
+    return why
+
+
+# the closed surface of the tetrahedra [N, S, 2, 3], [N, S, 3, 4] and [N, S, 4, 5]
+_WEDGE_FACES = np.vstack([bipyramid_faces(4)[:6], [[NORTH, 5, SOUTH], [SOUTH, 2, NORTH]]])
 
 
 def _stress_by_induction(s, tol, trace):
-    reflex = reflex_lateral_edges(s, tol)
-    if s.n == 3 or not reflex:
-        trace.append(f"direct solve at n={s.n}")
-        return _oriented_direct_stress(s, tol)
+    """Stress on the full tensegrity of s, keyed by s's vertex indices: one
+    loop peels the first vertex at a reflex lateral edge (north pole first)
+    while `_peel_fault` finds none, the rest is solved directly, and the
+    peels are replayed in reverse.  The trace numbers vertices as each
+    reduced suspension would."""
+    ring = list(range(2, s.n + 2))  # remaining equator vertices, in cyclic order
+    turn = np.concatenate([[0.0, 0.0], cylindrical_equator(s, tol).theta])  # to the next vertex
+    reflex = np.zeros((2, s.n + 2), dtype=bool)  # reflex[pole, x]: lateral edge (pole, x)
+    for pole, x in reflex_lateral_edges(s, tol):
+        reflex[pole, x] = True
+    peels = []
+    while True:
+        m = len(ring)
+        hits = np.flatnonzero(reflex[:, ring])
+        if m == 3 or not hits.size:
+            trace.append(f"direct solve at n={m}")
+            break
+        pole, k = divmod(int(hits[0]), m)
+        trace.append(f"peel equator vertex {2 + k} (reflex lateral at the "
+                     f"{'north' if pole == NORTH else 'south'} pole)")
+        a, x, b = ring[k - 1], ring[k], ring[(k + 1) % m]
+        why = _peel_fault(s, ring, k, turn[a] + turn[x], tol)
+        if why:
+            logger.warning("induction hypotheses fail after removing vertex %d (%s); "
+                           "falling back to the direct solver", 2 + k, why)
+            trace.append(f"fallback to direct solve at n={m}: {why}")
+            break
+        if m > 4:  # flags change at a and b only, where the reduced faces are the wedge's
+            wedge = s.vertices[[NORTH, SOUTH, ring[k - 2], a, b, ring[(k + 2) % m]]]
+            flags = edge_flags(PolyhedralSurface(wedge, _WEDGE_FACES, tol), tol)
+            reflex[:, [a, b]] = [[flags[(p, 3)] == "reflex", flags[(p, 4)] == "reflex"]
+                                 for p in (NORTH, SOUTH)]
+        peels.append((k, m, a, x, b))
+        turn[a] += turn[x]
+        del ring[k]
 
-    pole, pv = reflex[0]
-    k = pv - 2
-    trace.append(
-        f"peel equator vertex {pv} (reflex lateral at the "
-        f"{'north' if pole == NORTH else 'south'} pole)"
-    )
-    keep = [slot for slot in range(s.n) if slot != k]
-    child_ok = True
-    why = ""
-    try:
-        child = build_suspension(s.north, s.south, s.equator[keep], tol)
-        child_ns = is_ns_decomposable(child, tol)
-        if not child_ns:
-            child_ok, why = False, child_ns.reason
-        elif not is_weakly_convex(child.surface):
-            child_ok, why = False, "reduced suspension is not weakly strictly convex"
-    except (SuspensionError, GeometryError) as exc:
-        child_ok, why = False, str(exc)
-    if not child_ok:
-        logger.warning(
-            "induction hypotheses fail after removing vertex %d (%s); "
-            "falling back to the direct solver", pv, why,
-        )
-        trace.append(f"fallback to direct solve at n={s.n}: {why}")
-        return _oriented_direct_stress(s, tol)
-
-    child_omega = _stress_by_induction(child, tol, trace)
-
-    # lift child edge keys into the parent indexing
-    def lift(idx):
-        if idx < 2:
-            return idx
-        slot = idx - 2
-        return 2 + (slot if slot < k else slot + 1)
-
-    omega = {
-        tuple(sorted((lift(i), lift(j)))): w for (i, j), w in child_omega.items()
-    }
-
-    chord = tuple(sorted((s.equator_index(k - 1), s.equator_index(k + 1))))
-    small = _small_star_stress(s, k, tol)
-    small_scale = max(abs(w) for w in small.values())
-    if abs(small[chord]) <= tol.rank_tol * small_scale:
-        raise SuspensionError(
-            f"five-point star stress vanishes on the chord {chord}; "
-            f"cannot cancel (trace: {trace})"
-        )
-    factor = -omega[chord] / small[chord]
-    for pair, w in small.items():
-        omega[pair] = omega.get(pair, 0.0) + factor * w
-    leftover = omega.pop(chord)
-    scale = max(abs(w) for w in omega.values())
-    if abs(leftover) > 1e-9 * scale:
-        raise InvariantError(
-            f"chord stress failed to cancel (leftover {leftover:.2e}, trace: {trace})"
-        )
+    base = s if len(ring) == s.n else build_suspension(s.north, s.south, s.vertices[ring], tol)
+    ids = [NORTH, SOUTH, *ring]
+    omega = {tuple(sorted((ids[i], ids[j]))): w
+             for (i, j), w in _oriented_direct_stress(base, tol).items()}
+    for k, m, a, x, b in reversed(peels):
+        chord = (min(a, b), max(a, b))
+        small = _small_star_stress(s.vertices, (NORTH, SOUTH, a, x, b), k, tol)
+        if abs(small[chord]) <= tol.rank_tol * max(map(abs, small.values())):
+            local = tuple(sorted((2 + (k - 1) % m, 2 + (k + 1) % m)))
+            raise SuspensionError(
+                f"five-point star stress vanishes on the chord {local}; "
+                f"cannot cancel (trace: {trace})"
+            )
+        factor = -omega[chord] / small[chord]
+        for pair, w in small.items():
+            omega[pair] = omega.get(pair, 0.0) + factor * w
+        leftover = omega.pop(chord)
+        if abs(leftover) > 1e-9 * max(map(abs, omega.values())):
+            raise InvariantError(
+                f"chord stress failed to cancel (leftover {leftover:.2e}, trace: {trace})"
+            )
     return omega
 
 
@@ -497,7 +496,8 @@ def inductive_proper_stress(s: Suspension, tol: Tolerances = DEFAULT_TOL):
     Built by peeling equator vertices at reflex lateral edges: each peel
     adds the unique stress of the five-point star around the removed
     vertex, scaled so the stresses on the chord joining its neighbors
-    cancel.  The convex remainder is solved directly.
+    cancel.  The convex remainder is solved directly, after one loop of
+    peels with no depth limit.
     """
     ns = is_ns_decomposable(s, tol)
     if not ns:

@@ -1,5 +1,8 @@
 """Tests for suspension construction, stresses and the axis invariant."""
 
+import inspect
+import sys
+
 import numpy as np
 import pytest
 
@@ -22,10 +25,12 @@ from rigidity3d.geometry import (
     DEFAULT_TOL,
     GeometryError,
     ProjectiveMap,
+    Tolerances,
     as_points,
     axis_frame,
     classify_convexity,
     diameter,
+    is_weakly_convex,
     normalize_pole_frame,
     pole_frame_ok,
     support_functional,
@@ -335,6 +340,21 @@ def test_theta_prime_degenerate_simplex():
         theta_prime(0.5, 1.0, 0.5, 1.0, np.pi)
 
 
+def test_theta_prime_on_arrays_is_the_scalar_form_per_simplex():
+    rng = np.random.default_rng(42)
+    z1, z2 = rng.uniform(-0.3, 1.3, (2, 30))
+    r1, r2 = rng.uniform(0.3, 1.5, (2, 30))
+    t = rng.uniform(0.2, np.pi - 0.2, 30)
+    batched = theta_prime(z1, r1, z2, r2, t)
+    assert batched.tolist() == [theta_prime(*args) for args in zip(z1, r1, z2, r2, t)]
+    t[[7, 12]] = np.pi
+    r2[9] = 0.0
+    with pytest.raises(SuspensionError, match=r"^simplex 7: degenerate simplex"):
+        theta_prime(z1, r1, z2, r2, t)
+    with pytest.raises(SuspensionError, match=r"^radii must be positive$"):
+        theta_prime(0.5, 1.0, 0.5, 0.0, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # the axis invariant
 # ---------------------------------------------------------------------------
@@ -455,10 +475,111 @@ def test_inductive_stress_on_reflex_suspensions():
         assert suspension_rigidity(s)
 
 
+def jittered_reflex_cylinder(n, seed=0):
+    """Cylinder suspension over n jittered, equally spaced azimuths with
+    random heights: every vertex is a hull vertex, most lateral edges are
+    reflex, and the induction peels all but a handful of the vertices."""
+    rng = np.random.default_rng((5100, n, seed))
+    az = (np.arange(n) + rng.uniform(-0.25, 0.25, n)) * 2 * np.pi / n
+    eq = np.stack([np.cos(az), np.sin(az), rng.uniform(-0.55, 0.55, n)], axis=1)
+    return build_suspension([0.0, 0.0, 1.2], [0.0, 0.0, -1.2], eq)
+
+
+def recursive_stress_by_induction(s, tol, trace):
+    """The induction as first written, the oracle of the peel loop: one
+    recursion level per peel, which rebuilds the reduced suspension,
+    re-checks both hypotheses on it and lifts its stress back."""
+    reflex = suspensions.reflex_lateral_edges(s, tol)
+    if s.n == 3 or not reflex:
+        trace.append(f"direct solve at n={s.n}")
+        return suspensions._oriented_direct_stress(s, tol)
+    pole, pv = reflex[0]
+    k = pv - 2
+    trace.append(f"peel equator vertex {pv} (reflex lateral at the "
+                 f"{'north' if pole == NORTH else 'south'} pole)")
+    try:
+        child = build_suspension(s.north, s.south, np.delete(s.equator, k, axis=0), tol)
+        child_ns = is_ns_decomposable(child, tol)
+        why = None if child_ns else child_ns.reason
+        if not why and not is_weakly_convex(child.surface):
+            why = "reduced suspension is not weakly strictly convex"
+    except (SuspensionError, GeometryError) as exc:
+        why = str(exc)
+    if why:
+        trace.append(f"fallback to direct solve at n={s.n}: {why}")
+        return suspensions._oriented_direct_stress(s, tol)
+
+    def lift(idx):
+        return idx if idx < 2 + k else idx + 1
+
+    child_omega = recursive_stress_by_induction(child, tol, trace)
+    omega = {tuple(sorted((lift(i), lift(j)))): w for (i, j), w in child_omega.items()}
+    ids = (NORTH, SOUTH, s.equator_index(k - 1), pv, s.equator_index(k + 1))
+    small = suspensions._small_star_stress(s.vertices, ids, k, tol)
+    chord = tuple(sorted(ids[2::2]))
+    factor = -omega[chord] / small[chord]
+    for pair, w in small.items():
+        omega[pair] = omega.get(pair, 0.0) + factor * w
+    omega.pop(chord)
+    return omega
+
+
+# Two suspensions whose first peel leaves a degenerate face (at geom_tol 9e-4):
+# the induction falls back to the direct solve, once at each pole.
+FALLBACK_EQUATORS = (
+    [[0.378, 0.0, 1.079], [-0.903, 0.388, -1.094], [-1.382, 0.003, 0.719],
+     [0.223, -0.246, -1.445]],
+    [[0.573, 0.0, -1.474], [-0.399, 0.241, 0.021], [-0.509, 0.001, -0.579],
+     [0.413, -0.269, 0.292]],
+)
+
+
+def test_peel_loop_matches_the_recursive_induction():
+    """Same trace line for line and the same stress within 1e-12 relative
+    as the recursion, on test_03's star suspensions, the reflex cylinder
+    pool, jittered cylinders up to n = 200, mirror images (whose surfaces
+    reverse their faces) and two fallbacks."""
+    pool = [(star_suspension(rng, int(rng.integers(4, 12)), require_reflex=True),
+             DEFAULT_TOL) for rng in (np.random.default_rng((4300, k)) for k in range(100))]
+    rng = np.random.default_rng(45)
+    pool += [(reflex_cylinder_suspension(rng)[0], DEFAULT_TOL) for _ in range(8)]
+    pool += [(jittered_reflex_cylinder(n), DEFAULT_TOL) for n in (50, 100, 200)]
+    pool += [(build_suspension(s.north, s.south, s.equator[::-1]), tol) for s, tol in pool[:20]]
+    loose = Tolerances(geom_tol=9e-4)
+    pool += [(build_suspension([0, 0, 1.0], [0, 0, -1.0], eq, loose), loose)
+             for eq in FALLBACK_EQUATORS]
+    reversed_faces = fallbacks = 0
+    for s, tol in pool:
+        loop_trace, oracle_trace = [], []
+        omega = suspensions._stress_by_induction(s, tol, loop_trace)
+        oracle = recursive_stress_by_induction(s, tol, oracle_trace)
+        assert loop_trace == oracle_trace
+        assert omega.keys() == oracle.keys()
+        scale = max(abs(w) for w in oracle.values())
+        assert max(abs(omega[e] - w) for e, w in oracle.items()) <= 1e-12 * scale
+        reversed_faces += int(s.surface.faces[0, 0] != NORTH)
+        fallbacks += any("fallback" in line for line in loop_trace)
+    assert reversed_faces >= 20 and fallbacks == 2
+
+
+def test_induction_has_no_depth_limit():
+    """At n = 200 the recursion needed about 190 stack frames; the loop
+    needs none per peel."""
+    s = jittered_reflex_cylinder(200)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 120)
+    try:
+        stress = inductive_proper_stress(s)
+    finally:
+        sys.setrecursionlimit(limit)
+    fw = tensegrity_labeling(s, include_ns=True)
+    assert is_proper(fw, stress, slack=1e-12 * max(abs(w) for w in stress.omega.values()))
+
+
 def test_suspension_rigidity_checks_hypotheses_once(monkeypatch):
     """One decomposability check, one weak-convexity check and one
-    tensegrity per call on the suspension itself (the induction still
-    checks each reduced suspension), and the verdicts stay rigid."""
+    tensegrity per call, all on the suspension itself: the induction
+    checks no reduced suspension, and the verdicts stay rigid."""
     import rigidity3d.suspensions as suspensions
 
     pool = [star_suspension(np.random.default_rng((403, k)), 4 + k, require_reflex=True)
@@ -475,6 +596,8 @@ def test_suspension_rigidity_checks_hypotheses_once(monkeypatch):
         assert suspension_rigidity(s)
         assert calls.count(("is_ns_decomposable", id(s))) == 1
         assert calls.count(("is_weakly_convex", id(s.surface))) == 1
+        assert [name for name, _ in calls].count("is_ns_decomposable") == 1
+        assert [name for name, _ in calls].count("is_weakly_convex") == 1
         assert calls.count(("tensegrity_labeling", id(s))) == 1
 
 
