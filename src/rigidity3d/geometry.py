@@ -333,6 +333,22 @@ def _signed_volume(vertices, faces):
 # ---------------------------------------------------------------------------
 
 
+def _dihedral_kernel(p, q, cross1, cross2, floor):
+    """Interior dihedral angles, in (0, 2*pi), at the edges p -> q ((k, 3)
+    arrays) whose flanking faces have outward cross products cross1 (the one
+    holding p -> q) and cross2; NaN where either doubled area is <= floor."""
+    doubled1, doubled2 = np.linalg.norm(cross1, axis=1), np.linalg.norm(cross2, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        n1, n2 = cross1 / doubled1[:, None], cross2 / doubled2[:, None]
+    u = (q - p) / np.linalg.norm(q - p, axis=1)[:, None]
+    angles = np.pi - np.arctan2(
+        np.einsum("ex,ex->e", _cross(n1, n2), u), np.einsum("ex,ex->e", n1, n2)
+    )
+    angles[angles <= 0.0] += 2.0 * np.pi
+    angles[(doubled1 <= floor) | (doubled2 <= floor)] = np.nan
+    return angles
+
+
 def dihedral_angles(surface, tol: Tolerances = DEFAULT_TOL):
     """Interior dihedral angle at every edge, in (0, 2*pi), as an (E,)
     array in `surface.edges` order.
@@ -342,34 +358,22 @@ def dihedral_angles(surface, tol: Tolerances = DEFAULT_TOL):
     The angle is NaN at an edge flanked by a degenerate (zero-area) face,
     so it compares as neither below nor above pi.
     """
-    cross = surface.face_cross
-    with np.errstate(divide="ignore", invalid="ignore"):
-        normals = cross / np.linalg.norm(cross, axis=1)[:, None]
-    f1, f2 = surface.flanking_faces.T
-    n1, n2 = normals[f1], normals[f2]
     i, j = np.array(surface.edges).T
-    u = surface.vertices[j] - surface.vertices[i]
-    u /= np.linalg.norm(u, axis=1)[:, None]
-    angles = np.pi - np.arctan2(
-        np.einsum("ex,ex->e", _cross(n1, n2), u), np.einsum("ex,ex->e", n1, n2)
-    )
-    angles[angles <= 0.0] += 2.0 * np.pi
-    degenerate = surface.degenerate_faces(tol)
-    angles[degenerate[f1] | degenerate[f2]] = np.nan
-    return angles
+    cross, p = surface.face_cross[surface.flanking_faces.T], surface.vertices
+    return _dihedral_kernel(p[i], p[j], *cross, tol.geom_tol * surface.diameter**2)
 
 
 def dihedral_angle(surface, edge, tol: Tolerances = DEFAULT_TOL):
     """One entry of dihedral_angles, for the edge {i, j} in either order;
     GeometryError if it is not an edge or a flanking face is degenerate."""
     i, j = sorted(int(v) for v in edge)
-    flanks = surface.edge_faces(i, j)
-    angle = float(dihedral_angles(surface, tol)[surface.edges.index((i, j))])
+    flanks, p = surface.edge_faces(i, j), surface.vertices
+    cross, floor = surface.face_cross[list(flanks)], tol.geom_tol * surface.diameter**2
+    angle = float(_dihedral_kernel(p[[i]], p[[j]], cross[:1], cross[1:], floor)[0])
     if np.isnan(angle):
-        f_idx = next(f for f in flanks if surface.degenerate_faces(tol)[f])
-        raise GeometryError(
-            f"face {f_idx} = {tuple(surface.faces[f_idx].tolist())} is degenerate (zero area)"
-        )
+        f_idx = next(f for f, bad in zip(flanks, np.linalg.norm(cross, axis=1) <= floor) if bad)
+        raise GeometryError(f"face {f_idx} = {tuple(surface.faces[f_idx].tolist())} is "
+                            "degenerate (zero area)")
     return angle
 
 
@@ -409,11 +413,13 @@ def edge_flags(surface, tol: Tolerances = DEFAULT_TOL):
     "reflex" or "flat" by its dihedral angle, geom_tol away from pi; the
     same flags as classify_convexity(surface, tol).edge_flags, without the
     hull or the exposure LPs."""
-    angles = dihedral_angles(surface, tol)
-    kinds = np.select(
-        [angles > np.pi + tol.geom_tol, angles < np.pi - tol.geom_tol], ["reflex", "convex"], "flat"
-    )
-    return dict(zip(surface.edges, kinds.tolist()))
+    return dict(zip(surface.edges, _reflex_rule(dihedral_angles(surface, tol), tol).tolist()))
+
+
+def _reflex_rule(angles, tol):
+    """edge_flags' rule per dihedral angle: geom_tol away from pi, NaN reads "flat"."""
+    return np.select([angles > np.pi + tol.geom_tol, angles < np.pi - tol.geom_tol],
+                     ["reflex", "convex"], "flat")
 
 
 # The exposure and hemisphere LPs have a handful of rows and 4-5 columns:
@@ -520,13 +526,8 @@ def classify_convexity(surface, tol: Tolerances = DEFAULT_TOL):
     pts, hull, nonexposed = _hull_vertex_stage(surface.vertices, surface.diameter)
     flags = edge_flags(surface, tol)
     if hull is None:
-        return ConvexityReport(
-            Convexity.NOT_WEAKLY_CONVEX,
-            flags,
-            nonexposed,
-            (),
-            ("degenerate vertex set: convex hull is not full-dimensional",),
-        )
+        notes = ("degenerate vertex set: convex hull is not full-dimensional",)
+        return ConvexityReport(Convexity.NOT_WEAKLY_CONVEX, flags, nonexposed, (), notes)
     if nonexposed:
         # distinguish interior points from points on the hull boundary
         gaps = pts[list(nonexposed)] @ hull.equations[:, :3].T + hull.equations[:, 3]
@@ -542,9 +543,7 @@ def classify_convexity(surface, tol: Tolerances = DEFAULT_TOL):
         if flag != "convex" or _edge_exposure(pts, i, j, neighbours, tol) <= tol.geom_tol
     ]
     if unexposed_edges:
-        return ConvexityReport(
-            Convexity.WEAKLY_STRICTLY_CONVEX, flags, (), tuple(unexposed_edges)
-        )
+        return ConvexityReport(Convexity.WEAKLY_STRICTLY_CONVEX, flags, (), tuple(unexposed_edges))
     return ConvexityReport(Convexity.STRONGLY_STRICTLY_CONVEX, flags, (), ())
 
 

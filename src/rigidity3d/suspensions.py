@@ -34,6 +34,8 @@ from .geometry import (
     PolyhedralSurface,
     Tolerances,
     _cross,
+    _dihedral_kernel,
+    _reflex_rule,
     as_points,
     axis_frame,
     diameter,
@@ -400,32 +402,35 @@ def reflex_lateral_edges(s: Suspension, tol: Tolerances = DEFAULT_TOL):
 
 
 def _peel_fault(s, ring, k, turn, tol):
-    """Why the suspension left by removing ring[k] fails the induction
-    hypotheses, or None, as rebuilding and re-checking it would say, from
-    its only new faces, azimuth increment `turn` and tetrahedron.  It
-    inherits weak convexity: a hull vertex of a point set is a hull vertex
-    of every subset that contains it."""
+    """(why, reflex) for the suspension left by removing ring[k], as rebuilding
+    it would say: why an induction hypothesis fails, or None, from its azimuth
+    increment `turn`, tetrahedron and six lateral faces around the neighbours
+    a, b of ring[k], then reflex[pole] at (pole, a), (pole, b), the only flags
+    that change.  Weak convexity holds: hull vertices of s stay hull vertices."""
     m = len(ring)
-    a, x, b = ring[k - 1], ring[k], ring[(k + 1) % m]
+    c, a, x, b, d = (ring[(k + o) % m] for o in (-2, -1, 0, 1, 2))
     local = {NORTH: NORTH, SOUTH: SOUTH, a: 2 + (k - 1) % (m - 1), b: 2 + k % (m - 1)}
-    faces = np.array([[NORTH, a, b], [SOUTH, b, a]])
+    faces = np.array([[NORTH, c, a], [NORTH, a, b], [NORTH, b, d],
+                      [SOUTH, a, c], [SOUTH, b, a], [SOUTH, d, b]])  # chords at rows 1, 4
+    # per edge (N, a), (N, b), (S, a), (S, b): the face holding pole -> v, then the other
+    flanks = np.array([[1, 2, 3, 4], [0, 1, 4, 5]])
     if s.surface.faces[0, 0] != NORTH:  # s reversed its faces to point them outward
-        faces = faces[:, ::-1]
+        faces, flanks = faces[:, ::-1], flanks[::-1]
     p = s.vertices[faces]
-    doubled = np.linalg.norm(_cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]), axis=1)
-    if doubled.min() <= tol.geom_tol * s.surface.diameter**2:  # s's diameter bounds the new one
-        new_diameter = diameter(s.vertices[[NORTH, SOUTH, *ring[:k], *ring[k + 1:]]])
-        for face in faces[doubled <= tol.geom_tol * new_diameter**2].tolist():
-            return f"face {tuple(local[v] for v in face)} is degenerate (zero area)"
+    cross = _cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+    doubled, floor = np.linalg.norm(cross, axis=1), tol.geom_tol * s.surface.diameter**2
+    if doubled.min() <= floor:  # s's diameter bounds the new one
+        floor = tol.geom_tol * diameter(s.vertices[[NORTH, SOUTH, *ring[:k], *ring[k + 1:]]])**2
+        for face in faces[[1, 4]][doubled[[1, 4]] <= floor].tolist():
+            return f"face {tuple(local[v] for v in face)} is degenerate (zero area)", None
     turn = turn - 2 * np.pi if turn > np.pi else turn  # into (-pi, pi], as arctan2 would
     why = _increment_fault(local[a] - 2, m - 1, turn, tol.geom_tol)
-    if not why:
-        _check_orientations(s.vertices, [a, a], [b, x])
-    return why
-
-
-# the closed surface of the tetrahedra [N, S, 2, 3], [N, S, 3, 4] and [N, S, 4, 5]
-_WEDGE_FACES = np.vstack([bipyramid_faces(4)[:6], [[NORTH, 5, SOUTH], [SOUTH, 2, NORTH]]])
+    if why:
+        return why, None
+    _check_orientations(s.vertices, [a, a], [b, x])
+    angles = _dihedral_kernel(s.vertices[[NORTH, NORTH, SOUTH, SOUTH]], s.vertices[[a, b, a, b]],
+                              *cross[flanks], floor)
+    return None, (_reflex_rule(angles, tol) == "reflex").reshape(2, 2)
 
 
 def _stress_by_induction(s, tol, trace):
@@ -450,17 +455,13 @@ def _stress_by_induction(s, tol, trace):
         trace.append(f"peel equator vertex {2 + k} (reflex lateral at the "
                      f"{'north' if pole == NORTH else 'south'} pole)")
         a, x, b = ring[k - 1], ring[k], ring[(k + 1) % m]
-        why = _peel_fault(s, ring, k, turn[a] + turn[x], tol)
+        why, flags = _peel_fault(s, ring, k, turn[a] + turn[x], tol)
         if why:
             logger.warning("induction hypotheses fail after removing vertex %d (%s); "
                            "falling back to the direct solver", 2 + k, why)
             trace.append(f"fallback to direct solve at n={m}: {why}")
             break
-        if m > 4:  # flags change at a and b only, where the reduced faces are the wedge's
-            wedge = s.vertices[[NORTH, SOUTH, ring[k - 2], a, b, ring[(k + 2) % m]]]
-            flags = edge_flags(PolyhedralSurface(wedge, _WEDGE_FACES, tol), tol)
-            reflex[:, [a, b]] = [[flags[(p, 3)] == "reflex", flags[(p, 4)] == "reflex"]
-                                 for p in (NORTH, SOUTH)]
+        reflex[:, [a, b]] = flags
         peels.append((k, m, a, x, b))
         turn[a] += turn[x]
         del ring[k]

@@ -39,6 +39,7 @@ from rigidity3d.generators import (
     flexible_suspension_fixture,
     probe_decomposition,
     random_convex_hull_surface,
+    random_suspension,
     star_suspension,
 )
 from rigidity3d.hessian import pd_probe, tetra_angles_and_jacobian
@@ -46,6 +47,7 @@ from rigidity3d.shapes import cube, hull_faces, icosahedron, octahedron, square_
 from rigidity3d.suspensions import (
     Suspension,
     SuspensionError,
+    build_suspension,
     convex_profile_certificate,
     inductive_proper_stress,
     suspension_rigidity,
@@ -337,6 +339,64 @@ def test_zero_area_face_reads_flat():
         dihedral_angle(surf, (2, 4))
     with pytest.raises(SuspensionError, match=re.escape("face (0, 2, 3) is degenerate (zero area)")):
         Suspension(v)
+
+
+def reference_dihedral_angles(surface, tol):
+    """dihedral_angles as it was written before the shared kernel: unit
+    normals of every face, gathered per flank, and the degenerate-face mask
+    read from degenerate_faces."""
+    cross = surface.face_cross
+    with np.errstate(divide="ignore", invalid="ignore"):
+        normals = cross / np.linalg.norm(cross, axis=1)[:, None]
+    f1, f2 = surface.flanking_faces.T
+    n1, n2 = normals[f1], normals[f2]
+    i, j = np.array(surface.edges).T
+    u = surface.vertices[j] - surface.vertices[i]
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    angles = np.pi - np.arctan2(
+        np.einsum("ex,ex->e", np.cross(n1, n2), u), np.einsum("ex,ex->e", n1, n2)
+    )
+    angles[angles <= 0.0] += 2.0 * np.pi
+    degenerate = surface.degenerate_faces(tol)
+    angles[degenerate[f1] | degenerate[f2]] = np.nan
+    return angles
+
+
+def test_dihedral_kernel_matches_the_reference_formula():
+    """dihedral_angles, dihedral_angle and edge_flags give the reference
+    formula's bits, NaNs included, at the default geom_tol and at 9e-4, on
+    random hulls with 8 to 200 vertices, dented hulls, star and random
+    suspensions, the mirror image of each, and a surface with a zero-area
+    face."""
+    pool = [random_convex_hull_surface(np.random.default_rng((1500, n)), n)
+            for n in (8, 13, 21, 34, 55, 89, 144, 200)]
+    pool += [dented_hull_star(np.random.default_rng((1501, k)), 8 + k).surface for k in range(6)]
+    for k in range(6):
+        for s in (star_suspension(np.random.default_rng((1502, k)), 4 + 2 * k, require_reflex=True),
+                  random_suspension(np.random.default_rng((1503, k)), 4 + 2 * k)):
+            pool += [s.surface, build_suspension(s.north, s.south, s.equator[::-1]).surface]
+    pool += [PolyhedralSurface(surf.vertices * [-1.0, 1.0, 1.0], surf.faces) for surf in pool]
+    v = octahedron().vertices.copy()
+    v[3] = 0.5 * (v[0] + v[2])
+    pool.append(PolyhedralSurface(v, octahedron().faces))
+    seen = set()
+    for tol in (DEFAULT_TOL, Tolerances(geom_tol=9e-4)):
+        for surf in pool:
+            expected = reference_dihedral_angles(surf, tol)
+            assert dihedral_angles(surf, tol).tobytes() == expected.tobytes()
+            kinds = np.select([expected > np.pi + tol.geom_tol, expected < np.pi - tol.geom_tol],
+                              ["reflex", "convex"], "flat")
+            assert edge_flags(surf, tol) == dict(zip(surf.edges, kinds.tolist()))
+            for e, angle in zip(surf.edges, expected):
+                if np.isnan(angle):
+                    with pytest.raises(GeometryError, match="is degenerate"):
+                        dihedral_angle(surf, e[::-1], tol)
+                else:
+                    assert np.float64(dihedral_angle(surf, e[::-1], tol)).tobytes() == angle.tobytes()
+            seen.update(kinds.tolist())
+            if np.isnan(expected).any():
+                seen.add("nan")
+    assert seen == {"convex", "reflex", "flat", "nan"}
 
 
 # ---------------------------------------------------------------------------

@@ -576,6 +576,26 @@ def test_induction_has_no_depth_limit():
     assert is_proper(fw, stress, slack=1e-12 * max(abs(w) for w in stress.omega.values()))
 
 
+def test_induction_builds_no_surface_per_peel(monkeypatch):
+    """The peels read their lateral flags from the dihedral kernel, not
+    from a surface: at n = 200 the one surface built is the base case's
+    suspension (the peels once built one surface each, about 190)."""
+    from rigidity3d.geometry import PolyhedralSurface
+
+    s = jittered_reflex_cylinder(200)
+    builds = []
+    original = PolyhedralSurface.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(len(args[0]))
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(PolyhedralSurface, "__init__", counted)
+    inductive_proper_stress(s)
+    assert len(builds) <= 1
+    assert all(n < s.n + 2 for n in builds)  # the reduced base, never s again
+
+
 def test_suspension_rigidity_checks_hypotheses_once(monkeypatch):
     """One decomposability check, one weak-convexity check and one
     tensegrity per call, all on the suspension itself: the induction
