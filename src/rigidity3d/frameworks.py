@@ -265,11 +265,16 @@ def _index_pairs(edges):
     return np.array([(i, j) for i, j, _ in edges], dtype=np.intp).reshape(-1, 2)
 
 
+def _edge_vectors(fw, *motions):
+    """The (E, 2) edge pairs, the rows p_i - p_j, then m_i - m_j per (n, 3) array m."""
+    pairs = _index_pairs(fw.edges)
+    return (pairs, *(x[pairs[:, 0]] - x[pairs[:, 1]] for x in (fw.vertices, *motions)))
+
+
 def rigidity_matrix(fw):
     """The (edge count) x (3 * vertex count) rigidity matrix."""
-    pairs = _index_pairs(fw.edges)
+    pairs, d = _edge_vectors(fw)
     rows = np.arange(fw.n_edges)
-    d = fw.vertices[pairs[:, 0]] - fw.vertices[pairs[:, 1]]
     r = np.zeros((fw.n_edges, fw.n_vertices, 3))
     r[rows, pairs[:, 0]] = d
     r[rows, pairs[:, 1]] = -d
@@ -372,19 +377,13 @@ def tensegrity_flex_test(fw, motion, slack=1e-10):
     m = motion.velocities
     if m.shape != fw.vertices.shape:
         raise FrameworkError("motion size does not match framework")
-    rates = rigidity_matrix(fw) @ m.ravel()
-    values = {}
-    violations = []
-    for (i, j, kind), value in zip(fw.edges, rates):
-        values[(i, j)] = float(value)
-        bad = (
-            (kind is EdgeKind.BAR and abs(value) > slack)
-            or (kind is EdgeKind.CABLE and value > slack)
-            or (kind is EdgeKind.STRUT and value < -slack)
-        )
-        if bad:
-            violations.append((i, j))
-    return TensegrityFlexReport(values, tuple(violations))
+    rates = np.einsum("ij,ij->i", *_edge_vectors(fw, m)[1:])  # R m
+    values = dict(zip(fw.edge_pairs, rates.tolist()))
+    violations = tuple((i, j) for (i, j, kind), v in zip(fw.edges, values.values())
+                       if (kind is EdgeKind.BAR and abs(v) > slack)
+                       or (kind is EdgeKind.CABLE and v > slack)
+                       or (kind is EdgeKind.STRUT and v < -slack))
+    return TensegrityFlexReport(values, violations)
 
 
 # ---------------------------------------------------------------------------
@@ -403,29 +402,25 @@ def equilibrium_stress_space(fw, tol: Tolerances = DEFAULT_TOL):
 
 def equilibrium_residual(fw, stress):
     """Largest vertex residual |sum_j omega_ij (p_i - p_j)| of a stress."""
-    w = stress.as_vector(fw)
-    load = (rigidity_matrix(fw).T @ w).reshape(-1, 3)
+    pairs, d = _edge_vectors(fw)
+    load = np.zeros_like(fw.vertices)  # R^T omega, scattered over the edges
+    np.add.at(load, pairs, stress.as_vector(fw)[:, None, None] * np.stack([d, -d], axis=1))
     return float(np.linalg.norm(load, axis=1).max())
 
 
 def is_proper(fw, stress, slack=1e-12):
     """Sign conditions for a proper stress: omega >= 0 on cables,
     omega <= 0 on struts, unrestricted on bars."""
-    _check_stress_keys(fw, stress)
-    for i, j, kind in fw.edges:
-        w = stress.omega[(i, j)]
-        if kind is EdgeKind.CABLE and w < -slack:
-            return False
-        if kind is EdgeKind.STRUT and w > slack:
-            return False
-    return True
+    return not any((kind is EdgeKind.CABLE and w < -slack)
+                   or (kind is EdgeKind.STRUT and w > slack)
+                   for (*_, kind), w in zip(fw.edges, stress.as_vector(fw).tolist()))
 
 
 def stress_energy(fw, stress, motion):
     """Contraction sum_ij omega_ij (p_i - p_j) . (m_i - m_j); identically
     zero in the motion whenever the stress is an equilibrium stress."""
-    w = stress.as_vector(fw)
-    return float(w @ (rigidity_matrix(fw) @ motion.flat))
+    rates = np.einsum("ij,ij->i", *_edge_vectors(fw, motion.velocities)[1:])
+    return float(stress.as_vector(fw) @ rates)
 
 
 def exchange_rigidity_check(fw, stress, removed_edge, tol: Tolerances = DEFAULT_TOL):

@@ -20,10 +20,10 @@ import numpy as np
 from .frameworks import (
     EdgeKind,
     Framework,
+    FrameworkError,
     Stress,
     equilibrium_residual,
     equilibrium_stress_space,
-    exchange_rigidity_check,
     is_infinitesimally_rigid,
     is_proper,
 )
@@ -379,18 +379,25 @@ def _oriented_direct_stress(s, tol):
     return omega
 
 
-def _small_star_stress(vertices, ids, k, tol):
-    """Equilibrium stress of the complete framework on the five points
-    ids = (N, S, p_k-1, p_k, p_k+1), keyed by their vertex pairs.  Handles
-    the coplanar case transparently: when N, p_k-1, p_k, p_k+1 are
-    coplanar the stress is supported on those four points alone."""
-    fw = Framework(vertices[list(ids)], [(a, b) for a in range(5) for b in range(a + 1, 5)],
-                   tol=tol)
-    basis = equilibrium_stress_space(fw, tol)
-    if len(basis) != 1:
-        raise SuspensionError(f"five-point star around equator slot {k} has a "
-                              f"{len(basis)}-dimensional stress space, expected 1")
-    return {tuple(sorted((ids[a], ids[b]))): w for (a, b), w in basis[0].omega.items()}
+def _star_stresses(vertices, stars, slots, tol):
+    """Stress of the complete framework on each five-point star (N, S, p_k-1,
+    p_k, p_k+1) in `stars`, k in `slots`, as dicts keyed by vertex pairs:
+    omega_ab = alpha_a alpha_b, alpha_a = (-1)^a det([p | 1] without row a)
+    the points' affine dependency (Roth-Whiteley 1981, Connelly 1982).  If
+    N, p_k-1, p_k, p_k+1 are coplanar, alpha_S = 0: the stress lives on them."""
+    p = vertices[stars] - vertices[stars].mean(axis=1, keepdims=True)
+    p /= np.linalg.norm(p[:, :, None] - p[:, None], axis=-1).max(axis=(1, 2))[:, None, None]
+    lifted = np.concatenate([p, np.ones_like(p[..., :1])], axis=2)  # rows [p_a | 1]
+    keep = np.arange(4) + (np.arange(4) >= np.arange(5)[:, None])  # keep[a]: the rows but a
+    alpha = np.linalg.det(lifted[:, keep]) * [1, -1, 1, -1, 1]
+    flat = np.flatnonzero(np.abs(alpha).max(axis=1) <= tol.rank_tol)
+    if flat.size:
+        raise SuspensionError(f"five-point star around equator slot {slots[flat[0]]} does "
+                              f"not span 3-space, so its stress space is not 1-dimensional")
+    a, b = np.triu_indices(5, 1)
+    keys = np.sort(np.stack([stars[:, a], stars[:, b]], axis=2), axis=2).tolist()
+    omega = (alpha[:, a] * alpha[:, b]).tolist()
+    return [dict(zip(map(tuple, pairs), w)) for pairs, w in zip(keys, omega)]
 
 
 def reflex_lateral_edges(s: Suspension, tol: Tolerances = DEFAULT_TOL):
@@ -462,7 +469,7 @@ def _stress_by_induction(s, tol, trace):
             trace.append(f"fallback to direct solve at n={m}: {why}")
             break
         reflex[:, [a, b]] = flags
-        peels.append((k, m, a, x, b))
+        peels.append((NORTH, SOUTH, a, x, b, k, m))
         turn[a] += turn[x]
         del ring[k]
 
@@ -470,23 +477,23 @@ def _stress_by_induction(s, tol, trace):
     ids = [NORTH, SOUTH, *ring]
     omega = {tuple(sorted((ids[i], ids[j]))): w
              for (i, j), w in _oriented_direct_stress(base, tol).items()}
-    for k, m, a, x, b in reversed(peels):
+    scale = max(map(abs, omega.values()))  # at least max |omega|, kept by each peel
+    stars = np.array(peels[::-1], dtype=np.intp).reshape(-1, 7)
+    for (_, _, a, x, b, k, m), small in zip(
+            stars.tolist(), _star_stresses(s.vertices, stars[:, :5], stars[:, 5], tol)):
         chord = (min(a, b), max(a, b))
-        small = _small_star_stress(s.vertices, (NORTH, SOUTH, a, x, b), k, tol)
         if abs(small[chord]) <= tol.rank_tol * max(map(abs, small.values())):
             local = tuple(sorted((2 + (k - 1) % m, 2 + (k + 1) % m)))
-            raise SuspensionError(
-                f"five-point star stress vanishes on the chord {local}; "
-                f"cannot cancel (trace: {trace})"
-            )
+            raise SuspensionError(f"five-point star stress vanishes on the chord {local}; "
+                                  f"cannot cancel (trace: {trace})")
         factor = -omega[chord] / small[chord]
         for pair, w in small.items():
-            omega[pair] = omega.get(pair, 0.0) + factor * w
+            omega[pair] = value = omega.get(pair, 0.0) + factor * w
+            scale = max(scale, abs(value))
         leftover = omega.pop(chord)
-        if abs(leftover) > 1e-9 * max(map(abs, omega.values())):
+        if abs(leftover) > 1e-9 * scale:
             raise InvariantError(
-                f"chord stress failed to cancel (leftover {leftover:.2e}, trace: {trace})"
-            )
+                f"chord stress failed to cancel (leftover {leftover:.2e}, trace: {trace})")
     return omega
 
 
@@ -496,21 +503,21 @@ def inductive_proper_stress(s: Suspension, tol: Tolerances = DEFAULT_TOL):
 
     Built by peeling equator vertices at reflex lateral edges: each peel
     adds the unique stress of the five-point star around the removed
-    vertex, scaled so the stresses on the chord joining its neighbors
-    cancel.  The convex remainder is solved directly, after one loop of
-    peels with no depth limit.
+    vertex, in closed form, scaled so the stresses on the chord joining
+    its neighbors cancel.  The convex remainder is solved directly, after
+    one loop of peels with no depth limit.
     """
     ns = is_ns_decomposable(s, tol)
     if not ns:
         raise SuspensionError(f"hypothesis failed: {ns.reason}")
     if not is_weakly_convex(s.surface):
         raise SuspensionError("hypothesis failed: suspension is not weakly strictly convex")
-    return _checked_proper_stress(s, tol)[0]
+    return _checked_proper_stress(s, tol)
 
 
 def _checked_proper_stress(s, tol):
-    """(stress, tensegrity) of a suspension whose induction hypotheses the
-    caller has checked; equilibrium and properness are verified here."""
+    """Stress on the tensegrity of a suspension whose induction hypotheses
+    the caller has checked; equilibrium and properness are verified here."""
     trace = []
     omega = _stress_by_induction(s, tol, trace)
     fw = tensegrity_labeling(s, include_ns=True, tol=tol)
@@ -518,16 +525,12 @@ def _checked_proper_stress(s, tol):
     scale = max(abs(w) for w in omega.values())
     resid = equilibrium_residual(fw, stress)
     if resid > 1e-9 * scale * diameter(fw.vertices):
-        raise InvariantError(
-            f"induction produced a non-equilibrium stress "
-            f"(residual {resid:.2e}); trace: {trace}"
-        )
+        raise InvariantError(f"induction produced a non-equilibrium stress "
+                             f"(residual {resid:.2e}); trace: {trace}")
     if not is_proper(fw, stress, slack=1e-12 * scale):
-        raise InvariantError(
-            f"induction produced an improper stress; trace: {trace}; "
-            f"stress: {omega}"
-        )
-    return stress, fw
+        raise InvariantError(f"induction produced an improper stress; trace: {trace}; "
+                             f"stress: {omega}")
+    return stress
 
 
 def suspension_rigidity(s: Suspension, tol: Tolerances = DEFAULT_TOL):
@@ -535,19 +538,19 @@ def suspension_rigidity(s: Suspension, tol: Tolerances = DEFAULT_TOL):
     axis edge).
 
     When the suspension is axis-decomposable and weakly strictly convex,
-    the verdict is cross-checked through the stress construction: the
-    axis edge is added, the inductive proper stress (nonzero on the axis)
-    is fed to the exchange argument, and the two verdicts must agree.
+    the paper's theorem says it is rigid, and the inductive proper stress,
+    an equilibrium nonzero on the axis, is the certificate: a flexible
+    verdict then raises InvariantError.
     """
     verdict = is_infinitesimally_rigid(Framework.from_surface(s.surface, tol=tol), tol)
     if is_ns_decomposable(s, tol) and is_weakly_convex(s.surface):
-        stress, fw = _checked_proper_stress(s, tol)
-        exchanged = exchange_rigidity_check(fw, stress, NS_EDGE, tol)
-        if exchanged != verdict:
-            raise InvariantError(
-                f"exchange argument disagrees with the direct verdict "
-                f"({exchanged} vs {verdict})"
-            )
+        omega = _checked_proper_stress(s, tol).omega
+        if abs(omega[NS_EDGE]) <= tol.rank_tol * max(map(abs, omega.values())):
+            raise FrameworkError(
+                f"precondition violated: stress vanishes on removed edge {NS_EDGE}")
+        if not verdict:
+            raise InvariantError("internal: the suspension theorem says this weakly convex, "
+                                 "axis-decomposable suspension is rigid, but it flexes")
     return verdict
 
 

@@ -38,7 +38,7 @@ from rigidity3d.geometry import (
     transform_points,
 )
 from rigidity3d.shapes import cube, octahedron, tetrahedron
-from rigidity3d.suspensions import Suspension
+from rigidity3d.suspensions import Suspension, tensegrity_labeling
 
 NS = (0, 1)  # pole edge in the shared bipyramid vertex layout
 
@@ -568,6 +568,39 @@ def test_rigidity_matrix_is_bit_identical_to_the_edge_loop():
         r = rigidity_matrix(fw)
         assert r.shape == (fw.n_edges, 3 * fw.n_vertices)
         assert np.array_equal(r, _loop_rigidity_matrix(fw))
+
+
+def contraction_pool():
+    """random_framework draws with their edges labeled bar, cable and strut
+    in turn, and the flexible fixture's surface and tensegrity."""
+    kinds = tuple(EdgeKind)
+    pool = []
+    for k in range(8):
+        fw = random_framework(np.random.default_rng((2207, k)), 5 + k)
+        pool.append(Framework(fw.vertices, [(i, j, kinds[e % 3])
+                                            for e, (i, j) in enumerate(fw.edge_pairs)]))
+    fixture = flexible_suspension_fixture().suspension
+    return pool + [Framework.from_surface(fixture.surface), tensegrity_labeling(fixture)]
+
+
+def test_stress_and_motion_contractions_match_the_dense_products():
+    """equilibrium_residual, stress_energy and tensegrity_flex_test run over
+    the edges and equal R^T omega and R m within 1e-12 relative."""
+    rng = np.random.default_rng(2208)
+    for fw in contraction_pool():
+        r = rigidity_matrix(fw)
+        for _ in range(3):
+            stress = Stress.from_vector(fw, rng.normal(size=fw.n_edges))
+            motion = Motion(rng.normal(size=fw.vertices.shape))
+            w, rates = stress.as_vector(fw), r @ motion.flat
+            load = np.linalg.norm((r.T @ w).reshape(-1, 3), axis=1).max()
+            assert abs(equilibrium_residual(fw, stress) - load) <= 1e-12 * load
+            energy = stress_energy(fw, stress, motion)
+            assert abs(energy - w @ rates) <= 1e-12 * np.abs(w * rates).sum()
+            report = tensegrity_flex_test(fw, motion)
+            assert list(report.values) == list(fw.edge_pairs)
+            values = np.array(list(report.values.values()))
+            assert np.abs(values - rates).max() <= 1e-12 * np.abs(rates).max()
 
 
 def _count_svds(monkeypatch):

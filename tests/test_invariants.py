@@ -130,9 +130,9 @@ def test_induction_chord_cancellation(monkeypatch):
         def __getitem__(self, key):
             return 2.0 * dict.__getitem__(self, key)
 
-    original = suspensions._small_star_stress
-    monkeypatch.setattr(suspensions, "_small_star_stress",
-                        lambda *a: Skewed(original(*a)))
+    original = suspensions._star_stresses
+    monkeypatch.setattr(suspensions, "_star_stresses",
+                        lambda *a: [Skewed(small) for small in original(*a)])
     with pytest.raises(InvariantError, match="chord stress failed to cancel"):
         inductive_proper_stress(reflex_star())
 
@@ -149,9 +149,9 @@ def test_induction_properness(monkeypatch):
         inductive_proper_stress(reflex_star())
 
 
-def test_exchange_argument(monkeypatch):
-    monkeypatch.setattr(suspensions, "exchange_rigidity_check", lambda *a: False)
-    with pytest.raises(InvariantError, match="exchange argument disagrees"):
+def test_suspension_theorem(monkeypatch):
+    monkeypatch.setattr(suspensions, "is_infinitesimally_rigid", lambda *a: False)
+    with pytest.raises(InvariantError, match="the suspension theorem says"):
         suspension_rigidity(reflex_star())
 
 

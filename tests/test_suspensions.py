@@ -2,6 +2,7 @@
 
 import inspect
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -485,6 +486,20 @@ def jittered_reflex_cylinder(n, seed=0):
     return build_suspension([0.0, 0.0, 1.2], [0.0, 0.0, -1.2], eq)
 
 
+def svd_star_stress(vertices, ids, k, tol):
+    """The five-point star stress as first written, the oracle of the closed
+    form: the stress space of the complete framework on the points ids =
+    (N, S, p_k-1, p_k, p_k+1) from an SVD of its 10 x 15 rigidity matrix,
+    keyed by their vertex pairs."""
+    fw = Framework(vertices[list(ids)], [(a, b) for a in range(5) for b in range(a + 1, 5)],
+                   tol=tol)
+    basis = equilibrium_stress_space(fw, tol)
+    if len(basis) != 1:
+        raise SuspensionError(f"five-point star around equator slot {k} has a "
+                              f"{len(basis)}-dimensional stress space, expected 1")
+    return {tuple(sorted((ids[a], ids[b]))): w for (a, b), w in basis[0].omega.items()}
+
+
 def recursive_stress_by_induction(s, tol, trace):
     """The induction as first written, the oracle of the peel loop: one
     recursion level per peel, which rebuilds the reduced suspension,
@@ -515,7 +530,7 @@ def recursive_stress_by_induction(s, tol, trace):
     child_omega = recursive_stress_by_induction(child, tol, trace)
     omega = {tuple(sorted((lift(i), lift(j)))): w for (i, j), w in child_omega.items()}
     ids = (NORTH, SOUTH, s.equator_index(k - 1), pv, s.equator_index(k + 1))
-    small = suspensions._small_star_stress(s.vertices, ids, k, tol)
+    small = svd_star_stress(s.vertices, ids, k, tol)
     chord = tuple(sorted(ids[2::2]))
     factor = -omega[chord] / small[chord]
     for pair, w in small.items():
@@ -560,6 +575,97 @@ def test_peel_loop_matches_the_recursive_induction():
         reversed_faces += int(s.surface.faces[0, 0] != NORTH)
         fallbacks += any("fallback" in line for line in loop_trace)
     assert reversed_faces >= 20 and fallbacks == 2
+
+
+def star_pool():
+    """(vertices, stars, slots): every five-point star (N, S, p_k-1, p_k,
+    p_k+1) of test_03's star suspensions, the reflex cylinder pool, jittered
+    cylinders up to n = 400 and the mirror images of all of them."""
+    pool = [star_suspension(rng, int(rng.integers(4, 12)), require_reflex=True)
+            for rng in (np.random.default_rng((4300, k)) for k in range(100))]
+    rng = np.random.default_rng(45)
+    pool += [reflex_cylinder_suspension(rng)[0] for _ in range(8)]
+    pool += [jittered_reflex_cylinder(n) for n in (50, 100, 200, 400)]
+    pool += [build_suspension(s.north, s.south, s.equator[::-1]) for s in pool]
+    for s in pool:
+        slots = np.arange(s.n)
+        stars = np.column_stack([np.full(s.n, NORTH), np.full(s.n, SOUTH),
+                                 s.equator_index(slots - 1), s.equator_index(slots),
+                                 s.equator_index(slots + 1)])
+        yield s.vertices, stars, slots
+
+
+def assert_star_stresses_match_the_svd(vertices, stars, slots):
+    """Closed form against the SVD, within 1e-12 after both are scaled to 1
+    at the SVD's largest entry."""
+    closed = suspensions._star_stresses(vertices, stars, slots, DEFAULT_TOL)
+    for ids, k, small in zip(stars.tolist(), slots, closed):
+        oracle = svd_star_stress(vertices, ids, k, DEFAULT_TOL)
+        assert small.keys() == oracle.keys()
+        lead = max(oracle, key=lambda pair: abs(oracle[pair]))
+        assert max(abs(small[e] / small[lead] - w / oracle[lead])
+                   for e, w in oracle.items()) <= 1e-12
+
+
+def test_closed_form_star_stress_matches_the_svd():
+    stars = 0
+    for vertices, ids, slots in star_pool():
+        assert_star_stresses_match_the_svd(vertices, ids, slots)
+        stars += len(ids)
+    assert stars > 2000
+
+
+def test_closed_form_star_stress_with_four_coplanar_points():
+    """N, p_k-1, p_k, p_k+1 on the plane z = 1 - x/2: alpha_S = 0, so the
+    stress lives on those four points; five coplanar points raise."""
+    vertices = np.array([[0, 0, 1.0], [0, 0, -1.0], [1, -0.5, 0.5], [0.2, 1, 0.9],
+                         [-0.8, -0.3, 1.4]])
+    stars = np.arange(5)[None]
+    assert_star_stresses_match_the_svd(vertices, stars, [3])
+    small = suspensions._star_stresses(vertices, stars, [3], DEFAULT_TOL)[0]
+    scale = max(map(abs, small.values()))
+    assert max(abs(w) for pair, w in small.items() if SOUTH in pair) <= 1e-14 * scale
+    flat = vertices * [1, 0, 1]
+    with pytest.raises(SuspensionError, match="five-point star around equator slot 3"):
+        suspensions._star_stresses(flat, stars, [3], DEFAULT_TOL)
+
+
+def test_one_factorization_per_suspension_answer(monkeypatch):
+    """At n = 200 the induction factors only its direct solve (a 10 x 15 SVD
+    per peel made 184), and suspension_rigidity factors one input of at
+    least 3n rows and columns, the surface's rigidity matrix (the exchange
+    check made three)."""
+    s = jittered_reflex_cylinder(200)
+    shapes = []
+    real_svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    inductive_proper_stress(s)
+    assert len(shapes) == 1
+    shapes.clear()
+    assert suspension_rigidity(s)
+    assert len([shape for shape in shapes if min(shape) >= 3 * s.n]) == 1
+
+
+def test_equilibrium_residual_memory_is_linear_in_the_edges():
+    """The residual of the n = 400 tensegrity's stress scatters over its
+    1201 edges and peaks under 1 MiB; the dense rigidity matrix alone is
+    1201 x 1206 doubles, 11 MiB."""
+    s = jittered_reflex_cylinder(400)
+    stress = inductive_proper_stress(s)
+    fw = tensegrity_labeling(s, include_ns=True)
+    tracemalloc.start()
+    try:
+        residual = equilibrium_residual(fw, stress)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert residual <= 1e-9 * max(map(abs, stress.omega.values()))
+    assert peak < 2**20
 
 
 def test_induction_has_no_depth_limit():
