@@ -50,6 +50,7 @@ from .frameworks import (  # noqa: F401
     rigidity_rank,
     stress_energy,
     tensegrity_flex_test,
+    trivial_dimension,
     trivial_motion_basis,
 )
 

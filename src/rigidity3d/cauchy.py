@@ -24,6 +24,7 @@ from .geometry import (
     InvariantError,
     PolyhedralSurface,
     Tolerances,
+    _reflex_rule,
     dihedral_angles,
     edge_flags,
 )
@@ -79,7 +80,7 @@ def dihedral_rates(surface, motion, tol: Tolerances = DEFAULT_TOL):
             f"edge ({i}, {j}) is flat: angle variation is undefined"
         ) from exc
     rates = np.einsum("em,em->e", jac[:, 0], lrates)
-    rates = np.where(dihedral_angles(surface, tol) > np.pi, -rates, rates)
+    rates = np.where(_reflex_rule(dihedral_angles(surface, tol), tol) == "reflex", -rates, rates)
     return dict(zip(edges, rates.tolist()))
 
 

@@ -40,7 +40,7 @@ from .frameworks import (
     nontrivial_flex,
 )
 from .generators import GenerationError, SUSPENSION_PROFILES, suspension_profile
-from .geometry import DEFAULT_TOL, GeometryError, InvariantError, Tolerances
+from .geometry import DEFAULT_TOL, TETRA_EDGE_ORDER, GeometryError, InvariantError, Tolerances
 from .hessian import (
     DecompositionError,
     lambda_matrix,
@@ -317,12 +317,8 @@ def cmd_probe_pd(args):
              for t in report.trials],
         )
     for k, ce in enumerate(report.counterexamples):
-        boundary = set()
-        for t in ce["tetrahedra"]:
-            boundary.update(
-                (min(t[a], t[b]), max(t[a], t[b]))
-                for a in range(4) for b in range(a + 1, 4)
-            )
+        boundary = {tuple(sorted((t[a], t[b]))) for t in ce["tetrahedra"]
+                    for a, b in TETRA_EDGE_ORDER}
         boundary -= {tuple(e) for e in ce["interior_edges"]}
         fileio.save(
             os.path.join(args.out, f"counterexample_{k}.json"),

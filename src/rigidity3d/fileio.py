@@ -20,7 +20,7 @@ from importlib import resources
 import numpy as np
 
 from .frameworks import EdgeKind, Framework
-from .geometry import DEFAULT_TOL, GeometryError, PolyhedralSurface, Tolerances
+from .geometry import DEFAULT_TOL, TETRA_EDGE_ORDER, GeometryError, PolyhedralSurface, Tolerances
 from .hessian import Decomposition, DecompositionError
 from .suspensions import Suspension, SuspensionError, build_suspension
 
@@ -182,13 +182,7 @@ def from_document(doc, tol: Tolerances = DEFAULT_TOL):
     decomposition = None
     if "tetrahedra" in doc:
         tets = [tuple(t) for t in doc["tetrahedra"]]
-        tet_edges = set()
-        for t in tets:
-            tet_edges.update(
-                tuple(sorted((t[a], t[b])))
-                for a in range(4)
-                for b in range(a + 1, 4)
-            )
+        tet_edges = {tuple(sorted((t[a], t[b]))) for t in tets for a, b in TETRA_EDGE_ORDER}
         boundary = (
             set(surface.edges)
             if surface is not None
@@ -248,7 +242,7 @@ def analysis_report(loaded: LoadedInstance, tol: Tolerances = DEFAULT_TOL, seed=
     timings section, which is informational only and excluded from the
     instance hash.
     """
-    from .frameworks import rigidity_rank, trivial_motion_basis
+    from .frameworks import rigidity_rank, trivial_dimension
     from .geometry import classify_convexity
     from .hessian import lambda_matrix, rigidity_from_lambda
     from .suspensions import is_ns_decomposable, lambda_scalar
@@ -262,10 +256,9 @@ def analysis_report(loaded: LoadedInstance, tol: Tolerances = DEFAULT_TOL, seed=
     fw = loaded.framework
     rank = rigidity_rank(fw, tol)
     flex_dimension = 3 * fw.n_vertices - rank
-    trivial_dimension = len(trivial_motion_basis(fw, tol))
-    verdicts["rigid"] = flex_dimension == trivial_dimension
+    verdicts["trivial_dimension"] = trivial = trivial_dimension(fw, tol)
+    verdicts["rigid"] = flex_dimension == trivial
     verdicts["flex_dimension"] = flex_dimension
-    verdicts["trivial_dimension"] = trivial_dimension
     verdicts["stress_space_dimension"] = fw.n_edges - rank
     timings["framework"] = time.perf_counter() - t0
 

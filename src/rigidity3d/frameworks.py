@@ -27,6 +27,7 @@ __all__ = [
     "rigidity_matrix",
     "rigidity_rank",
     "bar_flex_space",
+    "trivial_dimension",
     "trivial_motion_basis",
     "is_infinitesimally_rigid",
     "tensegrity_flex_test",
@@ -108,9 +109,9 @@ class Framework:
         self.tol = tol
 
     @classmethod
-    def from_surface(cls, surface, kind=EdgeKind.BAR, tol: Tolerances = DEFAULT_TOL):
-        """Bar framework (by default) on the edge skeleton of a surface."""
-        return cls(surface.vertices, [(i, j, kind) for i, j in surface.edges], tol=tol)
+    def from_surface(cls, surface, tol: Tolerances = DEFAULT_TOL):
+        """Bar framework on the edge skeleton of a surface."""
+        return cls(surface.vertices, surface.edges, tol=tol)
 
     @property
     def n_vertices(self):
@@ -291,6 +292,18 @@ def _sign_fix(vec):
     return -vec if pivot < 0 else vec
 
 
+def _affine_rank(points, tol):
+    """Numerical rank of the centred configuration (3 when it spans 3-space)."""
+    return tol.numerical_rank(np.linalg.svd(points - points.mean(axis=0), compute_uv=False))
+
+
+def trivial_dimension(fw, tol: Tolerances = DEFAULT_TOL):
+    """Dimension of the restrictions of ambient infinitesimal isometries: the
+    3 translations plus the rotations that move some point, so 3, 5, 6 or 6
+    for affine rank 0, 1, 2 or 3 (0 with no vertices)."""
+    return (3, 5, 6, 6)[_affine_rank(fw.vertices, tol)] if fw.n_vertices else 0
+
+
 def trivial_motion_basis(fw, tol: Tolerances = DEFAULT_TOL):
     """Orthonormal basis of the restrictions of ambient infinitesimal
     isometries (3 translations + 3 rotations), as rows of shape (k, 3n)."""
@@ -301,8 +314,8 @@ def trivial_motion_basis(fw, tol: Tolerances = DEFAULT_TOL):
     gens = np.empty((6, fw.n_vertices, 3))
     gens[:3] = axes
     gens[3:] = _cross(axes, fw.vertices)
-    _, s, vt = np.linalg.svd(gens.reshape(6, -1), full_matrices=False)
-    return vt[: tol.numerical_rank(s)]
+    vt = np.linalg.svd(gens.reshape(6, -1), full_matrices=False)[2]
+    return vt[: trivial_dimension(fw, tol)]
 
 
 def _flex_rows(fw, tol):
@@ -315,16 +328,11 @@ def bar_flex_space(fw, tol: Tolerances = DEFAULT_TOL):
     """Null space of the rigidity matrix (every edge treated as a bar)."""
     basis = _flex_rows(fw, tol)
     motions = tuple(Motion.from_flat(_sign_fix(row)) for row in basis)
-    return FlexSpace(motions, len(basis), len(trivial_motion_basis(fw, tol)))
-
-
-def _spans_3space(points, tol):
-    centered = points - points.mean(axis=0)
-    return tol.numerical_rank(np.linalg.svd(centered, compute_uv=False)) == 3
+    return FlexSpace(motions, len(basis), trivial_dimension(fw, tol))
 
 
 def is_infinitesimally_rigid(fw, tol: Tolerances = DEFAULT_TOL):
-    """True iff the only infinitesimal flexes are the trivial ones.
+    """True iff the only infinitesimal flexes are the trivial ones: rank 3n - 6.
 
     Requires a configuration that affinely spans 3-space; degenerate
     (planar/collinear) configurations raise, since their rigidity theory
@@ -332,22 +340,21 @@ def is_infinitesimally_rigid(fw, tol: Tolerances = DEFAULT_TOL):
     """
     if fw.n_vertices < 3:
         raise FrameworkError("need at least 3 vertices")
-    if not _spans_3space(fw.vertices, tol):
+    if _affine_rank(fw.vertices, tol) < 3:
         raise FrameworkError(
             "configuration does not span 3-space; lower-dimensional rigidity "
             "analysis is out of scope"
         )
-    flex_dimension = 3 * fw.n_vertices - rigidity_rank(fw, tol)
-    return flex_dimension == len(trivial_motion_basis(fw, tol))
+    return rigidity_rank(fw, tol) == 3 * fw.n_vertices - 6
 
 
 def nontrivial_flex(fw, tol: Tolerances = DEFAULT_TOL):
     """A unit flex orthogonal to all trivial motions, or None if the
     framework is infinitesimally rigid."""
     flexes = _flex_rows(fw, tol)
-    trivial = trivial_motion_basis(fw, tol)
-    if len(flexes) == len(trivial):
+    if len(flexes) == trivial_dimension(fw, tol):
         return None
+    trivial = trivial_motion_basis(fw, tol)
     residual = flexes - (flexes @ trivial.T) @ trivial
     norms = np.linalg.norm(residual, axis=1)
     best = residual[norms.argmax()]

@@ -85,17 +85,18 @@ def random_convex_hull_surface(rng, n, tol: Tolerances = DEFAULT_TOL, max_tries=
 
 
 def _azimuths(rng, n, max_tries=100):
-    """n sorted azimuths with every cyclic gap inside (0.05, pi - 0.05).
+    """n sorted azimuths with every cyclic gap inside (floor, pi - 0.05).
 
-    The smallest drawn gap is about 0.6 / n, so past n ~ 34 it is the lower
-    bound that fails."""
+    The smallest drawn gap is about 0.6 / n, so the floor is
+    min(0.05, 0.61 / n): 0.05 up to n = 12, scaled down past it."""
+    floor = min(0.05, 0.61 / n)
     for _ in range(max_tries):
         gaps = rng.uniform(0.15, 2.9, n)
         gaps *= 2.0 * np.pi / gaps.sum()
-        if gaps.max() < np.pi - 0.05 and gaps.min() > 0.05:
+        if gaps.max() < np.pi - 0.05 and gaps.min() > floor:
             return np.concatenate([[0.0], np.cumsum(gaps)[:-1]])
     raise GenerationError(
-        f"could not draw {n} azimuth gaps inside (0.05, pi - 0.05) in {max_tries} tries"
+        f"could not draw {n} azimuth gaps inside ({floor:.3g}, pi - 0.05) in {max_tries} tries"
     )
 
 

@@ -284,23 +284,15 @@ class PolyhedralSurface:
         for f_idx in self.vertex_faces[v]:
             tri = [int(w) for w in self.faces[f_idx]]
             k = tri.index(v)
-            a, b = tri[(k + 1) % 3], tri[(k + 2) % 3]
-            if a in succ:
-                raise GeometryError(f"non-manifold star at vertex {v}")
-            succ[a] = b
+            succ[tri[(k + 1) % 3]] = tri[(k + 2) % 3]
         if len(succ) < 3:
             raise GeometryError(f"vertex {v} has fewer than 3 incident faces")
+        # each directed edge lies in one face and the surface is closed, so
+        # succ permutes the neighbours and the walk returns to its start
         start = next(iter(succ))
         cycle = [start]
-        while True:
-            nxt = succ.get(cycle[-1])
-            if nxt is None:
-                raise GeometryError(f"non-manifold star at vertex {v}")
-            if nxt == start:
-                break
-            cycle.append(nxt)
-            if len(cycle) > len(succ):
-                raise GeometryError(f"non-manifold star at vertex {v}")
+        while succ[cycle[-1]] != start:
+            cycle.append(succ[cycle[-1]])
         if len(cycle) != len(succ):
             raise GeometryError(f"vertex star of {v} is not a single cycle")
         return cycle

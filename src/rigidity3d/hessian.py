@@ -233,8 +233,6 @@ class Decomposition:
                     f"extra {sorted(set(boundary) - surf_edges)}, "
                     f"missing {sorted(surf_edges - set(boundary))}"
                 )
-            if set(interior) & surf_edges:
-                raise DecompositionError("an interior edge is a surface edge")
             total = float(volumes.sum())
             if abs(total - abs(surface.signed_volume)) > 1e-9 * diam**3:
                 raise DecompositionError(
@@ -323,20 +321,16 @@ class Decomposition:
             )
         if any(len(v) != 2 for v in flank.values()):
             raise DecompositionError(f"star of interior edge {edge} does not close up")
-        # walk the cycle
+        # walk the cycle: each flank vertex lies in two tetrahedra, so the
+        # walk leaves it by the one it did not arrive from, back to the start
         start = incident[0]
         _, current = sorted(set(tets[start]) - {i, j})
         order = [start]
         while True:
-            nxt = [(t, other) for t, other in flank[current] if t != order[-1]]
-            if len(nxt) != 1:
-                raise DecompositionError(f"star of interior edge {edge} branches")
-            if nxt[0][0] == start:
+            (t, current), = [(t, other) for t, other in flank[current] if t != order[-1]]
+            if t == start:
                 break
-            order.append(nxt[0][0])
-            current = nxt[0][1]
-            if len(order) > len(incident):
-                raise DecompositionError(f"star of interior edge {edge} does not close up")
+            order.append(t)
         if len(order) != len(incident):
             raise DecompositionError(
                 f"star of interior edge {edge} splits into several cycles"

@@ -31,6 +31,7 @@ from rigidity3d.geometry import (
     Tolerances,
     classify_convexity,
     dihedral_angle,
+    dihedral_angles,
     edge_flags,
 )
 from rigidity3d.shapes import cube, icosahedron, octahedron, square_pyramid, tetrahedron
@@ -292,6 +293,30 @@ def flex_fixture():
     m = nontrivial_flex(Framework.from_surface(surf))
     assert m is not None
     return fix, surf, m
+
+
+def test_dihedral_rates_flip_where_the_pi_test_flipped():
+    """The reflex rule flips the same rates as the old `angle > pi` test
+    wherever dihedral_rates returns: on flexes of the flexible fixture and of
+    dented hulls with one edge removed, at two geom_tol values."""
+    from rigidity3d.generators import dented_hull_star
+
+    _, surf, m = flex_fixture()
+    cases = [(surf, m)]
+    for k in range(6):
+        dented = dented_hull_star(np.random.default_rng((2300, k)), 9 + k).surface
+        cut = Framework.from_surface(dented).without_edge(dented.edges[k])
+        cases.append((dented, nontrivial_flex(cut)))
+    flips = 0
+    for surface, motion in cases:
+        for tol in (Tolerances(), Tolerances(geom_tol=1e-6)):
+            rates = np.array(list(dihedral_rates(surface, motion, tol).values()))
+            angles = dihedral_angles(surface, tol)
+            reflex = np.array(list(edge_flags(surface, tol).values())) == "reflex"
+            unflipped = np.where(reflex, -rates, rates)
+            assert np.array_equal(np.where(angles > np.pi, -unflipped, unflipped), rates)
+            flips += int((angles > np.pi).sum())
+    assert flips > 0
 
 
 def test_flex_signs_match_finite_differences():

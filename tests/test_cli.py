@@ -146,17 +146,27 @@ def test_suspend_rejects_fewer_than_three_equator_vertices(capsys, tmp_path, n):
     assert not out.exists()
 
 
-def test_suspend_names_the_gap_bounds_when_azimuths_run_out(capsys, tmp_path):
-    """At n = 50 the smallest drawn gap (about 0.6 / n) falls below the 0.05
-    floor, not above pi - 0.05; the message gives n and both bounds."""
+@pytest.mark.parametrize("profile", generators.SUSPENSION_PROFILES)
+def test_suspend_draws_sixty_equator_vertices(capsys, tmp_path, profile):
+    """The azimuth gap floor is min(0.05, 0.61 / n), under the smallest
+    drawn gap (about 0.6 / n), so n = 60 draws for every profile."""
     out = tmp_path / "s.json"
-    code, _, err = run(capsys, "suspend", "--n", "50", "--profile", "convex",
+    code, _, err = run(capsys, "suspend", "--n", "60", "--profile", profile,
                        "--seed", "7", "--out", str(out))
-    assert code == 1
-    assert err == (
-        "error: could not draw 50 azimuth gaps inside (0.05, pi - 0.05) in 100 tries\n"
-    )
-    assert not out.exists()
+    assert (code, err) == (0, "")
+    assert fileio.load(out).suspension.n == 60
+
+
+def test_azimuths_name_the_gap_bounds_when_they_run_out():
+    """Two gaps can never both lie under pi - 0.05; the message gives n and
+    both bounds, the floor as scaled for n."""
+    with pytest.raises(generators.GenerationError) as exc:
+        generators._azimuths(default_rng(7), 2)
+    assert str(exc.value) == "could not draw 2 azimuth gaps inside (0.05, pi - 0.05) in 100 tries"
+    with pytest.raises(generators.GenerationError) as exc:
+        generators._azimuths(default_rng(7), 1000, max_tries=0)
+    assert str(exc.value) == (
+        "could not draw 1000 azimuth gaps inside (0.00061, pi - 0.05) in 0 tries")
 
 
 def test_lambda_scalar_csv_sums_to_total(capsys, tmp_path):
@@ -322,6 +332,31 @@ def test_probe_pd_report_is_json_when_no_trial_succeeds(capsys, monkeypatch, tmp
     report = json.loads((tmp_path / "report.json").read_text(), parse_constant=_reject_constant)
     assert report["summary"]["diagonal_positive_rate"] is None
     assert report["trials"] == []
+
+
+def test_probe_pd_writes_each_counterexample_as_a_loadable_decomposition(
+        capsys, monkeypatch, tmp_path):
+    """A counterexample document lists the tetrahedra's non-interior edges
+    as its edges, so it loads back as the same decomposition."""
+    from rigidity3d import cli
+
+    d = hessian.decompose_star(shapes.octahedron(), 0)
+    real_probe = cli.pd_probe
+
+    def probe(**kwargs):
+        report = real_probe(**kwargs)
+        ce = {"trial": report.trials[0].to_dict(), "vertices": d.vertices.tolist(),
+              "tetrahedra": [list(t) for t in d.tetrahedra],
+              "interior_edges": [list(e) for e in d.interior_edges]}
+        return hessian.ProbeReport(report.trials, report.failures, (ce,))
+
+    monkeypatch.setattr(cli, "pd_probe", probe)
+    assert run(capsys, "probe-pd", "--trials", "1", "--out", str(tmp_path))[0] == 0
+    loaded = fileio.load(tmp_path / "counterexample_0.json")
+    edges = [(e["i"], e["j"]) for e in loaded.document["edges"]]
+    assert edges == sorted(d.boundary_edges)
+    assert loaded.decomposition.interior_edges == d.interior_edges
+    assert loaded.decomposition.tetrahedra == d.tetrahedra
 
 
 def _fresh_python(script, *args):

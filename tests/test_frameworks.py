@@ -21,23 +21,29 @@ from rigidity3d.frameworks import (
     rigidity_rank,
     stress_energy,
     tensegrity_flex_test,
+    trivial_dimension,
     trivial_motion_basis,
 )
 from rigidity3d.cauchy import CauchyError, dent
 from rigidity3d.fileio import analysis_report, from_document, to_document
 from rigidity3d.generators import (
+    convex_suspension,
+    dented_hull_star,
     flexible_suspension_fixture,
     random_convex_hull_surface,
     random_framework,
+    random_suspension,
+    star_suspension,
 )
 from rigidity3d.geometry import (
     DEFAULT_TOL,
+    PolyhedralSurface,
     ProjectiveMap,
     Tolerances,
     apply_projective,
     transform_points,
 )
-from rigidity3d.shapes import cube, octahedron, tetrahedron
+from rigidity3d.shapes import cube, hull_faces, octahedron, tetrahedron
 from rigidity3d.suspensions import Suspension, tensegrity_labeling
 
 NS = (0, 1)  # pole edge in the shared bipyramid vertex layout
@@ -531,6 +537,95 @@ def test_cached_svd_views_match_a_direct_full_svd():
         assert not any(a.flags.writeable for a in fw.svd)
 
 
+def _generator_rank(fw, tol=DEFAULT_TOL):
+    """Numerical rank of the 6 x 3n translation and np.cross rotation
+    generators: the trivial-motion count as an SVD of them gave it."""
+    gens = [np.tile(t, fw.n_vertices) for t in np.eye(3)]
+    gens += [np.cross(a, fw.vertices).ravel() for a in np.eye(3)]
+    return tol.numerical_rank(np.linalg.svd(np.array(gens), full_matrices=False)[1])
+
+
+def _three_svd_verdict(fw, tol=DEFAULT_TOL):
+    """Rigidity as a spanning check, the rank of R and the generator rank
+    gave it: 3n - rank R equals the trivial-motion count."""
+    centred = fw.vertices - fw.vertices.mean(axis=0)
+    assert tol.numerical_rank(np.linalg.svd(centred, compute_uv=False)) == 3
+    rank = tol.numerical_rank(np.linalg.svd(rigidity_matrix(fw), compute_uv=False))
+    return 3 * fw.n_vertices - rank == _generator_rank(fw, tol)
+
+
+def configuration_pool():
+    """General, integer-grid (coincident, collinear and coplanar draws among
+    them), planar, collinear, far-off thin and near-collinear point sets."""
+    rng = np.random.default_rng(2209)
+    configs = [octahedron().vertices, cube().vertices, tetrahedron().vertices]
+    configs += [rng.normal(size=(int(rng.integers(3, 16)), 3)) for _ in range(200)]
+    configs += [rng.integers(-1, 2, size=(int(rng.integers(1, 12)), 3)).astype(float)
+                for _ in range(400)]
+    configs += [np.ones((4, 3)), np.zeros((1, 3))]
+    for _ in range(20):
+        n = int(rng.integers(3, 10))
+        configs.append(rng.normal(size=(n, 2)) @ rng.normal(size=(2, 3)) + rng.normal(size=3))
+        configs.append(np.outer(rng.normal(size=n), rng.normal(size=3)) + rng.normal(size=3))
+    for _ in range(50):
+        n = int(rng.integers(3, 10))
+        far = rng.normal(size=3)
+        configs.append(1e3 * far / np.linalg.norm(far) + rng.normal(size=(n, 3)) * [1, 1, 1e-3])
+        line = np.outer(rng.normal(size=n), rng.normal(size=3))
+        configs.append(line + 1e-6 * rng.normal(size=(n, 3)))
+    return configs
+
+
+def test_trivial_dimension_is_the_generator_rank():
+    """3 / 5 / 6 / 6 by affine rank equals the numerical rank of the motion
+    generators, and trivial_motion_basis keeps that many rows."""
+    seen = set()
+    for points in configuration_pool():
+        fw = Framework(points, [])
+        k = trivial_dimension(fw)
+        assert k == _generator_rank(fw) == len(trivial_motion_basis(fw))
+        seen.add(k)
+    assert seen == {3, 5, 6}
+    assert trivial_dimension(Framework(np.empty((0, 3)), [])) == 0
+
+
+def _sphere_hull(rng, n):
+    pts = rng.normal(size=(n, 3))
+    pts /= np.linalg.norm(pts, axis=1)[:, None]
+    from scipy.spatial import ConvexHull
+
+    return PolyhedralSurface(pts, hull_faces(pts, ConvexHull(pts).simplices))
+
+
+def verdict_pool():
+    """Hulls with n = 8..200, one- and two-dent hulls, star, random and
+    convex suspensions, random frameworks, and the flexible fixtures."""
+    rng = np.random.default_rng
+    surfaces = [_sphere_hull(rng((2210, n)), n) for n in (8, 12, 20, 35, 60, 100, 200)]
+    surfaces += [dented_hull_star(rng((2211, k)), 8 + k).surface for k in range(6)]
+    surfaces += two_dent_hulls()
+    for k in range(6):
+        surfaces.append(star_suspension(rng((2212, k)), 4 + k, require_reflex=True).surface)
+        surfaces.append(random_suspension(rng((2213, k)), 3 + k).surface)
+        surfaces.append(convex_suspension(rng((2214, k)), 3 + k).surface)
+    surfaces += [flexible_suspension_fixture(notch_radius=r).suspension.surface
+                 for r in (0.08, 0.14, 0.2)]
+    pool = [Framework.from_surface(surface) for surface in surfaces]
+    pool += [random_framework(rng((2215, k)), 5 + k) for k in range(6)]
+    return pool + svd_pool()[:-1]
+
+
+def test_rigidity_verdict_matches_the_three_svd_rule():
+    """rank R == 3n - 6 gives the verdict the spanning check, rank R and the
+    generator SVD gave, rigid and flexible alike."""
+    seen = set()
+    for fw in verdict_pool():
+        verdict = is_infinitesimally_rigid(fw)
+        assert verdict == _three_svd_verdict(fw)
+        seen.add(verdict)
+    assert seen == {True, False}
+
+
 def test_analysis_report_counts_the_dimensions_of_the_bases():
     """The report's dimensions, counted from one rank, equal the sizes of
     the flex and stress bases on braced, hull, flexible, bare, suspension and
@@ -640,6 +735,21 @@ def test_rank_questions_skip_the_full_svd_and_bases_form_it_once(monkeypatch):
     assert rigidity_matrix_calls(bar_flex_space) == [True]
     assert rigidity_matrix_calls(equilibrium_stress_space) == [True]
     assert rigidity_matrix_calls(nontrivial_flex) == [True]
+
+    # the trivial-motion count comes from the configuration's affine rank,
+    # so only a basis factors the (6, 3n) motion generators
+    def generator_calls(run, fw):
+        calls.clear()
+        run(fw)
+        return [seen for seen, _ in calls if seen == (6, shape[1])]
+
+    def report(fw):
+        analysis_report(from_document(to_document(fw)))
+
+    for run in (is_infinitesimally_rigid, rigidity_rank, bar_flex_space, report):
+        assert generator_calls(run, Framework.from_surface(surface)) == []
+    flexible = Framework.from_surface(surface).without_edge(surface.edges[0])
+    assert generator_calls(nontrivial_flex, flexible) == [(6, shape[1])]
 
     def stresses_then_verdict(fw):
         equilibrium_stress_space(fw)

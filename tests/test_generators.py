@@ -11,6 +11,7 @@ from rigidity3d.frameworks import (
 )
 from rigidity3d.generators import (
     GenerationError,
+    _azimuths,
     convex_suspension,
     dented_hull_star,
     flexible_suspension_fixture,
@@ -57,6 +58,29 @@ def test_random_convex_polygon_is_convex():
         )[:, 0]
         assert cross.min() > 0
         assert np.all(np.diff(az) > 0)
+
+
+def _fixed_floor_azimuths(rng, n, max_tries=100):
+    """The azimuth rule with the gap floor fixed at 0.05."""
+    for _ in range(max_tries):
+        gaps = rng.uniform(0.15, 2.9, n)
+        gaps *= 2.0 * np.pi / gaps.sum()
+        if gaps.max() < np.pi - 0.05 and gaps.min() > 0.05:
+            return np.concatenate([[0.0], np.cumsum(gaps)[:-1]])
+    raise GenerationError("no draw")
+
+
+def test_azimuths_draw_as_the_fixed_floor_did_up_to_twelve_vertices():
+    """The floor min(0.05, 0.61 / n) is 0.05 for n <= 12, so every pinned
+    pool draws the same azimuths; past that the scaled floor still draws."""
+    for n in range(3, 13):
+        for seed in range(30):
+            new, old = np.random.default_rng((seed, n)), np.random.default_rng((seed, n))
+            assert np.array_equal(_azimuths(new, n), _fixed_floor_azimuths(old, n))
+            assert np.array_equal(new.random(2), old.random(2))
+    for n in (60, 200, 1000):
+        gaps = np.diff(_azimuths(np.random.default_rng(n), n), append=2 * np.pi)
+        assert gaps.min() > 0.61 / n and gaps.max() < np.pi - 0.05
 
 
 def test_convex_suspensions_are_strongly_convex_and_decomposable():

@@ -282,6 +282,18 @@ def test_boundary_edges_must_match_surface():
         Decomposition(base.vertices, tets, [], surface=base)
 
 
+def test_an_interior_surface_edge_is_missing_from_the_boundary():
+    """Declaring a surface edge interior takes it out of the boundary, so
+    the boundary check names it as missing."""
+    base = octahedron()
+    tets = [(0, 1, 3, 2), (0, 1, 4, 3), (0, 1, 5, 4), (0, 1, 2, 5)]
+    assert (0, 2) in base.edges
+    with pytest.raises(DecompositionError) as exc:
+        Decomposition(base.vertices, tets, [(0, 1), (0, 2)], surface=base)
+    assert str(exc.value) == (
+        "boundary edges do not match the surface edge set: extra [], missing [(0, 2)]")
+
+
 def test_overlapping_tetrahedra_fail_volume_audit():
     """A duplicated wedge makes the volumes disagree with the surface."""
     base = octahedron()
