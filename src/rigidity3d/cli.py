@@ -40,8 +40,9 @@ from .frameworks import (
     nontrivial_flex,
 )
 from .generators import GenerationError, SUSPENSION_PROFILES, suspension_profile
-from .geometry import DEFAULT_TOL, TETRA_EDGE_ORDER, GeometryError, InvariantError, Tolerances
+from .geometry import DEFAULT_TOL, GeometryError, InvariantError, Tolerances
 from .hessian import (
+    Decomposition,
     DecompositionError,
     lambda_matrix,
     pd_probe,
@@ -53,8 +54,6 @@ from .suspensions import (
     lambda_scalar,
     tensegrity_labeling,
 )
-
-logger = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -113,7 +112,11 @@ def cmd_stress(args):
             return EXIT_INPUT
         stress = inductive_proper_stress(loaded.suspension, tol)
         fw = tensegrity_labeling(loaded.suspension, include_ns=True, tol=tol)
-        rows = [(i, j, kind.value, stress[(i, j)]) for i, j, kind in fw.edges]
+        # rows name the document's vertices, not the suspension's layout
+        poles = loaded.document["poles"]
+        layout = [poles["north"], poles["south"], *loaded.document["equator"]]
+        rows = [(*sorted((layout[i], layout[j])), kind.value, stress[(i, j)])
+                for i, j, kind in fw.edges]
         if args.json:
             _emit_json({
                 "kind": "inductive_proper_stress",
@@ -317,19 +320,10 @@ def cmd_probe_pd(args):
              for t in report.trials],
         )
     for k, ce in enumerate(report.counterexamples):
-        boundary = {tuple(sorted((t[a], t[b]))) for t in ce["tetrahedra"]
-                    for a, b in TETRA_EDGE_ORDER}
-        boundary -= {tuple(e) for e in ce["interior_edges"]}
         fileio.save(
             os.path.join(args.out, f"counterexample_{k}.json"),
-            {
-                "version": fileio.VERSION,
-                "vertices": ce["vertices"],
-                "edges": [{"i": i, "j": j, "kind": "bar"}
-                          for i, j in sorted(boundary)],
-                "tetrahedra": ce["tetrahedra"],
-                "metadata": {"trial": ce["trial"]},
-            },
+            Decomposition(ce["vertices"], ce["tetrahedra"], ce["interior_edges"], tol=tol),
+            metadata={"trial": ce["trial"]},
         )
     s = payload["summary"]
     print(f"trials {s['trials']}  generation failures {s['generation_failures']}  "
@@ -360,23 +354,31 @@ def _edge(text):
 
 @functools.cache
 def build_parser():
-    """The CLI's parser, built once per process.  Subcommands name their
-    handler, which main looks up at each call, so a cmd_* replaced after
-    import still runs."""
+    """The CLI's parser, built once per process.  Each subcommand declares
+    the flags its handler reads, and names that handler, which main looks
+    up at each call, so a cmd_* replaced after import still runs."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--rank-tol", type=float, default=DEFAULT_TOL.rank_tol,
                         help="relative singular-value cutoff")
     common.add_argument("--geom-tol", type=float, default=DEFAULT_TOL.geom_tol,
                         help="geometric coincidence/flatness cutoff")
-    common.add_argument("--seed", type=int, default=None,
-                        help="seed for randomized subcommands")
     common.add_argument("--verbose", action="store_true",
-                        help="log progress to stderr")
-    fmt = common.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true",
-                     help="machine-readable JSON on stdout")
-    fmt.add_argument("--csv", action="store_true",
-                     help="CSV tables on stdout (repr floats)")
+                        help="log debug detail to stderr")
+
+    def subcommand(name, handler, summary, seed=False, formats=()):
+        p = sub.add_parser(name, parents=[common], help=summary)
+        if seed:
+            p.add_argument("--seed", type=int, default=None,
+                           help="seed of the random draws")
+        fmt = p.add_mutually_exclusive_group() if len(formats) > 1 else p
+        if "json" in formats:
+            fmt.add_argument("--json", action="store_true",
+                             help="machine-readable JSON on stdout")
+        if "csv" in formats:
+            fmt.add_argument("--csv", action="store_true",
+                             help="CSV tables on stdout (repr floats)")
+        p.set_defaults(handler=handler)
+        return p
 
     parser = argparse.ArgumentParser(
         prog="rigidity3d",
@@ -384,54 +386,45 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", parents=[common],
-                       help="verdict report for a document")
+    p = subcommand("analyze", "cmd_analyze", "verdict report for a document",
+                   seed=True, formats=("json",))
     p.add_argument("file")
-    p.set_defaults(handler="cmd_analyze")
 
-    p = sub.add_parser("stress", parents=[common],
-                       help="equilibrium stresses of the edge framework")
+    p = subcommand("stress", "cmd_stress", "equilibrium stresses of the edge framework",
+                   formats=("json", "csv"))
     p.add_argument("file")
     p.add_argument("--inductive", action="store_true",
                    help="peel-and-solve proper stress (suspensions only)")
-    p.set_defaults(handler="cmd_stress")
 
-    p = sub.add_parser("lambda", parents=[common],
-                       help="axis invariant or interior-edge Jacobian")
+    p = subcommand("lambda", "cmd_lambda", "axis invariant or interior-edge Jacobian",
+                   formats=("json", "csv"))
     p.add_argument("file")
-    p.set_defaults(handler="cmd_lambda")
 
-    p = sub.add_parser("dent", parents=[common],
-                       help="replace the two faces at an edge by the other "
-                            "diagonal, pushed inward")
+    p = subcommand("dent", "cmd_dent",
+                   "replace the two faces at an edge by the other diagonal, pushed inward")
     p.add_argument("file")
     p.add_argument("--edge", type=_edge, action="append", required=True,
                    metavar="I,J", help="edge to dent (repeatable, in order)")
     p.add_argument("--out", required=True, help="output document path")
-    p.set_defaults(handler="cmd_dent")
 
-    p = sub.add_parser("suspend", parents=[common],
-                       help="generate a suspension document")
+    p = subcommand("suspend", "cmd_suspend", "generate a suspension document", seed=True)
     p.add_argument("--n", type=int, required=True, help="equator size")
     p.add_argument("--profile", choices=SUSPENSION_PROFILES, default="convex")
     p.add_argument("--out", required=True, help="output document path")
-    p.set_defaults(handler="cmd_suspend")
 
-    p = sub.add_parser("signs", parents=[common],
-                       help="dihedral-rate signs of an infinitesimal flex")
+    p = subcommand("signs", "cmd_signs", "dihedral-rate signs of an infinitesimal flex",
+                   formats=("json", "csv"))
     p.add_argument("file")
     p.add_argument("--flex-index", type=int, default=None,
                    help="flex-basis index (default: a nontrivial flex)")
-    p.set_defaults(handler="cmd_signs")
 
-    p = sub.add_parser("probe-pd", parents=[common],
-                       help="eigenvalue scan of the Jacobian over random "
-                            "weakly convex instances")
+    p = subcommand("probe-pd", "cmd_probe_pd",
+                   "eigenvalue scan of the Jacobian over random weakly convex instances",
+                   seed=True)
     p.add_argument("--trials", type=int, default=60)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--include-controls", action="store_true",
                    help="also probe non-weakly-convex controls")
-    p.set_defaults(handler="cmd_probe_pd")
 
     return parser
 
@@ -442,7 +435,7 @@ def main(argv=None):
     except SystemExit as exc:
         return EXIT_OK if exc.code == 0 else EXIT_INPUT
     logging.basicConfig(
-        level=logging.INFO if args.verbose else logging.WARNING,
+        level=logging.DEBUG if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
         stream=sys.stderr,
     )

@@ -20,8 +20,8 @@ from importlib import resources
 import numpy as np
 
 from .frameworks import EdgeKind, Framework
-from .geometry import DEFAULT_TOL, TETRA_EDGE_ORDER, GeometryError, PolyhedralSurface, Tolerances
-from .hessian import Decomposition, DecompositionError
+from .geometry import DEFAULT_TOL, GeometryError, PolyhedralSurface, Tolerances
+from .hessian import Decomposition, DecompositionError, _interior_edges
 from .suspensions import Suspension, SuspensionError, build_suspension
 
 VERSION = 1
@@ -181,17 +181,11 @@ def from_document(doc, tol: Tolerances = DEFAULT_TOL):
             raise FileFormatError(f"/poles: {exc}") from None
     decomposition = None
     if "tetrahedra" in doc:
-        tets = [tuple(t) for t in doc["tetrahedra"]]
-        tet_edges = {tuple(sorted((t[a], t[b]))) for t in tets for a, b in TETRA_EDGE_ORDER}
-        boundary = (
-            set(surface.edges)
-            if surface is not None
-            else {tuple(sorted((e["i"], e["j"]))) for e in doc["edges"]}
-        )
+        # the edge list is the boundary: a surface's edges equal it (checked above)
+        tets = doc["tetrahedra"]
+        interior = _interior_edges(tets, framework.edge_pairs)
         try:
-            decomposition = Decomposition(
-                vertices, tets, sorted(tet_edges - boundary), surface=surface, tol=tol
-            )
+            decomposition = Decomposition(vertices, tets, interior, surface=surface, tol=tol)
         except DecompositionError as exc:
             raise FileFormatError(f"/tetrahedra: {exc}") from None
     return LoadedInstance(doc, framework, surface, suspension, decomposition)

@@ -304,9 +304,10 @@ def trivial_dimension(fw, tol: Tolerances = DEFAULT_TOL):
     return (3, 5, 6, 6)[_affine_rank(fw.vertices, tol)] if fw.n_vertices else 0
 
 
-def trivial_motion_basis(fw, tol: Tolerances = DEFAULT_TOL):
+def trivial_motion_basis(fw, tol: Tolerances = DEFAULT_TOL, dimension=None):
     """Orthonormal basis of the restrictions of ambient infinitesimal
-    isometries (3 translations + 3 rotations), as rows of shape (k, 3n)."""
+    isometries (3 translations + 3 rotations), as rows of shape (k, 3n);
+    `dimension` passes k when the caller has counted it (trivial_dimension)."""
     # rows 0-2 translate along e_k, rows 3-5 rotate about e_k (e_k x p);
     # the rotations keep the cross product's signed zeros, which the SVD
     # below can see
@@ -315,7 +316,7 @@ def trivial_motion_basis(fw, tol: Tolerances = DEFAULT_TOL):
     gens[:3] = axes
     gens[3:] = _cross(axes, fw.vertices)
     vt = np.linalg.svd(gens.reshape(6, -1), full_matrices=False)[2]
-    return vt[: trivial_dimension(fw, tol)]
+    return vt[: trivial_dimension(fw, tol) if dimension is None else dimension]
 
 
 def _flex_rows(fw, tol):
@@ -352,9 +353,10 @@ def nontrivial_flex(fw, tol: Tolerances = DEFAULT_TOL):
     """A unit flex orthogonal to all trivial motions, or None if the
     framework is infinitesimally rigid."""
     flexes = _flex_rows(fw, tol)
-    if len(flexes) == trivial_dimension(fw, tol):
+    k = trivial_dimension(fw, tol)
+    if len(flexes) == k:
         return None
-    trivial = trivial_motion_basis(fw, tol)
+    trivial = trivial_motion_basis(fw, tol, dimension=k)
     residual = flexes - (flexes @ trivial.T) @ trivial
     norms = np.linalg.norm(residual, axis=1)
     best = residual[norms.argmax()]

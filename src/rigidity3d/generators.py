@@ -6,7 +6,6 @@ fixture tuned until the axis invariant vanishes" gets it from here, so
 the sampling conventions (and their seeds) live in one place.
 """
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +32,6 @@ from .suspensions import (
     lambda_scalar,
     reflex_lateral_edges,
 )
-
-logger = logging.getLogger(__name__)
 
 # adjacent hull facets closer than this to coplanar get the sample rejected
 FLAT_EDGE_MARGIN = 1e-3

@@ -15,14 +15,11 @@ Conventions:
   and ``rank_tol`` are dimensionless.
 """
 
-import logging
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 
 import numpy as np
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_RANK_TOL = 1e-9
 DEFAULT_GEOM_TOL = 1e-9

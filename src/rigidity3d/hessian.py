@@ -38,7 +38,6 @@ from .geometry import (
 logger = logging.getLogger(__name__)
 
 SYM_TOL = 1e-7
-VOL_TOL = 1e-12
 # squared-volume margin (relative to longest-edge^6) below which the
 # Jacobian of the angles is refused: derivatives blow up at degeneracy
 E_INTERIOR_MARGIN = 1e-10
@@ -167,6 +166,16 @@ def schlafli_residual(lengths, direction):
 # ---------------------------------------------------------------------------
 
 
+def _tetra_edges(tets):
+    """The six edges of each tetrahedron as sorted pairs, in TETRA_EDGE_ORDER."""
+    return [[tuple(sorted((t[a], t[b]))) for a, b in TETRA_EDGE_ORDER] for t in tets]
+
+
+def _interior_edges(tets, boundary_edges):
+    """The edges of the tetrahedra that are not boundary edges, sorted."""
+    return sorted(set().union(*_tetra_edges(tets)) - set(boundary_edges))
+
+
 @dataclass
 class Decomposition:
     """Tetrahedralization of a polyhedron without added vertices.
@@ -176,8 +185,9 @@ class Decomposition:
     e_1..e_r (the coordinates of the cone-angle map).  Unless
     closed_stars=False, every interior edge must be surrounded by a
     closed cycle of tetrahedra, so its total angle is well defined and
-    equals 2*pi at the embedded lengths.  `tol` is kept: lambda assemblies
-    check the Cayley-Menger feasibility of their lengths at it.
+    equals 2*pi at the embedded lengths; the stars are read from the edge
+    and face-owner tables.  `tol` is kept: the checks run at its geom_tol,
+    and lambda assemblies check Cayley-Menger feasibility at it.
     """
 
     vertices: np.ndarray
@@ -213,12 +223,12 @@ class Decomposition:
                 raise DecompositionError(f"tetrahedron {t_idx} repeats a vertex: {tet}")
         corners = vertices[np.array(tets, dtype=int).reshape(-1, 4)]
         volumes = np.abs(np.linalg.det(corners[:, 1:] - corners[:, :1])) / 6.0
-        degenerate = np.flatnonzero(volumes < VOL_TOL * diam**3)
+        degenerate = np.flatnonzero(volumes < tol.geom_tol * diam**3)
         if degenerate.size:
             t_idx = int(degenerate[0])
             raise DecompositionError(f"tetrahedron {t_idx} = {tets[t_idx]} is degenerate")
 
-        tet_edges = [[tuple(sorted((t[a], t[b]))) for a, b in TETRA_EDGE_ORDER] for t in tets]
+        tet_edges = _tetra_edges(tets)
         all_edges = set().union(*tet_edges)
         missing = set(interior) - all_edges
         if missing:
@@ -234,17 +244,13 @@ class Decomposition:
                     f"missing {sorted(surf_edges - set(boundary))}"
                 )
             total = float(volumes.sum())
-            if abs(total - abs(surface.signed_volume)) > 1e-9 * diam**3:
+            if abs(total - abs(surface.signed_volume)) > tol.geom_tol * diam**3:
                 raise DecompositionError(
                     f"tetrahedra volumes sum to {total:.12g} but the surface bounds "
                     f"{abs(surface.signed_volume):.12g}: overlap or gap"
                 )
 
-        self._check_face_gluing(vertices, tets, surface)
-        if closed_stars:
-            for e in interior:
-                self._incident_cycle(tets, e)
-
+        self._face_owners = self._check_face_gluing(vertices, tets, surface)
         vertices.flags.writeable = False
         self.vertices = vertices
         self.tetrahedra = tets
@@ -261,13 +267,17 @@ class Decomposition:
         ends = np.array(interior + boundary, dtype=int).reshape(-1, 2)
         self._edge_lengths = np.linalg.norm(vertices[ends[:, 0]] - vertices[ends[:, 1]], axis=1)
         self._edge_lengths.flags.writeable = False
+        if closed_stars:
+            for k in range(self.r):
+                self._star(k)
 
     @staticmethod
     def _check_face_gluing(vertices, tets, surface):
         """Each face is shared by at most two tetrahedra, which must then
         lie on opposite sides of it (local non-overlap); a face of one
         tetrahedron only must be a surface face.  The first offending face,
-        in order of first appearance, raises."""
+        in order of first appearance, raises.  Returns the face-owner
+        table: sorted face -> [(tetrahedron, vertex opposite the face)]."""
         face_owners = {}
         for t_idx, tet in enumerate(tets):
             for skip in range(4):
@@ -302,40 +312,46 @@ class Decomposition:
             raise DecompositionError(
                 f"face {face} borders one tetrahedron but is not a surface face"
             )
+        return face_owners
 
-    @staticmethod
-    def _incident_cycle(tets, edge):
-        """Tetrahedra around an interior edge, in cyclic gluing order."""
-        i, j = edge
-        flank = {}  # vertex -> list of (tet index, other flank vertex)
-        incident = []
-        for t_idx, tet in enumerate(tets):
-            if i in tet and j in tet:
-                c, d = sorted(set(tet) - {i, j})
-                incident.append(t_idx)
-                flank.setdefault(c, []).append((t_idx, d))
-                flank.setdefault(d, []).append((t_idx, c))
+    @cached_property
+    def _incident(self):
+        """Tetrahedra containing each interior edge, in increasing order."""
+        incident = [[] for _ in self.interior_edges]
+        for t, row in enumerate(self._edge_index.tolist()):
+            for k in row:
+                if k < len(incident):
+                    incident[k].append(t)
+        return incident
+
+    def _star(self, k):
+        """Interior edge k's tetrahedra in gluing order, and the flank vertex
+        each shares with the next, walked over the face-owner table in time
+        of the star's size.  Raises unless the star is one closed cycle."""
+        edge = i, j = self.interior_edges[k]
+        incident = self._incident[k]
         if len(incident) < 2:
             raise DecompositionError(
                 f"interior edge {edge} lies in {len(incident)} tetrahedra; need >= 2"
             )
-        if any(len(v) != 2 for v in flank.values()):
+        # the owners of each face (i, j, x) of the star, by flank vertex x
+        flanks = {x for t in incident for x in self.tetrahedra[t]} - {i, j}
+        owners = {x: self._face_owners[tuple(sorted((i, j, x)))] for x in flanks}
+        if any(len(o) != 2 for o in owners.values()):
             raise DecompositionError(f"star of interior edge {edge} does not close up")
-        # walk the cycle: each flank vertex lies in two tetrahedra, so the
-        # walk leaves it by the one it did not arrive from, back to the start
-        start = incident[0]
-        _, current = sorted(set(tets[start]) - {i, j})
-        order = [start]
+        # leave each tetrahedron by the face it was not entered through
+        start = t = incident[0]
+        order, link = [start], [max(set(self.tetrahedra[start]) - {i, j})]
         while True:
-            (t, current), = [(t, other) for t, other in flank[current] if t != order[-1]]
+            (a, x), (b, y) = owners[link[-1]]
+            t, x = (b, y) if a == t else (a, x)
             if t == start:
                 break
             order.append(t)
+            link.append(x)
         if len(order) != len(incident):
-            raise DecompositionError(
-                f"star of interior edge {edge} splits into several cycles"
-            )
-        return tuple(order)
+            raise DecompositionError(f"star of interior edge {edge} splits into several cycles")
+        return tuple(order), tuple(link)
 
     # -- derived data -------------------------------------------------------
 
@@ -389,13 +405,7 @@ def decompose_star(surface, apex, tol: Tolerances = DEFAULT_TOL):
             f"blocked faces: {list(map(tuple, faces[blocked].tolist()))}"
         )
     tets = [(apex, a, b, c) for a, b, c in faces[cone].tolist()]
-    cone_partners = set(faces[cone].ravel().tolist())
-    surf_edges = set(surface.edges)
-    interior = sorted(
-        tuple(sorted((apex, w))) for w in cone_partners
-        if tuple(sorted((apex, w))) not in surf_edges
-    )
-    return Decomposition(p, tets, interior, surface=surface, tol=tol)
+    return Decomposition(p, tets, _interior_edges(tets, surface.edges), surface=surface, tol=tol)
 
 
 # ---------------------------------------------------------------------------

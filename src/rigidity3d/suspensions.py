@@ -622,31 +622,13 @@ def interior_edge_star(d: Decomposition, tol: Tolerances = DEFAULT_TOL):
     edge of a decomposition: poles are the edge endpoints, the equator is
     the cycle of flank vertices."""
     if d.r != 1:
-        raise SuspensionError(
-            f"decomposition has {d.r} interior edges; need exactly one"
-        )
-    edge = d.interior_edges[0]
+        raise SuspensionError(f"decomposition has {d.r} interior edges; need exactly one")
     try:
-        order = Decomposition._incident_cycle(d.tetrahedra, edge)
+        _, link = d._star(0)
     except DecompositionError as exc:
         raise SuspensionError(str(exc)) from exc
-    m = len(order)
-    link = []
-    for a in range(m):
-        shared = (
-            set(d.tetrahedra[order[a]])
-            & set(d.tetrahedra[order[(a + 1) % m]])
-        ) - set(edge)
-        if len(shared) != 1:
-            raise SuspensionError(
-                "tetrahedra around the interior edge do not chain through shared faces"
-            )
-        link.append(shared.pop())
-    if len(set(link)) != m:
-        raise SuspensionError("flank vertices around the interior edge repeat")
-    return build_suspension(
-        d.vertices[edge[0]], d.vertices[edge[1]], d.vertices[link], tol
-    )
+    north, south = d.interior_edges[0]
+    return build_suspension(d.vertices[north], d.vertices[south], d.vertices[list(link)], tol)
 
 
 def normalize_poles(s: Suspension, tol: Tolerances = DEFAULT_TOL):

@@ -77,6 +77,24 @@ def test_parser_is_built_once_and_handlers_are_looked_up_per_call(capsys, monkey
     assert cli.build_parser.cache_info().misses == misses == 1
 
 
+@pytest.mark.parametrize("command, flag", [
+    (["stress", "doc.json"], ["--seed", "1"]),
+    (["lambda", "doc.json"], ["--seed", "1"]),
+    (["dent", "doc.json", "--edge", "0,1", "--out", "x.json"], ["--seed", "1"]),
+    (["signs", "doc.json"], ["--seed", "1"]),
+    (["dent", "doc.json", "--edge", "0,1", "--out", "x.json"], ["--json"]),
+    (["suspend", "--n", "5", "--out", "x.json"], ["--json"]),
+    (["probe-pd", "--out", "pd"], ["--json"]),
+    (["analyze", "doc.json"], ["--csv"]),
+    (["dent", "doc.json", "--edge", "0,1", "--out", "x.json"], ["--csv"]),
+    (["suspend", "--n", "5", "--out", "x.json"], ["--csv"]),
+    (["probe-pd", "--out", "pd"], ["--csv"]),
+])
+def test_a_subcommand_refuses_the_flags_it_does_not_read(capsys, command, flag):
+    code, _, err = run(capsys, *command, *flag)
+    assert code == 1 and f"unrecognized arguments: {' '.join(flag)}" in err
+
+
 def test_missing_file_exits_one(capsys, tmp_path):
     code, _, err = run(capsys, "analyze", str(tmp_path / "nope.json"))
     assert code == 1 and "error" in err
@@ -211,6 +229,41 @@ def test_stress_inductive_is_proper_equilibrium(capsys, star_path):
             assert rec["omega"] >= -1e-12
         if rec["kind"] == "strut":
             assert rec["omega"] <= 1e-12
+
+
+def test_stress_inductive_rows_name_the_documents_vertices(capsys, tmp_path):
+    """A star suspension's document with its vertices permuted, so that the
+    poles sit at indices 5 and 6: the rows are that document's tensegrity
+    edges, with the stresses and residual of the unpermuted document."""
+    s = generators.star_suspension(default_rng(4), 5)
+    doc = fileio.to_document(s)
+    new = [5, 6, 3, 0, 4, 1, 2]  # new index of each vertex of the layout
+    permuted = {
+        "version": doc["version"],
+        "vertices": [doc["vertices"][new.index(k)] for k in range(7)],
+        "edges": [{**e, "i": new[e["i"]], "j": new[e["j"]]} for e in doc["edges"]],
+        "faces": [[new[v] for v in f] for f in doc["faces"]],
+        "poles": {"north": 5, "south": 6},
+        "equator": new[2:],
+    }
+    fileio.save(tmp_path / "s.json", s)
+    fileio.save(tmp_path / "p.json", permuted)
+    code, out, _ = run(capsys, "stress", str(tmp_path / "s.json"), "--inductive", "--json")
+    assert code == 0
+    reference = json.loads(out)
+    code, out, _ = run(capsys, "stress", str(tmp_path / "p.json"), "--inductive", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["residual"] == reference["residual"]
+
+    fw = suspensions.tensegrity_labeling(s, include_ns=True)
+    assert [(e["i"], e["j"], e["kind"]) for e in reference["edges"]] == [
+        (i, j, kind.value) for i, j, kind in fw.edges]
+    assert [(e["i"], e["j"], e["kind"], e["omega"]) for e in payload["edges"]] == [
+        (*sorted((new[e["i"]], new[e["j"]])), e["kind"], e["omega"]) for e in reference["edges"]]
+    rows = {(e["i"], e["j"]) for e in payload["edges"]}
+    assert all(i < j for i, j in rows)
+    assert rows == {tuple(sorted((e["i"], e["j"]))) for e in permuted["edges"]} | {(5, 6)}
 
 
 def test_stress_space_trivial_on_octahedron(capsys, octa_path):
@@ -398,6 +451,30 @@ def test_probe_pd_imports_neither_lp_solver_nor_schema_validator(capsys, tmp_pat
     verdicts = json.loads(out)["verdicts"]
     assert code == 0 and fresh["verdicts"] == verdicts
     assert verdicts["convexity"] == "strongly_strictly_convex" and verdicts["rigid"] is True
+
+
+def test_verbose_logs_the_probe_skip_reasons(tmp_path):
+    """--verbose sets the log level to DEBUG, the level at which probe-pd
+    logs why each skipped trial was skipped; without it they stay silent."""
+    script = textwrap.dedent("""
+        import contextlib, io, json, sys
+        from rigidity3d import cli, generators
+
+        def degenerate(*args, **kwargs):
+            raise generators.GenerationError("degenerate draw")
+
+        generators.probe_decomposition = degenerate
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(sys.argv[1:])
+        print(json.dumps({"code": code, "stderr": err.getvalue()}))
+    """)
+    argv = ["probe-pd", "--trials", "2", "--out", tmp_path]
+    line = "DEBUG rigidity3d.hessian: probe trial 1 (suspension_axis) failed: degenerate draw"
+    quiet = _fresh_python(script, *argv)
+    verbose = _fresh_python(script, *argv, "--verbose")
+    assert quiet == {"code": 0, "stderr": ""}
+    assert verbose["code"] == 0 and line in verbose["stderr"].splitlines()
 
 
 def test_cli_import_loads_no_scipy(capsys, tmp_path):

@@ -750,6 +750,11 @@ def test_rank_questions_skip_the_full_svd_and_bases_form_it_once(monkeypatch):
         assert generator_calls(run, Framework.from_surface(surface)) == []
     flexible = Framework.from_surface(surface).without_edge(surface.edges[0])
     assert generator_calls(nontrivial_flex, flexible) == [(6, shape[1])]
+    # nontrivial_flex counts the trivial motions once: one SVD of the
+    # centred configuration
+    calls.clear()
+    nontrivial_flex(flexible)
+    assert [seen for seen, _ in calls].count((surface.n_vertices, 3)) == 1
 
     def stresses_then_verdict(fw):
         equilibrium_stress_space(fw)

@@ -7,7 +7,13 @@ import pytest
 
 from rigidity3d.cauchy import CauchyError, dihedral_rates
 from rigidity3d.frameworks import Framework, Motion, is_infinitesimally_rigid
-from rigidity3d.generators import flexible_suspension_fixture, probe_decomposition
+from rigidity3d.generators import (
+    convex_suspension,
+    flexible_suspension_fixture,
+    probe_decomposition,
+    random_convex_hull_surface,
+    star_suspension,
+)
 from rigidity3d.geometry import (
     DEFAULT_TOL,
     InvariantError,
@@ -29,7 +35,7 @@ from rigidity3d.hessian import (
     tetra_angles_and_jacobian,
 )
 from rigidity3d.shapes import icosahedron, octahedron, square_pyramid, tetrahedron
-from rigidity3d.suspensions import axis_decomposition
+from rigidity3d.suspensions import axis_decomposition, build_suspension
 
 TETRA_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
@@ -272,6 +278,135 @@ def test_face_gluing_check_matches_the_per_face_rule():
             with pytest.raises(DecompositionError, match=f"^{re.escape(expected)}$"):
                 Decomposition._check_face_gluing(vertices, tets, surface)
     assert seen == {None, *kinds}
+
+
+def _incident_cycle(tets, edge):
+    """Tetrahedra around an interior edge, in cyclic gluing order, found by
+    scanning every tetrahedron: the oracle of the table walk."""
+    i, j = edge
+    flank = {}  # vertex -> list of (tet index, other flank vertex)
+    incident = []
+    for t_idx, tet in enumerate(tets):
+        if i in tet and j in tet:
+            c, d = sorted(set(tet) - {i, j})
+            incident.append(t_idx)
+            flank.setdefault(c, []).append((t_idx, d))
+            flank.setdefault(d, []).append((t_idx, c))
+    if len(incident) < 2:
+        raise DecompositionError(
+            f"interior edge {edge} lies in {len(incident)} tetrahedra; need >= 2"
+        )
+    if any(len(v) != 2 for v in flank.values()):
+        raise DecompositionError(f"star of interior edge {edge} does not close up")
+    start = incident[0]
+    _, current = sorted(set(tets[start]) - {i, j})
+    order = [start]
+    while True:
+        (t, current), = [(t, other) for t, other in flank[current] if t != order[-1]]
+        if t == start:
+            break
+        order.append(t)
+    if len(order) != len(incident):
+        raise DecompositionError(
+            f"star of interior edge {edge} splits into several cycles"
+        )
+    return tuple(order)
+
+
+def _chained_flanks(tets, edge, order):
+    """The flank vertex each tetrahedron of a cycle shares with the next,
+    by intersecting their vertex sets."""
+    link = []
+    for a, b in zip(order, order[1:] + order[:1]):
+        shared = (set(tets[a]) & set(tets[b])) - set(edge)
+        assert len(shared) == 1
+        link.append(shared.pop())
+    return tuple(link)
+
+
+def _oracle_star(tets, edge):
+    """(order, flanks) of the scan oracle, or the message it raises."""
+    try:
+        order = _incident_cycle(tets, edge)
+    except DecompositionError as exc:
+        return str(exc)
+    return order, _chained_flanks(tets, edge, order)
+
+
+def _table_star(d, k):
+    try:
+        return d._star(k)
+    except DecompositionError as exc:
+        return str(exc)
+
+
+def _star_pool():
+    """(vertices, tetrahedra, interior edges, surface) of the icosahedron's
+    star, hull stars and axis decompositions, then broken copies of them:
+    a tetrahedron dropped, duplicated or given a wrong vertex."""
+    rng = np.random.default_rng(418)
+    decompositions = [decompose_star(icosahedron(), 0)]
+    decompositions += [decompose_star(random_convex_hull_surface(rng, n), int(rng.integers(n)))
+                       for n in (*range(8, 40), 50, 64, 80, 100, 128, 160, 200)]
+    decompositions += [axis_decomposition(star_suspension(rng, 4 + k % 8, require_reflex=True))
+                       for k in range(12)]
+    decompositions += [axis_decomposition(convex_suspension(rng, 3 + k)) for k in range(10)]
+    pool = [(d.vertices, d.tetrahedra, d.interior_edges, d.surface) for d in decompositions]
+    for d in decompositions[:20] + decompositions[-22:]:
+        tets = list(d.tetrahedra)
+        for _ in range(3):
+            k = int(rng.integers(len(tets)))
+            wrong = list(tets[k])
+            wrong[int(rng.integers(4))] = int(rng.choice(
+                [v for v in range(len(d.vertices)) if v not in tets[k]]))
+            for broken in (tets[:k] + tets[k + 1:], tets + [tets[k]],
+                           tets[:k] + [tuple(wrong)] + tets[k + 1:]):
+                pool += [(d.vertices, broken, d.interior_edges, s) for s in (None, d.surface)]
+    # a lone tetrahedron, and two rings of tetrahedra around one axis
+    pool.append((octahedron().vertices, [(0, 1, 2, 3)], [(0, 1)], None))
+    az = np.arange(8) * np.pi / 4
+    ring = np.stack([np.cos(az), np.sin(az), 0.3 * (-1.0) ** np.arange(8)], axis=1)
+    points = np.vstack([[0, 0, 1.0], [0, 0, -1.0], ring])
+    rings = [(0, 1, 2 + 2 * k, 2 + 2 * ((k + 1) % 4)) for k in range(4)]
+    rings += [(0, 1, 3 + 2 * k, 3 + 2 * ((k + 1) % 4)) for k in range(4)]
+    pool.append((points, rings, [(0, 1)], None))
+    return pool
+
+
+def test_the_table_walk_matches_the_per_edge_scan():
+    """The star walk over the edge and face-owner tables finds the scan
+    oracle's tetrahedron cycle and flank order, and raises its first
+    DecompositionError message, with closed_stars set both ways."""
+    kinds = ("need >= 2", "does not close up", "several cycles")
+    seen = set()
+    for vertices, tets, interior, surface in _star_pool():
+        try:
+            d = Decomposition(vertices, tets, interior, surface=surface, closed_stars=False)
+        except DecompositionError as exc:
+            with pytest.raises(DecompositionError, match=f"^{re.escape(str(exc))}$"):
+                Decomposition(vertices, tets, interior, surface=surface)
+            continue
+        expected = [_oracle_star(d.tetrahedra, e) for e in d.interior_edges]
+        assert [_table_star(d, k) for k in range(d.r)] == expected
+        first = next((e for e in expected if isinstance(e, str)), None)
+        seen.add(next((kind for kind in kinds if kind in first), None) if first else None)
+        if first is None:
+            Decomposition(vertices, tets, interior, surface=surface)
+        else:
+            with pytest.raises(DecompositionError, match=f"^{re.escape(first)}$"):
+                Decomposition(vertices, tets, interior, surface=surface)
+    assert seen == {None, *kinds}
+
+
+def test_the_decomposition_checks_read_its_geom_tol():
+    """A tetrahedron of volume about 1e-6 diam**3 passes the default
+    degeneracy check and fails it at geom_tol = 1e-4."""
+    pts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 6e-6 * 2**1.5]])
+    volume = abs(np.linalg.det(pts[1:] - pts[0])) / 6.0
+    assert volume == pytest.approx(1e-6 * np.sqrt(2) ** 3)
+    assert Decomposition(pts, [(0, 1, 2, 3)], []).r == 0
+    with pytest.raises(DecompositionError, match=r"tetrahedron 0 = \(0, 1, 2, 3\) is degenerate"):
+        Decomposition(pts, [(0, 1, 2, 3)], [], tol=Tolerances(geom_tol=1e-4))
 
 
 def test_boundary_edges_must_match_surface():
