@@ -322,7 +322,7 @@ def cmd_probe_pd(args):
     for k, ce in enumerate(report.counterexamples):
         fileio.save(
             os.path.join(args.out, f"counterexample_{k}.json"),
-            Decomposition(ce["vertices"], ce["tetrahedra"], ce["interior_edges"], tol=tol),
+            Decomposition(ce["vertices"], ce["tetrahedra"], tol=tol),
             metadata={"trial": ce["trial"]},
         )
     s = payload["summary"]

@@ -21,7 +21,7 @@ import numpy as np
 
 from .frameworks import EdgeKind, Framework
 from .geometry import DEFAULT_TOL, GeometryError, PolyhedralSurface, Tolerances
-from .hessian import Decomposition, DecompositionError, _interior_edges
+from .hessian import Decomposition, DecompositionError
 from .suspensions import Suspension, SuspensionError, build_suspension
 
 VERSION = 1
@@ -181,13 +181,16 @@ def from_document(doc, tol: Tolerances = DEFAULT_TOL):
             raise FileFormatError(f"/poles: {exc}") from None
     decomposition = None
     if "tetrahedra" in doc:
-        # the edge list is the boundary: a surface's edges equal it (checked above)
-        tets = doc["tetrahedra"]
-        interior = _interior_edges(tets, framework.edge_pairs)
         try:
-            decomposition = Decomposition(vertices, tets, interior, surface=surface, tol=tol)
+            decomposition = Decomposition(vertices, doc["tetrahedra"], surface=surface, tol=tol)
         except DecompositionError as exc:
             raise FileFormatError(f"/tetrahedra: {exc}") from None
+        edges, boundary = set(framework.edge_pairs), set(decomposition.boundary_edges)
+        if edges != boundary:
+            raise FileFormatError(
+                "/edges: the edges must be the tetrahedra's boundary edges: "
+                f"extra {sorted(edges - boundary)}, missing {sorted(boundary - edges)}"
+            )
     return LoadedInstance(doc, framework, surface, suspension, decomposition)
 
 

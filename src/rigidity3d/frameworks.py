@@ -55,14 +55,14 @@ class EdgeKind(Enum):
         return cls(str(value).lower())
 
 
-@dataclass
+@dataclass(eq=False)
 class Framework:
     """Tensegrity framework: points plus edges labeled bar/cable/strut.
 
     Edges may be given as (i, j) pairs (labeled bars) or (i, j, kind)
     triples; they are stored with i < j, in the given order.  The
     tolerances are kept for the frameworks `with_edge` and `without_edge`
-    build.
+    build.  Equality is identity.
     """
 
     vertices: np.ndarray

@@ -125,7 +125,7 @@ def unit(v):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class PolyhedralSurface:
     """Closed oriented triangulated surface.
 
@@ -135,6 +135,7 @@ class PolyhedralSurface:
     v - e + f = 2 and 2e = 3f, no repeated index inside a face, and no
     two vertices coincide within tolerance.  Faces are flipped as a block
     if the signed volume comes out negative, so normals point outward.
+    Equality is identity.
     """
 
     vertices: np.ndarray
@@ -591,6 +592,8 @@ def hemisphere_witness(directions, tol: Tolerances = DEFAULT_TOL):
     if isinstance(directions, SphericalPolygon):
         directions = directions.vertices
     directions = np.asarray(directions, dtype=float)
+    if not len(directions):
+        raise GeometryError("hemisphere_witness needs at least one direction")
     # variables: u(3), delta; maximize delta s.t. u.p_i >= delta
     c_obj = np.array([0.0, 0.0, 0.0, -1.0])
     a_ub = np.hstack([-directions, np.ones((len(directions), 1))])

@@ -166,28 +166,20 @@ def schlafli_residual(lengths, direction):
 # ---------------------------------------------------------------------------
 
 
-def _tetra_edges(tets):
-    """The six edges of each tetrahedron as sorted pairs, in TETRA_EDGE_ORDER."""
-    return [[tuple(sorted((t[a], t[b]))) for a, b in TETRA_EDGE_ORDER] for t in tets]
-
-
-def _interior_edges(tets, boundary_edges):
-    """The edges of the tetrahedra that are not boundary edges, sorted."""
-    return sorted(set().union(*_tetra_edges(tets)) - set(boundary_edges))
-
-
-@dataclass
+@dataclass(eq=False)
 class Decomposition:
     """Tetrahedralization of a polyhedron without added vertices.
 
-    The edge set of the tetrahedra splits exactly into boundary edges
-    (edges of the boundary surface, lengths pinned) and interior edges
-    e_1..e_r (the coordinates of the cone-angle map).  Unless
-    closed_stars=False, every interior edge must be surrounded by a
-    closed cycle of tetrahedra, so its total angle is well defined and
-    equals 2*pi at the embedded lengths; the stars are read from the edge
-    and face-owner tables.  `tol` is kept: the checks run at its geom_tol,
-    and lambda assemblies check Cayley-Menger feasibility at it.
+    A face of exactly one tetrahedron is a boundary face.  The boundary
+    edges (lengths pinned) are the edges of the boundary faces; the
+    interior edges e_1..e_r (the coordinates of the cone-angle map) are
+    all other edges of the tetrahedra, sorted.  Every face through an
+    interior edge is shared by two tetrahedra, so the tetrahedra around it
+    close up; they must form one cycle, so its total angle is well defined
+    and equals 2*pi at the embedded lengths.  With a surface, the boundary
+    faces must be exactly its faces.  `tol` is kept: the checks run at its
+    geom_tol, and lambda assemblies check Cayley-Menger feasibility at it.
+    Equality is identity.
     """
 
     vertices: np.ndarray
@@ -197,20 +189,9 @@ class Decomposition:
     surface: object = None
     tol: Tolerances = DEFAULT_TOL
 
-    def __init__(
-        self,
-        vertices,
-        tetrahedra,
-        interior_edges,
-        surface=None,
-        closed_stars=True,
-        tol: Tolerances = DEFAULT_TOL,
-    ):
+    def __init__(self, vertices, tetrahedra, *, surface=None, tol: Tolerances = DEFAULT_TOL):
         vertices = as_points(vertices)
         tets = tuple(tuple(int(v) for v in t) for t in tetrahedra)
-        interior = tuple(tuple(sorted(int(v) for v in e)) for e in interior_edges)
-        if len(set(interior)) != len(interior):
-            raise DecompositionError("duplicate interior edge")
         if surface is None:
             diam = diameter(vertices)
         elif np.array_equal(surface.vertices, vertices):
@@ -227,22 +208,7 @@ class Decomposition:
         if degenerate.size:
             t_idx = int(degenerate[0])
             raise DecompositionError(f"tetrahedron {t_idx} = {tets[t_idx]} is degenerate")
-
-        tet_edges = _tetra_edges(tets)
-        all_edges = set().union(*tet_edges)
-        missing = set(interior) - all_edges
-        if missing:
-            raise DecompositionError(f"interior edges {sorted(missing)} not in any tetrahedron")
-        boundary = tuple(sorted(all_edges - set(interior)))
-
         if surface is not None:
-            surf_edges = set(surface.edges)
-            if set(boundary) != surf_edges:
-                raise DecompositionError(
-                    "boundary edges do not match the surface edge set: "
-                    f"extra {sorted(set(boundary) - surf_edges)}, "
-                    f"missing {sorted(surf_edges - set(boundary))}"
-                )
             total = float(volumes.sum())
             if abs(total - abs(surface.signed_volume)) > tol.geom_tol * diam**3:
                 raise DecompositionError(
@@ -251,6 +217,15 @@ class Decomposition:
                 )
 
         self._face_owners = self._check_face_gluing(vertices, tets, surface)
+        boundary = {
+            edge
+            for (a, b, c), owners in self._face_owners.items()
+            if len(owners) == 1
+            for edge in ((a, b), (a, c), (b, c))
+        }
+        tet_edges = [[tuple(sorted((t[a], t[b]))) for a, b in TETRA_EDGE_ORDER] for t in tets]
+        interior = tuple(sorted(set().union(*tet_edges) - boundary))
+        boundary = tuple(sorted(boundary))
         vertices.flags.writeable = False
         self.vertices = vertices
         self.tetrahedra = tets
@@ -267,17 +242,18 @@ class Decomposition:
         ends = np.array(interior + boundary, dtype=int).reshape(-1, 2)
         self._edge_lengths = np.linalg.norm(vertices[ends[:, 0]] - vertices[ends[:, 1]], axis=1)
         self._edge_lengths.flags.writeable = False
-        if closed_stars:
-            for k in range(self.r):
-                self._star(k)
+        for k in range(self.r):
+            self._star(k)
 
     @staticmethod
     def _check_face_gluing(vertices, tets, surface):
         """Each face is shared by at most two tetrahedra, which must then
         lie on opposite sides of it (local non-overlap); a face of one
         tetrahedron only must be a surface face.  The first offending face,
-        in order of first appearance, raises.  Returns the face-owner
-        table: sorted face -> [(tetrahedron, vertex opposite the face)]."""
+        in order of first appearance, raises.  With a surface, its faces
+        must then be exactly the faces of one tetrahedron.  Returns the
+        face-owner table: sorted face -> [(tetrahedron, vertex opposite
+        the face)]."""
         face_owners = {}
         for t_idx, tet in enumerate(tets):
             for skip in range(4):
@@ -297,7 +273,7 @@ class Decomposition:
             offending[shared] = sides[:, 0] * sides[:, 1] >= 0.0
         if surface is not None:
             surf_faces = set(map(tuple, np.sort(surface.faces, axis=1).tolist()))
-            offending |= (counts == 1) & np.array([f not in surf_faces for f in faces])
+            offending |= (counts == 1) & np.array([f not in surf_faces for f in faces], dtype=bool)
 
         if offending.any():
             face = faces[int(np.argmax(offending))]
@@ -312,6 +288,12 @@ class Decomposition:
             raise DecompositionError(
                 f"face {face} borders one tetrahedron but is not a surface face"
             )
+        if surface is not None:
+            missing = surf_faces - {f for f, c in zip(faces, counts) if c == 1}
+            if missing:
+                raise DecompositionError(
+                    f"surface faces {sorted(missing)} are not faces of exactly one tetrahedron"
+                )
         return face_owners
 
     @cached_property
@@ -327,23 +309,16 @@ class Decomposition:
     def _star(self, k):
         """Interior edge k's tetrahedra in gluing order, and the flank vertex
         each shares with the next, walked over the face-owner table in time
-        of the star's size.  Raises unless the star is one closed cycle."""
+        of the star's size.  Each face (i, j, x) of the star has two owners,
+        so the walk closes up; raises unless it meets every tetrahedron of
+        the star (one cycle)."""
         edge = i, j = self.interior_edges[k]
         incident = self._incident[k]
-        if len(incident) < 2:
-            raise DecompositionError(
-                f"interior edge {edge} lies in {len(incident)} tetrahedra; need >= 2"
-            )
-        # the owners of each face (i, j, x) of the star, by flank vertex x
-        flanks = {x for t in incident for x in self.tetrahedra[t]} - {i, j}
-        owners = {x: self._face_owners[tuple(sorted((i, j, x)))] for x in flanks}
-        if any(len(o) != 2 for o in owners.values()):
-            raise DecompositionError(f"star of interior edge {edge} does not close up")
         # leave each tetrahedron by the face it was not entered through
         start = t = incident[0]
         order, link = [start], [max(set(self.tetrahedra[start]) - {i, j})]
         while True:
-            (a, x), (b, y) = owners[link[-1]]
+            (a, x), (b, y) = self._face_owners[tuple(sorted((i, j, link[-1])))]
             t, x = (b, y) if a == t else (a, x)
             if t == start:
                 break
@@ -391,7 +366,6 @@ def decompose_star(surface, apex, tol: Tolerances = DEFAULT_TOL):
 
     One tetrahedron per face not containing the apex; fails (listing the
     blocked faces) when some face is not fully visible from the apex.
-    Interior edges are the cone edges that are not surface edges.
     """
     apex = int(apex)
     p = surface.vertices
@@ -405,7 +379,7 @@ def decompose_star(surface, apex, tol: Tolerances = DEFAULT_TOL):
             f"blocked faces: {list(map(tuple, faces[blocked].tolist()))}"
         )
     tets = [(apex, a, b, c) for a, b, c in faces[cone].tolist()]
-    return Decomposition(p, tets, _interior_edges(tets, surface.edges), surface=surface, tol=tol)
+    return Decomposition(p, tets, surface=surface, tol=tol)
 
 
 # ---------------------------------------------------------------------------

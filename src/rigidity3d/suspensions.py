@@ -45,7 +45,7 @@ from .geometry import (
     is_weakly_convex,
     normalize_pole_frame,
 )
-from .hessian import Decomposition, DecompositionError
+from .hessian import Decomposition
 from .shapes import NORTH, SOUTH, bipyramid_faces
 
 logger = logging.getLogger(__name__)
@@ -257,7 +257,7 @@ def axis_decomposition(s: Suspension, tol: Tolerances = DEFAULT_TOL):
     tets = [
         (NORTH, SOUTH, s.equator_index(k), s.equator_index(k + 1)) for k in range(s.n)
     ]
-    return Decomposition(s.vertices, tets, [NS_EDGE], surface=s.surface, tol=tol)
+    return Decomposition(s.vertices, tets, surface=s.surface, tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -623,10 +623,7 @@ def interior_edge_star(d: Decomposition, tol: Tolerances = DEFAULT_TOL):
     the cycle of flank vertices."""
     if d.r != 1:
         raise SuspensionError(f"decomposition has {d.r} interior edges; need exactly one")
-    try:
-        _, link = d._star(0)
-    except DecompositionError as exc:
-        raise SuspensionError(str(exc)) from exc
+    _, link = d._star(0)
     north, south = d.interior_edges[0]
     return build_suspension(d.vertices[north], d.vertices[south], d.vertices[list(link)], tol)
 

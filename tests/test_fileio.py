@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.random import default_rng
 
-from rigidity3d import fileio, generators, shapes, suspensions
+from rigidity3d import fileio, generators, hessian, shapes, suspensions
 from rigidity3d.fileio import FileFormatError
 from rigidity3d.frameworks import EdgeKind, Framework
 
@@ -174,6 +174,29 @@ def test_face_edges_must_match_edge_list():
     doc["edges"].append({"i": 0, "j": 1, "kind": "bar"})
     with pytest.raises(FileFormatError, match="do not match"):
         fileio.from_document(doc)
+
+
+def _star_doc_without_faces():
+    """The octahedron's star from its north pole as a document with no
+    faces: its edges alone name the boundary."""
+    doc = fileio.to_document(hessian.decompose_star(shapes.octahedron(), 0))
+    del doc["faces"]
+    return json.loads(json.dumps(doc))
+
+
+def test_decomposition_edges_must_be_its_boundary():
+    """Listing the star's axis [N, S] as an edge, or leaving out a surface
+    edge, is refused at /edges: the tetrahedra fix which edges bound."""
+    doc = _star_doc_without_faces()
+    assert fileio.from_document(doc).decomposition.interior_edges == ((0, 1),)
+    doc["edges"].append({"i": 0, "j": 1, "kind": "bar"})
+    with pytest.raises(FileFormatError, match=r"^/edges: .*extra \[\(0, 1\)\], missing \[\]$"):
+        fileio.from_document(doc)
+    doc = _star_doc_without_faces()
+    dropped = doc["edges"].pop(0)
+    with pytest.raises(FileFormatError, match=r"^/edges: .*extra \[\], missing \[\(0, 2\)\]$"):
+        fileio.from_document(doc)
+    assert (dropped["i"], dropped["j"]) == (0, 2)
 
 
 def test_inconsistent_faces_rejected_with_pointer():

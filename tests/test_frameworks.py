@@ -82,6 +82,12 @@ def suspension_tensegrity(n_eq=4, rng=None):
 # ---------------------------------------------------------------------------
 
 
+def test_framework_equality_is_identity():
+    fw = Framework.from_surface(octahedron())
+    assert fw == fw and fw != Framework.from_surface(octahedron())
+    assert len({fw, fw}) == 1
+
+
 def test_framework_rejects_bad_edges():
     pts = np.eye(3)
     with pytest.raises(FrameworkError, match="duplicate"):

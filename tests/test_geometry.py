@@ -82,6 +82,12 @@ def test_surface_counts():
         assert surf.signed_volume > 0.0
 
 
+def test_surface_equality_is_identity():
+    surf = octahedron()
+    assert surf == surf and surf != octahedron()
+    assert len({surf, surf}) == 1
+
+
 def test_surface_rejects_open_surface():
     base = octahedron()
     with pytest.raises(GeometryError, match="only one face"):
@@ -695,6 +701,12 @@ def test_convex_vertex_link_has_hemisphere_witness():
 def test_no_hemisphere_witness_for_full_sphere():
     dirs = np.vstack([np.eye(3), -np.eye(3)])
     assert hemisphere_witness(dirs) is None
+
+
+def test_hemisphere_witness_refuses_an_empty_direction_set():
+    """No directions is an input error, raised before any LP is solved."""
+    with pytest.raises(GeometryError, match="at least one direction"):
+        hemisphere_witness(np.zeros((0, 3)))
 
 
 def test_link_of_minimal_vertex():

@@ -9,6 +9,7 @@ from rigidity3d.cauchy import CauchyError, dihedral_rates
 from rigidity3d.frameworks import Framework, Motion, is_infinitesimally_rigid
 from rigidity3d.generators import (
     convex_suspension,
+    dented_hull_star,
     flexible_suspension_fixture,
     probe_decomposition,
     random_convex_hull_surface,
@@ -16,6 +17,7 @@ from rigidity3d.generators import (
 )
 from rigidity3d.geometry import (
     DEFAULT_TOL,
+    TETRA_EDGE_ORDER,
     InvariantError,
     PolyhedralSurface,
     Tolerances,
@@ -205,22 +207,23 @@ def test_decomposition_validation():
     base = octahedron()
     good = [(0, 1, 3, 2), (0, 1, 4, 3), (0, 1, 5, 4), (0, 1, 2, 5)]
 
-    with pytest.raises(DecompositionError, match="duplicate interior edge"):
-        Decomposition(base.vertices, good, [(0, 1), (1, 0)])
-    with pytest.raises(DecompositionError, match="not in any tetrahedron"):
-        Decomposition(base.vertices, good, [(2, 4)])
+    with pytest.raises(TypeError):
+        Decomposition(base.vertices, good, [(0, 1)])  # interior edges are derived
     with pytest.raises(DecompositionError, match="same side"):
-        Decomposition(base.vertices, [(0, 2, 3, 1), (0, 2, 3, 4)], [])
+        Decomposition(base.vertices, [(0, 2, 3, 1), (0, 2, 3, 4)])
     with pytest.raises(DecompositionError, match="degenerate"):
         # both poles plus two opposite equator vertices are coplanar
-        Decomposition(base.vertices, [(0, 1, 2, 4)], [])
-    # open star around a declared interior edge
-    with pytest.raises(DecompositionError, match="close up"):
-        Decomposition(base.vertices, [(0, 1, 2, 3), (0, 1, 3, 4)], [(0, 1)])
-    # same tetrahedra are fine when the stars are not required to close
-    d = Decomposition(base.vertices, [(0, 1, 2, 3), (0, 1, 3, 4)], [(0, 1)],
-                      closed_stars=False)
-    assert d.r == 1
+        Decomposition(base.vertices, [(0, 1, 2, 4)])
+    # an open star: [N, S] lies on faces of one tetrahedron, so it is a boundary edge
+    d = Decomposition(base.vertices, [(0, 1, 2, 3), (0, 1, 3, 4)])
+    assert d.r == 0 and (0, 1) in d.boundary_edges
+    assert Decomposition(base.vertices, good).interior_edges == ((0, 1),)
+
+
+def test_decomposition_equality_is_identity():
+    d = decompose_star(octahedron(), 0)
+    assert d == d and d != decompose_star(octahedron(), 0)
+    assert len({d, d}) == 1
 
 
 def _per_face_gluing_error(vertices, tets, surface):
@@ -292,12 +295,7 @@ def _incident_cycle(tets, edge):
             incident.append(t_idx)
             flank.setdefault(c, []).append((t_idx, d))
             flank.setdefault(d, []).append((t_idx, c))
-    if len(incident) < 2:
-        raise DecompositionError(
-            f"interior edge {edge} lies in {len(incident)} tetrahedra; need >= 2"
-        )
-    if any(len(v) != 2 for v in flank.values()):
-        raise DecompositionError(f"star of interior edge {edge} does not close up")
+    assert len(incident) >= 2 and all(len(v) == 2 for v in flank.values())
     start = incident[0]
     _, current = sorted(set(tets[start]) - {i, j})
     order = [start]
@@ -341,9 +339,10 @@ def _table_star(d, k):
 
 
 def _star_pool():
-    """(vertices, tetrahedra, interior edges, surface) of the icosahedron's
-    star, hull stars and axis decompositions, then broken copies of them:
-    a tetrahedron dropped, duplicated or given a wrong vertex."""
+    """(vertices, tetrahedra, surface) of the icosahedron's star, hull stars
+    and axis decompositions, then of broken copies of them: a tetrahedron
+    dropped, duplicated or given a wrong vertex.  Returns the valid entries
+    and the others, two lists."""
     rng = np.random.default_rng(418)
     decompositions = [decompose_star(icosahedron(), 0)]
     decompositions += [decompose_star(random_convex_hull_surface(rng, n), int(rng.integers(n)))
@@ -351,7 +350,8 @@ def _star_pool():
     decompositions += [axis_decomposition(star_suspension(rng, 4 + k % 8, require_reflex=True))
                        for k in range(12)]
     decompositions += [axis_decomposition(convex_suspension(rng, 3 + k)) for k in range(10)]
-    pool = [(d.vertices, d.tetrahedra, d.interior_edges, d.surface) for d in decompositions]
+    valid = [(d.vertices, d.tetrahedra, d.surface) for d in decompositions]
+    pool = []
     for d in decompositions[:20] + decompositions[-22:]:
         tets = list(d.tetrahedra)
         for _ in range(3):
@@ -361,41 +361,105 @@ def _star_pool():
                 [v for v in range(len(d.vertices)) if v not in tets[k]]))
             for broken in (tets[:k] + tets[k + 1:], tets + [tets[k]],
                            tets[:k] + [tuple(wrong)] + tets[k + 1:]):
-                pool += [(d.vertices, broken, d.interior_edges, s) for s in (None, d.surface)]
+                pool += [(d.vertices, broken, s) for s in (None, d.surface)]
     # a lone tetrahedron, and two rings of tetrahedra around one axis
-    pool.append((octahedron().vertices, [(0, 1, 2, 3)], [(0, 1)], None))
+    pool.append((octahedron().vertices, [(0, 1, 2, 3)], None))
     az = np.arange(8) * np.pi / 4
     ring = np.stack([np.cos(az), np.sin(az), 0.3 * (-1.0) ** np.arange(8)], axis=1)
     points = np.vstack([[0, 0, 1.0], [0, 0, -1.0], ring])
     rings = [(0, 1, 2 + 2 * k, 2 + 2 * ((k + 1) % 4)) for k in range(4)]
     rings += [(0, 1, 3 + 2 * k, 3 + 2 * ((k + 1) % 4)) for k in range(4)]
-    pool.append((points, rings, [(0, 1)], None))
-    return pool
+    pool.append((points, rings, None))
+    return valid, pool
+
+
+def _scanned_interior_edges(tets):
+    """The edges of the tetrahedra every face through which is a face of
+    two tetrahedra, found by scanning all tetrahedra once per edge."""
+    tets = [tuple(int(v) for v in t) for t in tets]
+    edges = sorted({tuple(sorted((t[a], t[b]))) for t in tets for a, b in TETRA_PAIRS})
+    interior = []
+    for i, j in edges:
+        flanks = [x for t in tets if i in t and j in t for x in t if x not in (i, j)]
+        if all(flanks.count(x) == 2 for x in flanks):
+            interior.append((i, j))
+    return interior
 
 
 def test_the_table_walk_matches_the_per_edge_scan():
-    """The star walk over the edge and face-owner tables finds the scan
-    oracle's tetrahedron cycle and flank order, and raises its first
-    DecompositionError message, with closed_stars set both ways."""
-    kinds = ("need >= 2", "does not close up", "several cycles")
+    """On every decomposition the constructor accepts up to its star walk,
+    the interior edges are the per-edge scan's, and the walk over the edge
+    and face-owner tables finds the scan oracle's tetrahedron cycle and
+    flank order, or raises its first DecompositionError message.  Only the
+    several-cycles raise is reachable: a derived interior edge's star
+    always closes up."""
     seen = set()
-    for vertices, tets, interior, surface in _star_pool():
+    valid, others = _star_pool()
+    for vertices, tets, surface in valid + others:
         try:
-            d = Decomposition(vertices, tets, interior, surface=surface, closed_stars=False)
+            d = Decomposition(vertices, tets, surface=surface)
         except DecompositionError as exc:
-            with pytest.raises(DecompositionError, match=f"^{re.escape(str(exc))}$"):
-                Decomposition(vertices, tets, interior, surface=surface)
+            if "several cycles" not in str(exc):
+                continue  # refused before the star walk
+            expected = [_oracle_star(tets, e) for e in _scanned_interior_edges(tets)]
+            assert str(exc) == next(e for e in expected if isinstance(e, str))
+            seen.add("several cycles")
             continue
+        assert list(d.interior_edges) == _scanned_interior_edges(tets)
         expected = [_oracle_star(d.tetrahedra, e) for e in d.interior_edges]
         assert [_table_star(d, k) for k in range(d.r)] == expected
-        first = next((e for e in expected if isinstance(e, str)), None)
-        seen.add(next((kind for kind in kinds if kind in first), None) if first else None)
-        if first is None:
-            Decomposition(vertices, tets, interior, surface=surface)
-        else:
-            with pytest.raises(DecompositionError, match=f"^{re.escape(first)}$"):
-                Decomposition(vertices, tets, interior, surface=surface)
-    assert seen == {None, *kinds}
+        seen.add(None)
+    assert seen == {None, "several cycles"}
+
+
+def _surface_split(d):
+    """The interior and boundary edges by subtracting the surface's edges
+    from the tetrahedra's: the rule the derivation replaces."""
+    edges = {tuple(sorted((t[a], t[b]))) for t in d.tetrahedra for a, b in TETRA_PAIRS}
+    return tuple(sorted(edges - set(d.surface.edges))), tuple(sorted(d.surface.edges))
+
+
+def _oracle_lambda(d, interior, boundary):
+    """The (T, 6) tetrahedron edge lengths and lambda at the embedded
+    lengths, assembled under the given edge numbering (interior edges
+    first) with the same kernel and summation order as the library."""
+    number = {e: k for k, e in enumerate(interior + boundary)}
+    index = np.array([[number[tuple(sorted((t[a], t[b])))] for a, b in TETRA_PAIRS]
+                      for t in d.tetrahedra])
+    ends = np.array(interior + boundary)
+    lengths = np.linalg.norm(d.vertices[ends[:, 0]] - d.vertices[ends[:, 1]], axis=1)
+    _, jac = tetra_angles_and_jacobian(lengths[index], d.tol)
+    rows = np.broadcast_to(index[:, :, None], jac.shape)
+    cols = np.broadcast_to(index[:, None, :], jac.shape)
+    keep = (rows < len(interior)) & (cols < len(interior))
+    lam = np.zeros((len(interior), len(interior)))
+    np.add.at(lam, (rows[keep], cols[keep]), jac[keep])
+    return lengths[index], lam
+
+
+def test_the_derived_split_matches_the_surface_edge_rule():
+    """Interior edges derived from the face-owner table are the
+    tetrahedra's edges minus the surface's, and the boundary edges are the
+    surface's, on the valid decompositions of the star pool and on 40
+    dented-hull stars.  The tetrahedron lengths and lambda under that
+    numbering are bit-identical; lambda is compared where the library
+    assembles it (one n = 128 hull star has a sliver its margin refuses)."""
+    rng = np.random.default_rng(19)
+    pool = [Decomposition(v, t, surface=s) for v, t, s in _star_pool()[0]]
+    pool += [dented_hull_star(rng, int(rng.integers(8, 15))) for _ in range(40)]
+    refused = 0
+    for d in pool:
+        interior, boundary = _surface_split(d)
+        assert (d.interior_edges, d.boundary_edges) == (interior, boundary)
+        lengths, lam = _oracle_lambda(d, interior, boundary)
+        assert np.array_equal(d._lengths(), lengths)
+        try:
+            matrix = lambda_matrix(d).matrix
+        except DecompositionError:
+            refused += 1
+            continue
+        assert np.array_equal(matrix, lam)
+    assert refused == 1
 
 
 def test_the_decomposition_checks_read_its_geom_tol():
@@ -404,37 +468,32 @@ def test_the_decomposition_checks_read_its_geom_tol():
     pts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 6e-6 * 2**1.5]])
     volume = abs(np.linalg.det(pts[1:] - pts[0])) / 6.0
     assert volume == pytest.approx(1e-6 * np.sqrt(2) ** 3)
-    assert Decomposition(pts, [(0, 1, 2, 3)], []).r == 0
+    assert Decomposition(pts, [(0, 1, 2, 3)]).r == 0
     with pytest.raises(DecompositionError, match=r"tetrahedron 0 = \(0, 1, 2, 3\) is degenerate"):
-        Decomposition(pts, [(0, 1, 2, 3)], [], tol=Tolerances(geom_tol=1e-4))
+        Decomposition(pts, [(0, 1, 2, 3)], tol=Tolerances(geom_tol=1e-4))
 
 
 def test_boundary_edges_must_match_surface():
+    """The faces of one tetrahedron must be exactly the surface's faces:
+    the octahedron's star does not bound the dented octahedron, and no
+    tetrahedra bound no surface."""
     base = octahedron()
     tets = [(0, 1, 3, 2), (0, 1, 4, 3), (0, 1, 5, 4), (0, 1, 2, 5)]
-    with pytest.raises(DecompositionError, match="boundary edges"):
-        # forgetting to declare [N, S] interior leaves a non-surface edge
-        Decomposition(base.vertices, tets, [], surface=base)
-
-
-def test_an_interior_surface_edge_is_missing_from_the_boundary():
-    """Declaring a surface edge interior takes it out of the boundary, so
-    the boundary check names it as missing."""
-    base = octahedron()
-    tets = [(0, 1, 3, 2), (0, 1, 4, 3), (0, 1, 5, 4), (0, 1, 2, 5)]
-    assert (0, 2) in base.edges
-    with pytest.raises(DecompositionError) as exc:
-        Decomposition(base.vertices, tets, [(0, 1), (0, 2)], surface=base)
-    assert str(exc.value) == (
-        "boundary edges do not match the surface edge set: extra [], missing [(0, 2)]")
+    dented = dented_octahedron()
+    with pytest.raises(DecompositionError,
+                       match=r"^face \(1, 2, 3\) borders one tetrahedron but is not a surface"):
+        Decomposition._check_face_gluing(dented.vertices, tets, dented)
+    with pytest.raises(DecompositionError,
+                       match=r"^surface faces \[\(0, 2, 3\), .* are not faces of exactly one"):
+        Decomposition._check_face_gluing(base.vertices, [], base)
 
 
 def test_overlapping_tetrahedra_fail_volume_audit():
     """A duplicated wedge makes the volumes disagree with the surface."""
     base = octahedron()
     tets = [(0, 1, 3, 2), (0, 1, 4, 3), (0, 1, 5, 4), (0, 1, 2, 5), (0, 2, 4, 3)]
-    with pytest.raises(DecompositionError):
-        Decomposition(base.vertices, tets, [(0, 1), (2, 4)], surface=base)
+    with pytest.raises(DecompositionError, match="overlap or gap"):
+        Decomposition(base.vertices, tets, surface=base)
 
 
 # ---------------------------------------------------------------------------
@@ -465,11 +524,13 @@ def test_cone_angles_stretched_vs_embedding_oracle():
 
 
 def test_cone_angle_of_single_tet_star():
-    """A lone tetrahedron with one edge declared interior: theta is just
-    that dihedral angle."""
+    """The star of one tetrahedron around an edge collects that edge's
+    dihedral angle alone: arccos(1/3) at every edge of the regular
+    tetrahedron."""
     t = tetrahedron()
-    d = Decomposition(t.vertices, [(0, 1, 2, 3)], [(0, 1)], closed_stars=False)
-    assert cone_angles(d)[0] == pytest.approx(np.arccos(1 / 3), abs=1e-12)
+    lengths = [np.linalg.norm(t.vertices[a] - t.vertices[b]) for a, b in TETRA_EDGE_ORDER]
+    angles, _ = tetra_angles_and_jacobian(lengths)
+    assert angles == pytest.approx(np.full(6, np.arccos(1 / 3)), abs=1e-12)
 
 
 def test_decomposition_vertices_must_be_the_surfaces():
@@ -477,9 +538,9 @@ def test_decomposition_vertices_must_be_the_surfaces():
     decomposition's."""
     base = octahedron()
     tets = [(0, 1, 3, 2), (0, 1, 4, 3), (0, 1, 5, 4), (0, 1, 2, 5)]
-    assert Decomposition(base.vertices, tets, [(0, 1)], surface=base).r == 1
+    assert Decomposition(base.vertices, tets, surface=base).r == 1
     with pytest.raises(DecompositionError, match="vertices differ"):
-        Decomposition(2.0 * base.vertices, tets, [(0, 1)], surface=base)
+        Decomposition(2.0 * base.vertices, tets, surface=base)
 
 
 def test_cone_angles_reject_infeasible_lengths():

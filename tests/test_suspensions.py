@@ -38,7 +38,7 @@ from rigidity3d.geometry import (
     transform_points,
     unit,
 )
-from rigidity3d.hessian import Decomposition, cone_angles, lambda_matrix
+from rigidity3d.hessian import cone_angles, lambda_matrix
 from rigidity3d.shapes import NORTH, SOUTH, octahedron
 from rigidity3d.suspensions import (
     NS_EDGE,
@@ -824,15 +824,6 @@ def test_interior_edge_star_requires_single_interior_edge():
 
     with pytest.raises(SuspensionError, match="need exactly one"):
         interior_edge_star(decompose_star(tetrahedron(), 0))
-
-
-def test_interior_edge_star_rejects_open_cycle():
-    base = octahedron()
-    d = Decomposition(
-        base.vertices, [(0, 1, 2, 3), (0, 1, 3, 4)], [(0, 1)], closed_stars=False
-    )
-    with pytest.raises(SuspensionError, match="close up"):
-        interior_edge_star(d)
 
 
 def test_normalize_poles_octahedron():
