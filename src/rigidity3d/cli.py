@@ -16,7 +16,6 @@ internal cross-check fails (an InvariantError).
 
 import argparse
 import functools
-import json
 import logging
 import os
 import sys
@@ -64,20 +63,29 @@ def _tolerances(args):
     return Tolerances(rank_tol=args.rank_tol, geom_tol=args.geom_tol)
 
 
-def _emit_table(args, header, rows):
-    if args.csv:
-        fileio.write_csv(sys.stdout, header, rows)
-        return
-    text = [[f"{x:.9g}" if isinstance(x, float) else str(x) for x in row]
-            for row in [header, *rows]]
-    widths = [max(len(r[c]) for r in text) for c in range(len(header))]
-    for row in text:
-        print("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))
-
-
-def _emit_json(payload):
-    json.dump(payload, sys.stdout, indent=2, default=str)
-    sys.stdout.write("\n")
+def _emit(args, payload, tables=(), notes=()):
+    """The one output path of every subcommand, and the only reader of the
+    format flags.  --json prints `payload` as one JSON document, --csv the
+    (header, rows) `tables` alone, a blank line apart, and text the same
+    tables aligned, then the `notes` lines."""
+    if args.json:
+        fileio.write_json(sys.stdout, payload)
+        return EXIT_OK
+    for k, (header, rows) in enumerate(tables):
+        if k:
+            print()
+        if args.csv:
+            fileio.write_csv(sys.stdout, header, rows)
+            continue
+        text = [[f"{x:.9g}" if isinstance(x, float) else str(x) for x in row]
+                for row in [header, *rows]]
+        widths = [max(len(r[c]) for r in text) for c in range(len(header))]
+        for row in text:
+            print("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))
+    if not args.csv:
+        for note in notes:
+            print(note)
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -88,18 +96,15 @@ def _emit_json(payload):
 def cmd_analyze(args):
     tol = _tolerances(args)
     loaded = fileio.load(args.file, tol)
-    report = fileio.analysis_report(loaded, tol, seed=args.seed)
-    if args.json:
-        _emit_json(report)
-        return EXIT_OK
-    print(f"instance  {report['instance_hash']}")
-    print(f"vertices  {len(loaded.vertices)}")
-    print(f"edges     {loaded.framework.n_edges}")
-    for key, value in report["verdicts"].items():
-        print(f"  {key:<32} {value}")
+    report = fileio.analysis_report(loaded, tol)
     timing = "  ".join(f"{k}={v * 1e3:.1f}ms" for k, v in report["timings"].items())
-    print(f"timings   {timing}")
-    return EXIT_OK
+    return _emit(args, report, notes=[
+        f"instance  {report['instance_hash']}",
+        f"vertices  {len(loaded.vertices)}",
+        f"edges     {loaded.framework.n_edges}",
+        *(f"  {key:<32} {value}" for key, value in report["verdicts"].items()),
+        f"timings   {timing}",
+    ])
 
 
 def cmd_stress(args):
@@ -107,46 +112,35 @@ def cmd_stress(args):
     loaded = fileio.load(args.file, tol)
     if args.inductive:
         if loaded.suspension is None:
-            print("error: --inductive needs a suspension document "
-                  "(poles + equator)", file=sys.stderr)
-            return EXIT_INPUT
+            raise fileio.FileFormatError(
+                "--inductive needs a suspension document (poles + equator)")
         stress = inductive_proper_stress(loaded.suspension, tol)
         fw = tensegrity_labeling(loaded.suspension, include_ns=True, tol=tol)
+        residual = equilibrium_residual(fw, stress)
         # rows name the document's vertices, not the suspension's layout
         poles = loaded.document["poles"]
         layout = [poles["north"], poles["south"], *loaded.document["equator"]]
+        header = ("i", "j", "kind", "omega")
         rows = [(*sorted((layout[i], layout[j])), kind.value, stress[(i, j)])
                 for i, j, kind in fw.edges]
-        if args.json:
-            _emit_json({
-                "kind": "inductive_proper_stress",
-                "residual": equilibrium_residual(fw, stress),
-                "edges": [dict(zip(("i", "j", "kind", "omega"), r)) for r in rows],
-            })
-        else:
-            _emit_table(args, ("i", "j", "kind", "omega"), rows)
-            if not args.csv:
-                print(f"# residual {equilibrium_residual(fw, stress):.3e}")
-        return EXIT_OK
+        return _emit(args, {
+            "kind": "inductive_proper_stress",
+            "residual": residual,
+            "edges": [dict(zip(header, r)) for r in rows],
+        }, [(header, rows)], [f"# residual {residual:.3e}"])
     basis = equilibrium_stress_space(loaded.framework, tol)
-    if args.json:
-        _emit_json({
-            "kind": "stress_space",
-            "dimension": len(basis),
-            "basis": [s.omega and {f"{i},{j}": w for (i, j), w in s.omega.items()}
-                      for s in basis],
-        })
-        return EXIT_OK
+    payload = {
+        "kind": "stress_space",
+        "dimension": len(basis),
+        "basis": [s.omega and {f"{i},{j}": w for (i, j), w in s.omega.items()}
+                  for s in basis],
+    }
     if not basis:
-        print("stress space is trivial (dimension 0)")
-        return EXIT_OK
+        return _emit(args, payload, notes=["stress space is trivial (dimension 0)"])
     header = ("i", "j") + tuple(f"omega{k}" for k in range(len(basis)))
     rows = [(i, j) + tuple(s[(i, j)] for s in basis)
             for i, j in loaded.framework.edge_pairs]
-    _emit_table(args, header, rows)
-    if not args.csv:
-        print(f"# dimension {len(basis)}")
-    return EXIT_OK
+    return _emit(args, payload, [(header, rows)], [f"# dimension {len(basis)}"])
 
 
 def cmd_lambda(args):
@@ -154,53 +148,44 @@ def cmd_lambda(args):
     loaded = fileio.load(args.file, tol)
     if loaded.decomposition is not None:
         lam = lambda_matrix(loaded.decomposition, tol=tol)
-        if args.json:
-            _emit_json({
-                "kind": "lambda_matrix",
-                "r": lam.r,
-                "eigenvalues": [float(x) for x in lam.eigenvalues],
-                "positive_definite": lam.is_positive_definite,
-                "rigid": rigidity_from_lambda(loaded.decomposition, tol),
-                "matrix": lam.matrix.tolist(),
-            })
-            return EXIT_OK
-        if args.csv:
-            _emit_table(args, *fileio.matrix_table(lam.matrix))
-            return EXIT_OK
-        print(f"interior edges      {lam.r}")
-        print(f"eigenvalues         {[float(f'{x:.9g}') for x in lam.eigenvalues]}")
-        print(f"positive definite   {lam.is_positive_definite}")
-        print(f"rigid               {rigidity_from_lambda(loaded.decomposition, tol)}")
-        return EXIT_OK
-    if loaded.suspension is not None:
-        breakdown = lambda_scalar(loaded.suspension, tol)
-        if args.json:
-            header, rows = fileio.lambda_breakdown_table(breakdown)
-            _emit_json({
-                "kind": "lambda_scalar",
-                "total": breakdown.total,
-                "total_projected": breakdown.total_projected,
-                "axis_scale": breakdown.scale,
-                "terms": [dict(zip(header, r)) for r in rows],
-            })
-            return EXIT_OK
-        _emit_table(args, *fileio.lambda_breakdown_table(breakdown))
-        if not args.csv:
-            print(f"# total {breakdown.total!r}  "
-                  f"projected {breakdown.total_projected!r}")
-        return EXIT_OK
-    print("error: lambda needs a suspension (poles + equator) or a "
-          "decomposition (tetrahedra) document", file=sys.stderr)
-    return EXIT_INPUT
+        rigid = rigidity_from_lambda(loaded.decomposition, tol)
+        return _emit(args, {
+            "kind": "lambda_matrix",
+            "r": lam.r,
+            "eigenvalues": [float(x) for x in lam.eigenvalues],
+            "positive_definite": lam.is_positive_definite,
+            "rigid": rigid,
+            "matrix": lam.matrix.tolist(),
+        }, [fileio.matrix_table(lam.matrix)], [
+            f"interior edges      {lam.r}",
+            f"eigenvalues         {[float(f'{x:.9g}') for x in lam.eigenvalues]}",
+            f"positive definite   {lam.is_positive_definite}",
+            f"rigid               {rigid}",
+        ])
+    if loaded.suspension is None:
+        raise fileio.FileFormatError("lambda needs a suspension (poles + equator) or a "
+                                     "decomposition (tetrahedra) document")
+    breakdown = lambda_scalar(loaded.suspension, tol)
+    header, rows = fileio.lambda_breakdown_table(breakdown)
+    return _emit(args, {
+        "kind": "lambda_scalar",
+        "total": breakdown.total,
+        "total_projected": breakdown.total_projected,
+        "axis_scale": breakdown.scale,
+        "terms": [dict(zip(header, r)) for r in rows],
+    }, [(header, rows)],
+        [f"# total {breakdown.total!r}  projected {breakdown.total_projected!r}"])
+
+
+def _surface(loaded, command):
+    if loaded.surface is None:
+        raise fileio.FileFormatError(f"{command} needs a document with faces")
+    return loaded.surface
 
 
 def cmd_dent(args):
     tol = _tolerances(args)
-    loaded = fileio.load(args.file, tol)
-    if loaded.surface is None:
-        print("error: dent needs a document with faces", file=sys.stderr)
-        return EXIT_INPUT
-    surface = loaded.surface
+    surface = _surface(fileio.load(args.file, tol), "dent")
     new_edges = []
     for edge in args.edge:
         result = dent(surface, edge, tol)
@@ -211,10 +196,10 @@ def cmd_dent(args):
         "new_edges": [list(e) for e in new_edges],
         "source": os.path.basename(str(args.file)),
     })
-    for edge, new in zip(args.edge, new_edges):
-        print(f"dented {tuple(edge)} -> new edge {new}")
-    print(f"wrote {args.out}")
-    return EXIT_OK
+    return _emit(args, None, notes=[
+        *(f"dented {tuple(edge)} -> new edge {new}" for edge, new in zip(args.edge, new_edges)),
+        f"wrote {args.out}",
+    ])
 
 
 def cmd_suspend(args):
@@ -225,79 +210,64 @@ def cmd_suspend(args):
     doc = fileio.save(args.out, s, metadata={
         "profile": args.profile, "seed": seed, "n": args.n,
     })
-    print(f"wrote {args.out}  ({args.profile}, n={args.n}, "
-          f"hash {fileio.instance_hash(doc)[:12]})")
-    return EXIT_OK
+    return _emit(args, None, notes=[f"wrote {args.out}  ({args.profile}, n={args.n}, "
+                                    f"hash {fileio.instance_hash(doc)[:12]})"])
 
 
 def cmd_signs(args):
     tol = _tolerances(args)
     loaded = fileio.load(args.file, tol)
-    if loaded.surface is None:
-        print("error: signs needs a document with faces", file=sys.stderr)
-        return EXIT_INPUT
+    surface = _surface(loaded, "signs")
     if args.flex_index is not None:
         space = bar_flex_space(loaded.framework, tol)
         if not 0 <= args.flex_index < space.dimension:
-            print(f"error: --flex-index must be in [0, {space.dimension})",
-                  file=sys.stderr)
-            return EXIT_INPUT
+            raise ValueError(f"--flex-index must be in [0, {space.dimension})")
         motion = space.basis[args.flex_index]
     else:
         motion = nontrivial_flex(loaded.framework, tol)
         if motion is None:
-            print("framework is infinitesimally rigid; no nontrivial flex")
-            return EXIT_OK
-    signs = sign_vector_from_flex(loaded.surface, motion, tol)
-    checks = vertex_sign_change_check(loaded.surface, signs, tol)
+            note = "framework is infinitesimally rigid; no nontrivial flex"
+            return _emit(args, {"note": note}, notes=[note])
+    signs = sign_vector_from_flex(surface, motion, tol)
+    checks = vertex_sign_change_check(surface, signs, tol)
     payload = {
-        "edge_signs": {f"{i},{j}": signs[(i, j)]
-                       for i, j in loaded.surface.edges},
+        "edge_signs": {f"{i},{j}": signs[(i, j)] for i, j in surface.edges},
         "vertices": [{
             "vertex": c.vertex, "convex": c.convex, "nonzero": c.nonzero,
             "changes": c.changes, "ok": c.ok, "detail": c.detail,
         } for c in checks],
     }
+    notes = [f"# vertex {c.vertex}: {c.detail}" for c in checks if not c.ok]
     if not signs.nonzero_edges:
         payload["note"] = "all dihedral rates vanish"
     else:
         try:
-            stats = count_sign_changes(sign_subgraph(loaded.surface, signs, tol))
+            stats = count_sign_changes(sign_subgraph(surface, signs, tol))
             payload["totals"] = {
                 "sign_changes": stats.s,
                 "vertex_bound": stats.vertex_bound,
                 "face_bound": stats.face_bound,
                 "bounds_contradict": stats.bounds_contradict,
             }
+            notes.append(
+                f"# sign changes {stats.s}  vertex bound {stats.vertex_bound}  "
+                f"face bound {stats.face_bound}"
+                + ("  (bounds contradict: not a flex of any convex position)"
+                   if stats.bounds_contradict else ""))
         except CauchyError as exc:
             payload["note"] = f"sign pattern is not a flex pattern: {exc}"
-    if args.json:
-        _emit_json(payload)
-        return EXIT_OK
-    _emit_table(args, ("i", "j", "sign"),
-                [(i, j, signs[(i, j)]) for i, j in loaded.surface.edges])
-    print()
-    _emit_table(args, ("vertex", "convex", "nonzero", "changes", "ok"),
-                [(c.vertex, c.convex, c.nonzero, c.changes, c.ok)
-                 for c in checks])
-    for c in checks:
-        if not c.ok:
-            print(f"# vertex {c.vertex}: {c.detail}")
-    if "totals" in payload:
-        t = payload["totals"]
-        print(f"# sign changes {t['sign_changes']}  "
-              f"vertex bound {t['vertex_bound']}  face bound {t['face_bound']}"
-              + ("  (bounds contradict: not a flex of any convex position)"
-                 if t["bounds_contradict"] else ""))
     if "note" in payload:
-        print(f"# {payload['note']}")
-    return EXIT_OK
+        notes.append(f"# {payload['note']}")
+    return _emit(args, payload, [
+        (("i", "j", "sign"), [(i, j, signs[(i, j)]) for i, j in surface.edges]),
+        (("vertex", "convex", "nonzero", "changes", "ok"),
+         [(c.vertex, c.convex, c.nonzero, c.changes, c.ok) for c in checks]),
+    ], notes)
 
 
 def cmd_probe_pd(args):
     if args.trials < 1:
-        print(f"error: --trials must be at least 1, got {args.trials}", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
     tol = _tolerances(args)
     seed = 0 if args.seed is None else args.seed
     os.makedirs(args.out, exist_ok=True)
@@ -308,8 +278,7 @@ def cmd_probe_pd(args):
     payload["tolerances"] = {"rank_tol": tol.rank_tol, "geom_tol": tol.geom_tol}
     report_path = os.path.join(args.out, "report.json")
     with open(report_path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+        fileio.write_json(fh, payload)
     with open(os.path.join(args.out, "trials.csv"), "w", newline="") as fh:
         fileio.write_csv(
             fh,
@@ -326,15 +295,15 @@ def cmd_probe_pd(args):
             metadata={"trial": ce["trial"]},
         )
     s = payload["summary"]
-    print(f"trials {s['trials']}  generation failures {s['generation_failures']}  "
-          f"weakly convex {s['weakly_convex_trials']}")
+    notes = [f"trials {s['trials']}  generation failures {s['generation_failures']}  "
+             f"weakly convex {s['weakly_convex_trials']}"]
     if "min_eigenvalue" in s:
         e = s["min_eigenvalue"]
-        print(f"min eigenvalue  min {e['min']:.6g}  median {e['median']:.6g}  "
-              f"max {e['max']:.6g}")
-    print(f"non-PD weakly convex instances: {s['non_pd_weakly_convex']}")
-    print(f"wrote {report_path}")
-    return EXIT_OK
+        notes.append(f"min eigenvalue  min {e['min']:.6g}  median {e['median']:.6g}  "
+                     f"max {e['max']:.6g}")
+    notes += [f"non-PD weakly convex instances: {s['non_pd_weakly_convex']}",
+              f"wrote {report_path}"]
+    return _emit(args, payload, notes=notes)
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +346,7 @@ def build_parser():
         if "csv" in formats:
             fmt.add_argument("--csv", action="store_true",
                              help="CSV tables on stdout (repr floats)")
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, json=False, csv=False)
         return p
 
     parser = argparse.ArgumentParser(
@@ -387,7 +356,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = subcommand("analyze", "cmd_analyze", "verdict report for a document",
-                   seed=True, formats=("json",))
+                   formats=("json",))
     p.add_argument("file")
 
     p = subcommand("stress", "cmd_stress", "equilibrium stresses of the edge framework",

@@ -96,33 +96,33 @@ def _edge_records(framework):
 
 def to_document(obj, metadata=None):
     """JSON document for a Framework, PolyhedralSurface, Suspension or
-    Decomposition."""
-    doc = {"version": VERSION}
-    if isinstance(obj, Framework):
-        doc["vertices"] = [list(map(float, p)) for p in obj.vertices]
-        doc["edges"] = _edge_records(obj)
-    elif isinstance(obj, PolyhedralSurface):
-        doc["vertices"] = [list(map(float, p)) for p in obj.vertices]
-        doc["edges"] = [{"i": i, "j": j, "kind": "bar"} for i, j in obj.edges]
-        doc["faces"] = [list(map(int, f)) for f in obj.faces]
-    elif isinstance(obj, Suspension):
-        doc.update(to_document(obj.surface))
-        doc["poles"] = {"north": 0, "south": 1}
-        doc["equator"] = list(range(2, 2 + obj.n))
-    elif isinstance(obj, Decomposition):
-        if obj.surface is not None:
-            doc.update(to_document(obj.surface))
-        else:
-            doc["vertices"] = [list(map(float, p)) for p in obj.vertices]
-            doc["edges"] = [
-                {"i": i, "j": j, "kind": "bar"} for i, j in obj.boundary_edges
-            ]
-        doc["tetrahedra"] = [list(map(int, t)) for t in obj.tetrahedra]
-    else:
-        raise FileFormatError(f"cannot serialize {type(obj).__name__}")
+    Decomposition, validated once."""
+    doc = {"version": VERSION, **_body(obj)}
     if metadata:
         doc["metadata"] = metadata
     return validate_document(doc)
+
+
+def _body(obj):
+    """The unvalidated views of `obj`, without version or metadata."""
+    if isinstance(obj, Framework):
+        return {"vertices": [list(map(float, p)) for p in obj.vertices],
+                "edges": _edge_records(obj)}
+    if isinstance(obj, PolyhedralSurface):
+        return {"vertices": [list(map(float, p)) for p in obj.vertices],
+                "edges": [{"i": i, "j": j, "kind": "bar"} for i, j in obj.edges],
+                "faces": [list(map(int, f)) for f in obj.faces]}
+    if isinstance(obj, Suspension):
+        return {**_body(obj.surface), "poles": {"north": 0, "south": 1},
+                "equator": list(range(2, 2 + obj.n))}
+    if isinstance(obj, Decomposition):
+        if obj.surface is not None:
+            body = _body(obj.surface)
+        else:
+            body = {"vertices": [list(map(float, p)) for p in obj.vertices],
+                    "edges": [{"i": i, "j": j, "kind": "bar"} for i, j in obj.boundary_edges]}
+        return {**body, "tetrahedra": [list(map(int, t)) for t in obj.tetrahedra]}
+    raise FileFormatError(f"cannot serialize {type(obj).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +179,12 @@ def from_document(doc, tol: Tolerances = DEFAULT_TOL):
             )
         except (GeometryError, SuspensionError) as exc:
             raise FileFormatError(f"/poles: {exc}") from None
+        layout = [poles["north"], poles["south"], *doc["equator"]]
+        if surface is not None and {frozenset(f) for f in doc["faces"]} != {
+                frozenset(layout[v] for v in f) for f in suspension.surface.faces.tolist()}:
+            raise FileFormatError(
+                "/equator: the faces of the suspension over these poles and this "
+                "equator are not the document's faces")
     decomposition = None
     if "tetrahedra" in doc:
         try:
@@ -206,9 +212,14 @@ def save(path, obj, metadata=None):
     else:
         doc = to_document(obj, metadata)
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        write_json(fh, doc)
     return doc
+
+
+def write_json(fh, obj):
+    """`obj` as one JSON document: two-space indent, final newline."""
+    json.dump(obj, fh, indent=2)
+    fh.write("\n")
 
 
 def load(path, tol: Tolerances = DEFAULT_TOL):
@@ -232,10 +243,10 @@ def instance_hash(doc):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def analysis_report(loaded: LoadedInstance, tol: Tolerances = DEFAULT_TOL, seed=None):
+def analysis_report(loaded: LoadedInstance, tol: Tolerances = DEFAULT_TOL):
     """Verdict block for a loaded instance.
 
-    Deterministic given (document, seed, tolerances) except for the
+    Deterministic given (document, tolerances) except for the
     timings section, which is informational only and excluded from the
     instance hash.
     """
@@ -287,7 +298,6 @@ def analysis_report(loaded: LoadedInstance, tol: Tolerances = DEFAULT_TOL, seed=
     return {
         "verdicts": verdicts,
         "tolerances": {"rank_tol": tol.rank_tol, "geom_tol": tol.geom_tol},
-        "seed": seed,
         "instance_hash": instance_hash(loaded.document),
         "timings": timings,
     }

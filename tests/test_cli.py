@@ -78,6 +78,7 @@ def test_parser_is_built_once_and_handlers_are_looked_up_per_call(capsys, monkey
 
 
 @pytest.mark.parametrize("command, flag", [
+    (["analyze", "doc.json"], ["--seed", "1"]),
     (["stress", "doc.json"], ["--seed", "1"]),
     (["lambda", "doc.json"], ["--seed", "1"]),
     (["dent", "doc.json", "--edge", "0,1", "--out", "x.json"], ["--seed", "1"]),
@@ -112,13 +113,12 @@ def test_analyze_octahedron_text(capsys, octa_path):
 
 
 def test_analyze_json_deterministic(capsys, octa_path):
-    code, out1, _ = run(capsys, "analyze", octa_path, "--json", "--seed", "9")
-    code2, out2, _ = run(capsys, "analyze", octa_path, "--json", "--seed", "9")
+    code, out1, _ = run(capsys, "analyze", octa_path, "--json")
+    code2, out2, _ = run(capsys, "analyze", octa_path, "--json")
     assert code == code2 == 0
     a, b = json.loads(out1), json.loads(out2)
     a.pop("timings"), b.pop("timings")
     assert a == b
-    assert a["seed"] == 9
 
 
 def test_analyze_respects_rank_tol(capsys, octa_path):
@@ -506,6 +506,68 @@ def test_cli_import_loads_no_scipy(capsys, tmp_path):
     assert fresh["analyze"] is True
     code, out, _ = run(capsys, "analyze", str(hull), "--json")
     assert code == 0 and fresh["verdicts"] == json.loads(out)["verdicts"]
+
+
+# ---------------------------------------------------------------------------
+# one output contract: --json is one JSON document, --csv the tables alone
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def contract_docs(tmp_path_factory):
+    star = generators.star_suspension(default_rng(4), 6, require_reflex=True)
+    objects = {
+        "octahedron": shapes.octahedron(),
+        "star": star,
+        "star_axis": suspensions.axis_decomposition(star),
+        "flexible": generators.flexible_suspension_fixture().suspension,
+    }
+    root = tmp_path_factory.mktemp("contract")
+    for name, obj in objects.items():
+        fileio.save(root / f"{name}.json", obj)
+    return root
+
+
+CONTRACT_COMMANDS = ["analyze", "stress", "stress --inductive", "lambda", "signs",
+                     "signs --flex-index 0"]
+
+
+@pytest.mark.parametrize("doc", ["octahedron", "star", "star_axis", "flexible"])
+@pytest.mark.parametrize("command, fmt", [
+    (command, fmt) for command in CONTRACT_COMMANDS for fmt in ("json", "csv")
+    if (command, fmt) != ("analyze", "csv")
+])
+def test_json_is_one_document_and_csv_is_tables_alone(capsys, contract_docs, doc,
+                                                      command, fmt):
+    """The rigid documents take the paths that print no table (a trivial
+    stress space, no nontrivial flex); the flexible fixture's signs fail
+    a vertex check.  A command that does not apply exits 1 with nothing on
+    stdout: lambda needs a suspension or a decomposition, and --inductive
+    a weakly strictly convex suspension."""
+    path = str(contract_docs / f"{doc}.json")
+    subcommand, *flags = command.split()
+    code, out, _ = run(capsys, subcommand, path, *flags, f"--{fmt}")
+    applies = not ((command, doc) == ("lambda", "octahedron")
+                   or ("--inductive" in flags and doc != "star"))
+    if not applies:
+        assert (code, out) == (1, "")
+        return
+    assert code == 0
+    if fmt == "json":
+        assert isinstance(json.loads(out, parse_constant=_reject_constant), dict)
+        return
+    lines = out.splitlines()
+    assert not any(line.startswith("#") for line in lines)
+    tables = [[]]
+    for row in csv.reader(lines):
+        if row:
+            tables[-1].append(row)
+        else:
+            tables.append([])
+    assert all(tables) or out == ""
+    for header, *rows in filter(None, tables):
+        assert all(len(row) == len(header) for row in rows)
+        assert not any(" " in cell for row in [header, *rows] for cell in row)
 
 
 # ---------------------------------------------------------------------------
