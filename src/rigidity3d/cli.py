@@ -143,6 +143,13 @@ def cmd_stress(args):
     return _emit(args, payload, [(header, rows)], [f"# dimension {len(basis)}"])
 
 
+def _matrix_tables(matrix):
+    """The lambda matrix as one table, or none when it is 0 x 0.  A generator:
+    `_emit` never iterates it for --json, which prints the matrix itself."""
+    if matrix.size:
+        yield fileio.matrix_table(matrix)
+
+
 def cmd_lambda(args):
     tol = _tolerances(args)
     loaded = fileio.load(args.file, tol)
@@ -156,7 +163,7 @@ def cmd_lambda(args):
             "positive_definite": lam.is_positive_definite,
             "rigid": rigid,
             "matrix": lam.matrix.tolist(),
-        }, [fileio.matrix_table(lam.matrix)], [
+        }, _matrix_tables(lam.matrix), [
             f"interior edges      {lam.r}",
             f"eigenvalues         {[float(f'{x:.9g}') for x in lam.eigenvalues]}",
             f"positive definite   {lam.is_positive_definite}",

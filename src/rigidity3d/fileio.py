@@ -179,12 +179,16 @@ def from_document(doc, tol: Tolerances = DEFAULT_TOL):
             )
         except (GeometryError, SuspensionError) as exc:
             raise FileFormatError(f"/poles: {exc}") from None
-        layout = [poles["north"], poles["south"], *doc["equator"]]
-        if surface is not None and {frozenset(f) for f in doc["faces"]} != {
-                frozenset(layout[v] for v in f) for f in suspension.surface.faces.tolist()}:
-            raise FileFormatError(
-                "/equator: the faces of the suspension over these poles and this "
-                "equator are not the document's faces")
+        if surface is not None:
+            layout = [poles["north"], poles["south"], *doc["equator"]]
+            faces = {tuple(sorted(f)) for f in doc["faces"]}
+            built = {tuple(sorted(layout[v] for v in f))
+                     for f in suspension.surface.faces.tolist()}
+            if faces != built:
+                raise FileFormatError(
+                    "/equator: the suspension over these poles and this equator "
+                    f"has other faces than the document: extra {sorted(built - faces)}, "
+                    f"missing {sorted(faces - built)}")
     decomposition = None
     if "tetrahedra" in doc:
         try:

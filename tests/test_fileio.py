@@ -178,13 +178,15 @@ def test_poles_require_equator():
 def test_suspension_must_have_the_documents_faces():
     """An octahedron document, vertex 5 lifted, whose equator is reordered
     so that poles and equator describe a different bipyramid: refused at
-    /equator.  A suspension document with its vertices permuted, poles and
+    /equator, naming the faces the two views disagree on.  A suspension document with its vertices permuted, poles and
     equator renamed alike, still loads."""
     doc = fileio.to_document(suspensions.Suspension(shapes.octahedron().vertices))
     doc["vertices"][5][2] += 0.1
     assert fileio.from_document(doc).suspension is not None
-    with pytest.raises(FileFormatError, match="^/equator: "):
+    with pytest.raises(FileFormatError, match="^/equator: ") as refused:
         fileio.from_document(dict(doc, equator=[2, 4, 3, 5]))
+    assert "extra [(0, 2, 4), (0, 3, 5), (1, 2, 4), (1, 3, 5)]" in str(refused.value)
+    assert "missing [(0, 2, 3), (0, 4, 5), (1, 2, 3), (1, 4, 5)]" in str(refused.value)
 
     new = [3, 0, 5, 1, 4, 2]  # new index of each vertex of the layout
     permuted = {
