@@ -210,6 +210,31 @@ def test_lambda_matrix_on_decomposition(capsys, tmp_path, star_path):
     assert payload["rigid"] is True
 
 
+def test_lambda_matrix_table_is_built_only_when_printed(capsys, monkeypatch, tmp_path,
+                                                        star_path):
+    """Text prints the matrix table above the summary and --json never builds
+    it; a decomposition without interior edges prints no table at all."""
+    axis = tmp_path / "axis.json"
+    fileio.save(axis, suspensions.axis_decomposition(fileio.load(star_path).suspension))
+    code, out, _ = run(capsys, "lambda", str(axis))
+    assert code == 0
+    assert out.splitlines()[0].split() == ["row", "col0"]
+    assert out.splitlines()[2].startswith("interior edges      1")
+
+    tet = tmp_path / "tet.json"
+    fileio.save(tet, hessian.Decomposition(np.vstack([np.zeros(3), np.eye(3)]), [[0, 1, 2, 3]]))
+    code, out, _ = run(capsys, "lambda", str(tet))
+    assert code == 0 and out.splitlines()[0] == "interior edges      0"
+    assert run(capsys, "lambda", str(tet), "--csv") == (0, "", "")
+
+    def refuse(matrix):
+        raise AssertionError("--json built the matrix table")
+
+    monkeypatch.setattr(fileio, "matrix_table", refuse)
+    code, out, _ = run(capsys, "lambda", str(axis), "--json")
+    assert code == 0 and json.loads(out)["r"] == 1
+
+
 def test_lambda_needs_structure(capsys, tmp_path):
     fw_doc = fileio.to_document(shapes.octahedron())
     del fw_doc["faces"]
