@@ -24,7 +24,6 @@ from .geometry import (  # noqa: F401
     dihedral_angle,
     dihedral_angles,
     edge_flags,
-    hemisphere_witness,
     is_weakly_convex,
     normalize_pole_frame,
     spherical_polygon_relation_residual,
@@ -42,7 +41,6 @@ from .frameworks import (  # noqa: F401
     bar_flex_space,
     equilibrium_residual,
     equilibrium_stress_space,
-    exchange_rigidity_check,
     is_infinitesimally_rigid,
     is_proper,
     nontrivial_flex,

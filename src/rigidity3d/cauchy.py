@@ -20,15 +20,12 @@ import numpy as np
 from .frameworks import Framework, is_infinitesimally_rigid
 from .geometry import (
     DEFAULT_TOL,
-    TETRA_EDGE_ORDER,
     InvariantError,
     PolyhedralSurface,
     Tolerances,
-    _reflex_rule,
-    dihedral_angles,
+    _dihedral_rate_kernel,
     edge_flags,
 )
-from .hessian import DecompositionError, tetra_angles_and_jacobian
 
 logger = logging.getLogger(__name__)
 
@@ -49,39 +46,22 @@ class CauchyError(Exception):
 def dihedral_rates(surface, motion, tol: Tolerances = DEFAULT_TOL):
     """First-order variation of every dihedral angle under the motion.
 
-    The angle at an edge is a function of the six pairwise distances of
-    the four vertices of its two flanking triangles, so the variation is
-    the length-Jacobian of that tetrahedron contracted with the edge
-    length rates; the sign flips on reflex edges, where the embedded
-    angle is the explement of the simplex angle.
+    The derivative of the kernel behind dihedral_angles, so it is defined
+    at flat edges (angle pi) too; not at an edge flanked by a face of zero
+    area (doubled area at most geom_tol * diameter**2).
     """
-    p = surface.vertices
-    vel = motion.velocities
-    if vel.shape != p.shape:
+    if motion.velocities.shape != surface.vertices.shape:
         raise CauchyError(
-            f"motion has shape {vel.shape}, expected {p.shape}"
+            f"motion has shape {motion.velocities.shape}, expected {surface.vertices.shape}"
         )
-    edges = surface.edges
-    i, j = np.array(edges).T
-    # (i, j, c, d): the flank tetrahedron; c and d are the third vertices
-    # of the faces holding (i, j) and (j, i)
-    third = surface.faces.sum(axis=1)[surface.flanking_faces] - (i + j)[:, None]
-    quads = np.column_stack([i, j, third])
-    first, second = np.array(TETRA_EDGE_ORDER).T
-    diff = p[quads[:, first]] - p[quads[:, second]]  # (E, 6, 3)
-    dvel = vel[quads[:, first]] - vel[quads[:, second]]
-    lengths = np.linalg.norm(diff, axis=-1)
-    lrates = np.einsum("ekx,ekx->ek", diff, dvel) / lengths
-    try:
-        _, jac = tetra_angles_and_jacobian(lengths, tol)
-    except DecompositionError as exc:
-        i, j = edges[exc.tetrahedron]
+    bad = np.flatnonzero(surface.degenerate_faces(tol)[surface.flanking_faces].any(axis=1))
+    if bad.size:
+        i, j = surface.edges[bad[0]]
         raise CauchyError(
-            f"edge ({i}, {j}) is flat: angle variation is undefined"
-        ) from exc
-    rates = np.einsum("em,em->e", jac[:, 0], lrates)
-    rates = np.where(_reflex_rule(dihedral_angles(surface, tol), tol) == "reflex", -rates, rates)
-    return dict(zip(edges, rates.tolist()))
+            f"edge ({i}, {j}) has a zero-area flanking face: angle variation is undefined"
+        )
+    rates = _dihedral_rate_kernel(surface, motion.velocities)
+    return dict(zip(surface.edges, rates.tolist()))
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,6 @@ __all__ = [
     "equilibrium_residual",
     "is_proper",
     "stress_energy",
-    "exchange_rigidity_check",
 ]
 
 
@@ -214,7 +213,8 @@ class Stress:
         object.__setattr__(self, "omega", clean)
 
     def as_vector(self, fw):
-        _check_stress_keys(fw, self)
+        if set(self.omega) != set(fw.edge_pairs):
+            raise FrameworkError("stress is not keyed exactly by the framework's edge set")
         return np.array([self.omega[pair] for pair in fw.edge_pairs])
 
     @classmethod
@@ -227,11 +227,6 @@ class Stress:
     def __getitem__(self, pair):
         i, j = sorted(int(x) for x in pair)
         return self.omega[(i, j)]
-
-
-def _check_stress_keys(fw, stress):
-    if set(stress.omega) != set(fw.edge_pairs):
-        raise FrameworkError("stress is not keyed exactly by the framework's edge set")
 
 
 @dataclass(frozen=True)
@@ -430,35 +425,3 @@ def stress_energy(fw, stress, motion):
     zero in the motion whenever the stress is an equilibrium stress."""
     rates = np.einsum("ij,ij->i", *_edge_vectors(fw, motion.velocities)[1:])
     return float(stress.as_vector(fw) @ rates)
-
-
-def exchange_rigidity_check(fw, stress, removed_edge, tol: Tolerances = DEFAULT_TOL):
-    """Rigidity verdict after deleting an edge carrying nonzero stress.
-
-    Preconditions (each reported distinctly on violation): the framework
-    (as all bars) is infinitesimally rigid, the stress is proper and in
-    equilibrium, and the removed edge carries nonzero stress.  When they
-    hold, the deleted framework is rigid again; this is verified by rank
-    rather than assumed.
-    """
-    _check_stress_keys(fw, stress)
-    pair = tuple(sorted(removed_edge))
-    if pair not in fw.edge_pairs:
-        raise FrameworkError(f"{pair} is not an edge of the framework")
-    if not is_proper(fw, stress):
-        raise FrameworkError("precondition violated: stress is not proper")
-    w = stress.as_vector(fw)
-    scale = np.abs(w).max()
-    resid = equilibrium_residual(fw, stress)
-    if scale == 0.0 or resid > 1e-9 * scale * diameter(fw.vertices):
-        raise FrameworkError(
-            f"precondition violated: stress is not an equilibrium stress "
-            f"(residual {resid:.2e})"
-        )
-    if not is_infinitesimally_rigid(fw, tol):
-        raise FrameworkError("precondition violated: framework is not rigid")
-    if abs(stress.omega[pair]) <= tol.rank_tol * scale:
-        raise FrameworkError(
-            f"precondition violated: stress vanishes on removed edge {pair}"
-        )
-    return is_infinitesimally_rigid(fw.without_edge(pair), tol)

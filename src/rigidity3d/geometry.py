@@ -339,6 +339,31 @@ def _dihedral_kernel(p, q, cross1, cross2, floor):
     return angles
 
 
+def _dihedral_rate_kernel(surface, velocities):
+    """Rates of dihedral_angles' angles when the vertices move at the (n, 3)
+    velocities: theta = pi - atan2(s, c), with s = (n1 x n2) . u and
+    c = n1 . n2, has theta' = -(c s' - s c') / (s^2 + c^2).  Scaling a
+    normal scales s and c alike, so n = C / |C| may move at C' / |C|; and
+    n1 x n2 is parallel to the edge direction u, so orthogonal to u': s'
+    needs no u'.  Not finite where a flanking face has zero area."""
+    corners, moves = surface.vertices[surface.faces], velocities[surface.faces]
+    side1, side2 = corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0]
+    cross_rate = (_cross(moves[:, 1] - moves[:, 0], side2)
+                  + _cross(side1, moves[:, 2] - moves[:, 0]))
+    i, j = np.array(surface.edges).T
+    u = surface.vertices[j] - surface.vertices[i]
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        doubled = np.linalg.norm(surface.face_cross, axis=1)[:, None]
+        flanks = surface.flanking_faces.T
+        n1, n2 = (surface.face_cross / doubled)[flanks]
+        dn1, dn2 = (cross_rate / doubled)[flanks]
+        s, c = np.einsum("ex,ex->e", _cross(n1, n2), u), np.einsum("ex,ex->e", n1, n2)
+        ds = np.einsum("ex,ex->e", _cross(dn1, n2) + _cross(n1, dn2), u)
+        dc = np.einsum("ex,ex->e", dn1, n2) + np.einsum("ex,ex->e", n1, dn2)
+        return -(c * ds - s * dc) / (s**2 + c**2)
+
+
 def dihedral_angles(surface, tol: Tolerances = DEFAULT_TOL):
     """Interior dihedral angle at every edge, in (0, 2*pi), as an (E,)
     array in `surface.edges` order.
@@ -412,7 +437,7 @@ def _reflex_rule(angles, tol):
                      ["reflex", "convex"], "flat")
 
 
-# The exposure and hemisphere LPs have a handful of rows and 4-5 columns:
+# The exposure LPs have a handful of rows and 5 columns:
 # HiGHS presolve finds nothing to remove and only adds its own setup time.
 _LP_OPTIONS = {"presolve": False}
 
@@ -449,9 +474,8 @@ def support_functional(points, touching, tol: Tolerances = DEFAULT_TOL):
 
 
 def _check_lp(res, caller):
-    """The exposure and hemisphere LPs are feasible at zero and bounded by
-    |u|_inf <= 1, so an unsuccessful solve is a solver failure, never an
-    answer."""
+    """The exposure LPs are feasible at zero and bounded by |u|_inf <= 1, so
+    an unsuccessful solve is a solver failure, never an answer."""
     if not res.success:
         raise InvariantError(f"{caller}: LP solver failed on a feasible bounded problem: {res.message}")
 
@@ -584,28 +608,6 @@ def vertex_link(surface, v, tol: Tolerances = DEFAULT_TOL):
         cosang = np.clip(dirs[i] @ dirs[(i + 1) % k], -1.0, 1.0)
         angles[i] = np.arccos(cosang)
     return SphericalPolygon(dirs, angles)
-
-
-def hemisphere_witness(directions, tol: Tolerances = DEFAULT_TOL):
-    """Direction u with u . p_i > 0 for all i, or None if no open
-    hemisphere contains the given unit vectors."""
-    if isinstance(directions, SphericalPolygon):
-        directions = directions.vertices
-    directions = np.asarray(directions, dtype=float)
-    if not len(directions):
-        raise GeometryError("hemisphere_witness needs at least one direction")
-    # variables: u(3), delta; maximize delta s.t. u.p_i >= delta
-    c_obj = np.array([0.0, 0.0, 0.0, -1.0])
-    a_ub = np.hstack([-directions, np.ones((len(directions), 1))])
-    b_ub = np.zeros(len(directions))
-    bounds = [(-1, 1)] * 3 + [(0, None)]
-    from scipy.optimize import linprog  # deferred: only LP callers pay its import
-
-    res = linprog(c_obj, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs", options=_LP_OPTIONS)
-    _check_lp(res, "hemisphere_witness")
-    if res.x[3] <= tol.geom_tol:
-        return None
-    return unit(res.x[:3])
 
 
 def spherical_polygon_relation_residual(link, angle_variations):

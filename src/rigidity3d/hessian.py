@@ -44,14 +44,7 @@ E_INTERIOR_MARGIN = 1e-10
 
 
 class DecompositionError(Exception):
-    """Invalid decomposition or infeasible lengths.
-
-    `tetrahedron` is the flat index of the row that tetra_angles_and_jacobian
-    refused, when it raised."""
-
-    def __init__(self, message, tetrahedron=None):
-        super().__init__(message)
-        self.tetrahedron = tetrahedron
+    """Invalid decomposition or infeasible lengths."""
 
 
 # ---------------------------------------------------------------------------
@@ -118,8 +111,7 @@ def _angles_and_jacobian(lengths, feasible):
         t = int(bad[0])
         raise DecompositionError(
             f"tetrahedron {t}: lengths {lengths.reshape(-1, 6)[t].tolist()} are not "
-            "a tetrahedron (infeasible or degenerate: angle derivative undefined)",
-            tetrahedron=t,
+            "a tetrahedron (infeasible or degenerate: angle derivative undefined)"
         )
     angles = np.arctan2(sin_part, cos_part)
 

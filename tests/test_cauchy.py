@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rigidity3d.cauchy import (
+    SIGN_RATE_TOL,
     CauchyError,
     SignVector,
     count_sign_changes,
@@ -26,6 +27,7 @@ from rigidity3d.frameworks import (
     rigidity_rank,
 )
 from rigidity3d.geometry import (
+    TETRA_EDGE_ORDER,
     Convexity,
     PolyhedralSurface,
     Tolerances,
@@ -34,6 +36,7 @@ from rigidity3d.geometry import (
     dihedral_angles,
     edge_flags,
 )
+from rigidity3d.hessian import tetra_angles_and_jacobian
 from rigidity3d.shapes import cube, icosahedron, octahedron, square_pyramid, tetrahedron
 
 FD_STEP = 1e-6
@@ -75,12 +78,40 @@ def test_rates_reject_wrong_motion_size():
         dihedral_rates(octahedron(), Motion(np.zeros((4, 3))))
 
 
-def test_rates_name_the_first_flat_edge():
-    """The cube's face diagonals are flat; (0, 2) is the first in edge order."""
-    surf = cube()
-    assert surf.edges.index((0, 2)) == 1
-    with pytest.raises(CauchyError, match=r"edge \(0, 2\) is flat"):
-        dihedral_rates(surf, Motion(np.zeros((surf.n_vertices, 3))))
+def test_rates_at_flat_edges_match_central_differences():
+    """The cube's face diagonals are flat (angle pi), and the base diagonal
+    (0, 2) of a square pyramid bent by 3e-3 is within 1e-2 of flat; the
+    rates match central differences of dihedral_angles under random motions,
+    at the default geom_tol and at 5e-4."""
+    pyramid = square_pyramid()
+    bent = pyramid.vertices.copy()
+    bent[1, 2] = -3e-3
+    surfaces = [cube(), PolyhedralSurface(bent, pyramid.faces)]
+    coarse = Tolerances(geom_tol=5e-4)
+    assert edge_flags(surfaces[0])[(0, 2)] == "flat"
+    assert abs(dihedral_angle(surfaces[1], (0, 2)) - np.pi) < 1e-2
+    rng = np.random.default_rng(2100)
+    for surf in surfaces:
+        for _ in range(4):
+            m = Motion(rng.normal(size=(surf.n_vertices, 3)))
+            fd = (dihedral_angles(PolyhedralSurface(surf.vertices + FD_STEP * m.velocities,
+                                                    surf.faces))
+                  - dihedral_angles(PolyhedralSurface(surf.vertices - FD_STEP * m.velocities,
+                                                      surf.faces))) / (2 * FD_STEP)
+            for tol in (Tolerances(), coarse):
+                rates = np.array(list(dihedral_rates(surf, m, tol).values()))
+                assert np.abs(rates - fd).max() <= 1e-7 * np.abs(fd).max()
+
+
+def test_rates_name_the_edge_of_a_zero_area_face():
+    """With vertex 3 of the octahedron at the midpoint of vertices 0 and 2,
+    face (0, 2, 3) has zero area; (0, 2) is its first edge in edge order."""
+    v = octahedron().vertices.copy()
+    v[3] = 0.5 * (v[0] + v[2])
+    surf = PolyhedralSurface(v, octahedron().faces)
+    assert [e for e in surf.edges if set(e) <= {0, 2, 3}][0] == (0, 2)
+    with pytest.raises(CauchyError, match=r"edge \(0, 2\) has a zero-area flanking face"):
+        dihedral_rates(surf, Motion(np.ones((surf.n_vertices, 3))))
 
 
 def test_trivial_motion_gives_all_zero_signs():
@@ -295,28 +326,55 @@ def flex_fixture():
     return fix, surf, m
 
 
-def test_dihedral_rates_flip_where_the_pi_test_flipped():
-    """The reflex rule flips the same rates as the old `angle > pi` test
-    wherever dihedral_rates returns: on flexes of the flexible fixture and of
-    dented hulls with one edge removed, at two geom_tol values."""
-    from rigidity3d.generators import dented_hull_star
+def jacobian_route_rates(surface, motion, tol):
+    """dihedral_rates as computed before the rate kernel: the flank
+    tetrahedron's length Jacobian contracted with the edge-length rates,
+    negated on reflex edges, where the embedded angle is the explement of
+    the simplex angle."""
+    p, vel = surface.vertices, motion.velocities
+    i, j = np.array(surface.edges).T
+    third = surface.faces.sum(axis=1)[surface.flanking_faces] - (i + j)[:, None]
+    quads = np.column_stack([i, j, third])
+    first, second = np.array(TETRA_EDGE_ORDER).T
+    diff = p[quads[:, first]] - p[quads[:, second]]  # (E, 6, 3)
+    lengths = np.linalg.norm(diff, axis=-1)
+    lrates = np.einsum("ekx,ekx->ek", diff, vel[quads[:, first]] - vel[quads[:, second]]) / lengths
+    rates = np.einsum("em,em->e", tetra_angles_and_jacobian(lengths, tol)[1][:, 0], lrates)
+    return np.where(np.array(list(edge_flags(surface, tol).values())) == "reflex", -rates, rates)
+
+
+def test_dihedral_rates_match_the_jacobian_route():
+    """The rate kernel agrees with the flank-tetrahedron Jacobian it replaced,
+    within 1e-8 of the largest rate and with equal sign vectors, at two
+    geom_tol values: on flexes of the flexible fixture, of dented hulls with
+    one edge removed and of the octahedron minus an edge, and under random
+    motions of 60 random hulls (n = 8, 20, 60) and 40 dented hulls."""
+    from rigidity3d.generators import dented_hull_star, random_convex_hull_surface
 
     _, surf, m = flex_fixture()
-    cases = [(surf, m)]
+    cases = [(surf, m), (octahedron(), nontrivial_flex(
+        Framework.from_surface(octahedron()).without_edge((2, 3))))]
     for k in range(6):
         dented = dented_hull_star(np.random.default_rng((2300, k)), 9 + k).surface
         cut = Framework.from_surface(dented).without_edge(dented.edges[k])
         cases.append((dented, nontrivial_flex(cut)))
-    flips = 0
+    rng = np.random.default_rng(2301)
+    pool = [random_convex_hull_surface(rng, n) for n in (8, 20, 60) for _ in range(20)]
+    pool += [dented_hull_star(rng, int(rng.integers(8, 21))).surface for _ in range(40)]
+    cases += [(s, Motion(rng.normal(size=(s.n_vertices, 3)))) for s in pool]
+    reflex = silent = 0
     for surface, motion in cases:
+        scale = surface.diameter / np.linalg.norm(motion.flat)
         for tol in (Tolerances(), Tolerances(geom_tol=1e-6)):
             rates = np.array(list(dihedral_rates(surface, motion, tol).values()))
-            angles = dihedral_angles(surface, tol)
-            reflex = np.array(list(edge_flags(surface, tol).values())) == "reflex"
-            unflipped = np.where(reflex, -rates, rates)
-            assert np.array_equal(np.where(angles > np.pi, -unflipped, unflipped), rates)
-            flips += int((angles > np.pi).sum())
-    assert flips > 0
+            oracle = jacobian_route_rates(surface, motion, tol)
+            assert np.abs(rates - oracle).max() <= 1e-8 * np.abs(oracle).max()
+            signs = np.where(np.abs(oracle * scale) <= SIGN_RATE_TOL, 0, np.sign(oracle))
+            sv = sign_vector_from_flex(surface, motion, tol)
+            assert [sv[e] for e in surface.edges] == signs.astype(int).tolist()
+            reflex += list(edge_flags(surface, tol).values()).count("reflex")
+            silent += int((signs == 0).sum())
+    assert reflex > 0 and silent > 0
 
 
 def test_flex_signs_match_finite_differences():

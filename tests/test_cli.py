@@ -347,6 +347,23 @@ def test_signs_flex_index_out_of_range(capsys, octa_path):
     assert code == 1 and "--flex-index" in err
 
 
+def test_signs_reads_every_flex_of_a_surface_with_flat_edges(capsys, tmp_path):
+    """The triangulated cube's face diagonals are flat (angle pi).  Its flex
+    space is the six trivial motions, and each one gives all-zero signs."""
+    cube = shapes.cube()
+    assert "flat" in rigidity3d.edge_flags(cube).values()
+    path = tmp_path / "cube.json"
+    fileio.save(path, cube)
+    for k in range(6):
+        code, out, err = run(capsys, "signs", str(path), "--flex-index", str(k), "--json")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert set(payload["edge_signs"].values()) == {0}
+        assert payload["note"] == "all dihedral rates vanish"
+    code, _, err = run(capsys, "signs", str(path), "--flex-index", "6")
+    assert code == 1 and "[0, 6)" in err
+
+
 def test_signs_on_flexible_fixture(capsys, tmp_path):
     fixture = generators.flexible_suspension_fixture()
     path = tmp_path / "flex.json"

@@ -13,7 +13,6 @@ from rigidity3d.frameworks import (
     bar_flex_space,
     equilibrium_residual,
     equilibrium_stress_space,
-    exchange_rigidity_check,
     is_infinitesimally_rigid,
     is_proper,
     nontrivial_flex,
@@ -377,46 +376,6 @@ def test_stress_energy_zero_for_trivial_motion():
     random_stress = Stress(dict(zip(fw.edge_pairs, np.linspace(-1, 1, fw.n_edges))))
     drift = Motion(np.tile([0.4, -0.1, 0.7], (fw.n_vertices, 1)))
     assert abs(stress_energy(fw, random_stress, drift)) <= 1e-12
-
-
-# ---------------------------------------------------------------------------
-# exchange property
-# ---------------------------------------------------------------------------
-
-
-def test_exchange_removing_pole_edge():
-    fw = octahedron_with_pole_edge()
-    s = equilibrium_stress_space(fw)[0]
-    assert exchange_rigidity_check(fw, s, NS)
-
-
-def test_exchange_removing_lateral_edge():
-    fw = octahedron_with_pole_edge()
-    s = equilibrium_stress_space(fw)[0]
-    assert exchange_rigidity_check(fw, s, (0, 2))
-
-
-def test_exchange_guards():
-    fw = octahedron_with_pole_edge()
-    s = equilibrium_stress_space(fw)[0]
-
-    # zero stress on the removed edge: append an unstressed diagonal
-    bigger = fw.with_edge(2, 4)
-    s_ext = Stress({**s.omega, (2, 4): 0.0})
-    with pytest.raises(FrameworkError, match="vanishes"):
-        exchange_rigidity_check(bigger, s_ext, (2, 4))
-
-    # non-equilibrium stress
-    bad = Stress({**s.omega, NS: s[NS] + 1.0})
-    with pytest.raises(FrameworkError, match="not an equilibrium"):
-        exchange_rigidity_check(fw, bad, NS)
-
-    # improper stress on a tensegrity
-    tense = Framework(fw.vertices, [(i, j, "cable") for i, j, _ in fw.edges])
-    negated = Stress({k: -v for k, v in s.omega.items()})
-    improper = negated if is_proper(tense, s) else s
-    with pytest.raises(FrameworkError, match="not proper"):
-        exchange_rigidity_check(tense, improper, NS)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from rigidity3d.cauchy import CauchyError, dihedral_rates
-from rigidity3d.frameworks import Framework, Motion, is_infinitesimally_rigid
+from rigidity3d.frameworks import Framework, is_infinitesimally_rigid
 from rigidity3d.generators import (
     convex_suspension,
     dented_hull_star,
@@ -36,7 +35,7 @@ from rigidity3d.hessian import (
     schlafli_residual,
     tetra_angles_and_jacobian,
 )
-from rigidity3d.shapes import icosahedron, octahedron, square_pyramid, tetrahedron
+from rigidity3d.shapes import icosahedron, octahedron, tetrahedron
 from rigidity3d.suspensions import axis_decomposition, build_suspension
 
 TETRA_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -109,9 +108,8 @@ def test_batched_kernel_equals_single_calls():
 def test_kernel_names_the_first_bad_row():
     good = np.ones(6)
     bad = np.array([1, 1, 1, 1, 1, 2.5])
-    with pytest.raises(DecompositionError, match="tetrahedron 1:") as info:
+    with pytest.raises(DecompositionError, match="tetrahedron 1:"):
         tetra_angles_and_jacobian(np.stack([good, bad, good, bad]))
-    assert info.value.tetrahedron == 1
 
 
 def test_jacobian_matches_finite_differences():
@@ -569,8 +567,7 @@ def test_lambda_assembly_checks_feasibility_at_the_decomposition_tolerance():
 def test_angle_kernel_callers_check_feasibility_at_the_decomposition_tolerance():
     """cone_angles, mean_curvature_H and dihedral_table refuse the lengths
     that lambda_matrix refuses at the decomposition's tol (see above), and
-    accept them at the default tol; so do cauchy's flank tetrahedra at the
-    caller's tol."""
+    accept them at the default tol."""
     coarse = Tolerances(geom_tol=5e-4)
     default = decompose_star(octahedron(), 0)
     strict = decompose_star(octahedron(), 0, tol=coarse)
@@ -581,17 +578,6 @@ def test_angle_kernel_callers_check_feasibility_at_the_decomposition_tolerance()
             angle_function(strict, near_flat)
     with pytest.raises(DecompositionError, match="tetrahedron 0"):
         lambda_matrix(strict, near_flat)
-
-    # the base diagonal (0, 2) of a square pyramid bent by 3e-3 is flanked
-    # by a tetrahedron of volume 1e-3 = 1.25e-4 times its longest edge cubed
-    pyramid = square_pyramid()
-    bent = pyramid.vertices.copy()
-    bent[1, 2] = -3e-3
-    surface = PolyhedralSurface(bent, pyramid.faces)
-    motion = Motion(np.random.default_rng(0).normal(size=(5, 3)))
-    assert np.isfinite(dihedral_rates(surface, motion)[(0, 2)])
-    with pytest.raises(CauchyError, match=r"edge \(0, 2\) is flat"):
-        dihedral_rates(surface, motion, coarse)
 
 
 def test_lambda_assembly_runs_one_cayley_menger_pass(monkeypatch):

@@ -21,9 +21,7 @@ from rigidity3d.frameworks import Framework, nontrivial_flex
 from rigidity3d.geometry import (
     InvariantError,
     classify_convexity,
-    hemisphere_witness,
     normalize_pole_frame,
-    vertex_link,
 )
 from rigidity3d.hessian import (
     decompose_star,
@@ -195,17 +193,15 @@ def test_pole_frame_self_check(monkeypatch):
 
 
 def test_lp_solver_failure(monkeypatch):
-    """Both LPs are feasible at zero and bounded, so an unsuccessful solve
-    is a solver failure: it raises instead of reading as 'not exposed' or
-    'no witness'."""
+    """The exposure LPs are feasible at zero and bounded, so an unsuccessful
+    solve is a solver failure: it raises instead of reading as 'not
+    exposed'."""
     failed = scipy.optimize.OptimizeResult(
         success=False, status=4, message="numerical difficulties", x=None
     )
     monkeypatch.setattr(scipy.optimize, "linprog", lambda *a, **k: failed)
     with pytest.raises(InvariantError, match="support_functional: LP solver failed"):
         classify_convexity(octahedron())
-    with pytest.raises(InvariantError, match="hemisphere_witness: LP solver failed"):
-        hemisphere_witness(vertex_link(octahedron(), 0))
 
 
 def test_sign_change_totals(monkeypatch):
