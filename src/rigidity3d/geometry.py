@@ -15,7 +15,7 @@ Conventions:
   and ``rank_tol`` are dimensionless.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 

@@ -21,7 +21,6 @@ from rigidity3d.cauchy import (
 from rigidity3d.frameworks import (
     Framework,
     Motion,
-    bar_flex_space,
     is_infinitesimally_rigid,
     nontrivial_flex,
     rigidity_rank,

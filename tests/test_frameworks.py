@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import null_space
 
+from rigidity3d import frameworks
 from rigidity3d.frameworks import (
     EdgeKind,
     Framework,
@@ -726,6 +727,86 @@ def test_rank_questions_skip_the_full_svd_and_bases_form_it_once(monkeypatch):
         assert is_infinitesimally_rigid(fw)
 
     assert rigidity_matrix_calls(stresses_then_verdict) == [True]
+
+
+def _coned_face(surface, height):
+    """The surface with its first face coned from a new degree-3 vertex at
+    `height` above the face's centroid: that vertex is flat, and the
+    framework flexible, at height 0."""
+    p = surface.vertices
+    a, b, c = surface.faces[0]
+    normal = np.cross(p[b] - p[a], p[c] - p[a])
+    apex = p[[a, b, c]].mean(axis=0) + height * normal / np.linalg.norm(normal)
+    n = len(p)
+    return Framework(np.vstack([p, apex]), list(surface.edges) + [(a, n), (b, n), (c, n)])
+
+
+def _fibonacci_sphere_hull(n):
+    """Hull of n golden-spiral points on the unit sphere: no short edges, so
+    sigma_min / sigma_max of its rigidity matrix is about 0.09 at n = 100."""
+    k = np.arange(n) + 0.5
+    z = 1 - 2 * k / n
+    angle, r = np.pi * (1 + 5**0.5) * k, np.sqrt(1 - z * z)
+    pts = np.column_stack([r * np.cos(angle), r * np.sin(angle), z])
+    from scipy.spatial import ConvexHull
+
+    return PolyhedralSurface(pts, hull_faces(pts, ConvexHull(pts).simplices))
+
+
+def certificate_pools():
+    """Closed spheres (E = 3n - 6) at n = 80..400: random sphere hulls,
+    dented hull stars, reflex star suspensions, and the n = 100 Fibonacci
+    sphere coned at one face from heights 1e-11..1e-2, which put
+    sigma_min / sigma_max at 1.6 times the height: from 1e-2 to 1e7 times
+    the rank cutoff at rank_tol 1e-9, and from 1e-5 to 1e4 at 1e-6."""
+    rng = np.random.default_rng
+    coned = _fibonacci_sphere_hull(100)
+    pools = {
+        "sphere hulls": [_sphere_hull(rng((2217, n)), n) for n in (80, 120, 200, 400)],
+        "dented hull stars": [dented_hull_star(rng((2218, n)), n).surface for n in (80, 120)],
+        "reflex stars": [star_suspension(rng((2219, n)), n, require_reflex=True).surface
+                         for n in (100, 200)],
+    }
+    pools = {name: [Framework.from_surface(s) for s in pool] for name, pool in pools.items()}
+    pools["near the cutoff"] = [_coned_face(coned, h) for h in np.logspace(-11, -2, 19)]
+    return pools
+
+
+def small_certificate_pool():
+    """Closed spheres below SPARSE_MIN_VERTICES: the flexible fixture, one-
+    and two-dent hulls, and the octahedron."""
+    rng = np.random.default_rng
+    surfaces = [flexible_suspension_fixture().suspension.surface, octahedron()]
+    surfaces += [dented_hull_star(rng((2211, k)), 8 + k).surface for k in range(3)]
+    surfaces += two_dent_hulls()
+    return [Framework.from_surface(surface) for surface in surfaces]
+
+
+def test_sparse_rank_certificate_matches_the_dense_rank(monkeypatch):
+    """rigidity_rank equals the dense rank of every closed sphere at
+    rank_tol 1e-9 and 1e-6; the certificate never fires on a deficient dense
+    rank, and it fires in every pool.  Below SPARSE_MIN_VERTICES the
+    certificate runs with the threshold patched to 4."""
+    pools = certificate_pools()
+    monkeypatch.setattr(frameworks, "SPARSE_MIN_VERTICES", 4)
+    pools["below the threshold"] = small_certificate_pool()
+    fired_pools, deficient = set(), set()
+    for name, pool in pools.items():
+        for fw in pool:
+            assert fw.n_edges == 3 * fw.n_vertices - 6
+            values = np.linalg.svd(rigidity_matrix(fw), compute_uv=False)
+            for rank_tol in (1e-9, 1e-6):
+                tol = Tolerances(rank_tol=rank_tol)
+                dense = tol.numerical_rank(values)
+                fired = frameworks._certifies_full_rank(fw, tol)
+                assert rigidity_rank(fw, tol) == dense, (name, fw.n_vertices, rank_tol)
+                assert dense == fw.n_edges or not fired, (name, fw.n_vertices, rank_tol)
+                if fired:
+                    fired_pools.add(name)
+                if dense < fw.n_edges:
+                    deficient.add(name)
+    assert fired_pools == set(pools)
+    assert deficient == {"near the cutoff", "below the threshold"}
 
 
 def test_rebuilt_frameworks_and_suspensions_keep_the_tolerances():

@@ -36,7 +36,7 @@ from rigidity3d.hessian import (
     tetra_angles_and_jacobian,
 )
 from rigidity3d.shapes import icosahedron, octahedron, tetrahedron
-from rigidity3d.suspensions import axis_decomposition, build_suspension
+from rigidity3d.suspensions import axis_decomposition
 
 TETRA_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 

@@ -12,10 +12,9 @@ from rigidity3d.frameworks import (
     Framework,
     equilibrium_residual,
     equilibrium_stress_space,
-    is_infinitesimally_rigid,
     is_proper,
 )
-from rigidity3d import suspensions
+from rigidity3d import frameworks, suspensions
 from rigidity3d.generators import (
     GenerationError,
     convex_suspension,
@@ -632,9 +631,9 @@ def test_closed_form_star_stress_with_four_coplanar_points():
 
 def test_one_factorization_per_suspension_answer(monkeypatch):
     """At n = 200 the induction factors only its direct solve (a 10 x 15 SVD
-    per peel made 184), and suspension_rigidity factors one input of at
-    least 3n rows and columns, the surface's rigidity matrix (the exchange
-    check made three)."""
+    per peel made 184), and suspension_rigidity factors no input of at least
+    3n rows and columns: one sparse LU certifies the surface's rank, with
+    the verdict the dense SVD of its rigidity matrix gives."""
     s = jittered_reflex_cylinder(200)
     shapes = []
     real_svd = np.linalg.svd
@@ -647,8 +646,11 @@ def test_one_factorization_per_suspension_answer(monkeypatch):
     inductive_proper_stress(s)
     assert len(shapes) == 1
     shapes.clear()
-    assert suspension_rigidity(s)
-    assert len([shape for shape in shapes if min(shape) >= 3 * s.n]) == 1
+    verdict = suspension_rigidity(s)
+    assert verdict and not [shape for shape in shapes if min(shape) >= 3 * s.n]
+    monkeypatch.setattr(frameworks, "SPARSE_MIN_VERTICES", s.n + 3)
+    assert verdict == suspension_rigidity(s)
+    assert [shape for shape in shapes if min(shape) >= 3 * s.n]
 
 
 def test_equilibrium_residual_memory_is_linear_in_the_edges():
