@@ -16,6 +16,7 @@ import time
 from dataclasses import dataclass
 from functools import cache
 from importlib import resources
+from numbers import Number
 
 import numpy as np
 
@@ -31,16 +32,125 @@ class FileFormatError(Exception):
     pass
 
 
-@cache
-def _validator():
-    """The document-schema validator, built on first use: commands that
-    read or write no document never import jsonschema."""
-    import jsonschema
+# The JSON Schema (Draft 2020-12) types and keywords the document checker
+# implements.  A schema that uses any other keyword is refused when it is
+# compiled, so a schema edit cannot go unchecked.
+_TYPES = {
+    "array": lambda v: isinstance(v, list),
+    "object": lambda v: isinstance(v, dict),
+    "number": lambda v: isinstance(v, Number) and not isinstance(v, bool),
+    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool))
+    or (isinstance(v, float) and v.is_integer()),
+}
+_NODE_KEYWORDS = frozenset({
+    "type", "const", "enum", "required", "additionalProperties", "minItems",
+    "maxItems", "minimum",
+})
+_KEYWORDS = _NODE_KEYWORDS | {"properties", "items"}
+_ANNOTATIONS = frozenset({"$schema", "title", "description"})
 
+
+def _equal(value, expected):
+    """JSON equality of scalars: a bool equals only the same bool."""
+    if isinstance(value, bool) or isinstance(expected, bool):
+        return value is expected
+    return value == expected
+
+
+def _rule(keyword, arg, schema):
+    """Check of one keyword at its own node: value -> message or None."""
+    if keyword == "type":
+        is_type = _TYPES[arg]
+        return lambda v: None if is_type(v) else f"{v!r} is not of type {arg!r}"
+    if keyword == "const":
+        return lambda v: None if _equal(v, arg) else f"{arg!r} was expected"
+    if keyword == "enum":
+        return lambda v: (None if any(_equal(v, e) for e in arg)
+                          else f"{v!r} is not one of {arg!r}")
+    if keyword == "required":
+        def required(v):
+            if isinstance(v, dict):
+                for key in arg:
+                    if key not in v:
+                        return f"{key!r} is a required property"
+        return required
+    if keyword == "additionalProperties":
+        known = schema.get("properties", {})
+
+        def closed(v):
+            if isinstance(v, dict):
+                extra = sorted((key for key in v if key not in known), key=str)
+                if extra:
+                    return (f"Additional properties are not allowed ({', '.join(map(repr, extra))} "
+                            f"{'was' if len(extra) == 1 else 'were'} unexpected)")
+        return closed
+    if keyword == "minItems":
+        return lambda v: (f"has {len(v)} items, fewer than the minimum of {arg}"
+                          if isinstance(v, list) and len(v) < arg else None)
+    if keyword == "maxItems":
+        return lambda v: (f"has {len(v)} items, more than the maximum of {arg}"
+                          if isinstance(v, list) and len(v) > arg else None)
+    # minimum
+    return lambda v: (f"{v!r} is less than the minimum of {arg!r}"
+                      if _TYPES["number"](v) and v < arg else None)
+
+
+def _compile(schema, where="#"):
+    """A checker for `schema`: value -> None, or (path, message) for the
+    first error in JSON-pointer order, and at one path the first in the
+    schema's keyword order: the error a Draft 2020-12 validator reports
+    first when its errors are sorted by path.
+
+    A node's own keywords are checked before its children, and children
+    in key or index order.  Raises ValueError for a keyword or type that
+    is not implemented.
+    """
+    unknown = sorted(schema.keys() - _KEYWORDS - _ANNOTATIONS)
+    if unknown:
+        raise ValueError(f"{where}: schema keyword {unknown[0]!r} is not implemented")
+    if schema.get("additionalProperties", False) is not False:
+        raise ValueError(f"{where}: only 'additionalProperties': false is implemented")
+    if "type" in schema and not (isinstance(schema["type"], str) and schema["type"] in _TYPES):
+        raise ValueError(f"{where}: schema type {schema['type']!r} is not implemented")
+    rules = [
+        _rule(keyword, arg, schema)
+        for keyword, arg in schema.items()
+        if keyword in _NODE_KEYWORDS
+    ]
+    children = sorted(
+        (key, _compile(sub, f"{where}/properties/{key}"))
+        for key, sub in schema.get("properties", {}).items()
+    )
+    items = _compile(schema["items"], f"{where}/items") if "items" in schema else None
+
+    def check(value):
+        for rule in rules:
+            message = rule(value)
+            if message is not None:
+                return (), message
+        if children and isinstance(value, dict):
+            for key, child in children:
+                if key in value:
+                    error = child(value[key])
+                    if error is not None:
+                        return (key, *error[0]), error[1]
+        if items is not None and isinstance(value, list):
+            for index, item in enumerate(value):
+                error = items(item)
+                if error is not None:
+                    return (index, *error[0]), error[1]
+        return None
+
+    return check
+
+
+@cache
+def _checker():
+    """The checker of the bundled document schema, compiled on first use."""
     text = resources.files("rigidity3d.schema").joinpath(
         "framework.schema.json"
     ).read_text()
-    return jsonschema.Draft202012Validator(json.loads(text))
+    return _compile(json.loads(text))
 
 
 def _pointer(path):
@@ -48,11 +158,18 @@ def _pointer(path):
 
 
 def validate_document(doc):
-    """Schema plus index-range validation; errors carry a JSON pointer."""
-    errors = sorted(_validator().iter_errors(doc), key=lambda e: list(e.absolute_path))
-    if errors:
-        e = errors[0]
-        raise FileFormatError(f"{_pointer(e.absolute_path)}: {e.message}")
+    """Schema plus index-range validation; errors carry a JSON pointer.
+
+    The schema step walks the bundled schema (framework.schema.json, the
+    one definition of the format) and reports the error that a Draft
+    2020-12 validator reports first when its errors are sorted by path.
+    The index-range step then checks every vertex index against the
+    vertex count, loops, and that poles and equator come together.
+    """
+    error = _checker()(doc)
+    if error is not None:
+        path, message = error
+        raise FileFormatError(f"{_pointer(path)}: {message}")
 
     n = len(doc["vertices"])
 

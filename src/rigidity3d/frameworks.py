@@ -284,10 +284,12 @@ def rigidity_matrix(fw):
 # vertices (2.4 vs 3.9 ms at 60, 3.2 vs 13 ms at 100, 13 ms vs 6.2 s at 800;
 # one BLAS thread on a 2-core x86 VM); below 60 it saves under a millisecond,
 # less than a certificate that fails adds in front of the dense SVD.  The
-# guard G and the m inverse-iteration steps fix Dixon's bound quoted there.
+# guard G and the m inverse-iteration steps fix Dixon's bound quoted there;
+# six steps let the guard be as low as 32 at that bound, so random sphere
+# hulls (sigma_min / sigma_max near 1e-3) are certified at rank_tol 1e-6 too.
 SPARSE_MIN_VERTICES = 60
-_CERTIFICATE_GUARD = 1e3
-_INVERSE_STEPS = 3
+_CERTIFICATE_GUARD = 32
+_INVERSE_STEPS = 6
 
 
 def rigidity_rank(fw, tol: Tolerances = DEFAULT_TOL):
@@ -324,7 +326,7 @@ def _certifies_full_rank(fw, tol):
     iteration on B^T B from a fixed-seed Gaussian start overestimate
     sigma_min(B), and by Dixon (SIAM J. Numer. Anal. 20, 1983) the estimate
     exceeds G = _CERTIFICATE_GUARD times sigma_min(B) with probability at
-    most 0.8 G^(-2m) sqrt(3n), about 4e-17 at n = 800.  So an estimate
+    most 0.8 G^(-2m) sqrt(3n), about 3.4e-17 at n = 800.  So an estimate
     above G * rank_tol * ub certifies rank E.
     """
     from scipy.sparse import csr_matrix

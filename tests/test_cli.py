@@ -489,29 +489,35 @@ def _fresh_python(script, *args):
 
 
 def test_probe_pd_imports_neither_lp_solver_nor_schema_validator(capsys, tmp_path):
-    """probe-pd solves no LP and reads no document, so a fresh process
-    running it never imports scipy.optimize or jsonschema; analyze of a
-    hull document then loads both and reaches the same verdicts."""
+    """Documents are checked by walking the bundled schema, so a fresh
+    process running probe-pd, saving a hull document and analyzing it never
+    imports jsonschema.  probe-pd and save solve no LP and load no
+    scipy.optimize; analyze loads it and reaches the same verdicts as this
+    process."""
     hull = tmp_path / "hull.json"
-    fileio.save(hull, generators.random_convex_hull_surface(default_rng(11), 12))
     script = textwrap.dedent("""
         import contextlib, io, json, sys
+        from numpy.random import default_rng
+        from rigidity3d import fileio, generators
         from rigidity3d.cli import main
 
-        heavy = ("scipy.optimize", "jsonschema")
+        def loaded():
+            return [m for m in ("scipy.optimize", "jsonschema") if m in sys.modules]
+
+        seen = {}
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["probe-pd", "--trials", "6", "--seed", "1", "--out", sys.argv[1]]) == 0
-        before = [m for m in heavy if m in sys.modules]
+        seen["probe-pd"] = loaded()
+        fileio.save(sys.argv[2], generators.random_convex_hull_surface(default_rng(11), 12))
+        seen["save"] = loaded()
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             assert main(["analyze", sys.argv[2], "--json"]) == 0
-        after = [m for m in heavy if m in sys.modules]
-        verdicts = json.loads(out.getvalue())["verdicts"]
-        print(json.dumps({"before": before, "after": after, "verdicts": verdicts}))
+        seen["analyze"] = loaded()
+        print(json.dumps({"seen": seen, "verdicts": json.loads(out.getvalue())["verdicts"]}))
     """)
     fresh = _fresh_python(script, tmp_path / "pd", hull)
-    assert fresh["before"] == []
-    assert fresh["after"] == ["scipy.optimize", "jsonschema"]
+    assert fresh["seen"] == {"probe-pd": [], "save": [], "analyze": ["scipy.optimize"]}
     code, out, _ = run(capsys, "analyze", str(hull), "--json")
     verdicts = json.loads(out)["verdicts"]
     assert code == 0 and fresh["verdicts"] == verdicts

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -245,6 +246,119 @@ def test_missing_required_field():
     del doc["version"]
     with pytest.raises(FileFormatError, match="version"):
         fileio.validate_document(doc)
+
+
+def _bundled_schema():
+    return json.loads(resources.files("rigidity3d.schema").joinpath(
+        "framework.schema.json").read_text())
+
+
+def _nodes(value, path=()):
+    """(path, value) of every node of a JSON document, the root first."""
+    yield path, value
+    if isinstance(value, dict):
+        for key, child in value.items():
+            yield from _nodes(child, (*path, key))
+    elif isinstance(value, list):
+        for index, child in enumerate(value):
+            yield from _nodes(child, (*path, index))
+
+
+def _mutate(rng, doc):
+    """Apply one random fault to the document `doc` in place."""
+    nodes = list(_nodes(doc))
+    fault = rng.choice(["bool", "none", "str", "float", "negative", "missing", "extra",
+                        "short", "long", "kind", "version"])
+    if fault in ("missing", "extra"):
+        targets = [v for _, v in nodes if isinstance(v, dict) and (v or fault == "extra")]
+        target = targets[rng.integers(len(targets))]
+        if fault == "missing":
+            del target[list(target)[rng.integers(len(target))]]
+        else:
+            target[str(rng.choice(["extra", "colour", "i"]))] = 0
+        return
+    edges = doc.get("edges") if isinstance(doc.get("edges"), list) else []
+    edges = [e for e in edges if isinstance(e, dict)]
+    lists = [v for _, v in nodes if isinstance(v, list)]
+    if fault == "kind" and edges:
+        edges[rng.integers(len(edges))]["kind"] = str(rng.choice(["rope", "Bar", ""]))
+    elif fault in ("short", "long") and lists:
+        target = lists[rng.integers(len(lists))]
+        if fault == "short":
+            del target[rng.integers(len(target) + 1):]
+        else:
+            target.append(json.loads(json.dumps(target[-1])) if target else 0)
+    elif fault in ("bool", "none", "str", "float", "negative"):
+        ints = [(p, v) for p, v in nodes if type(v) is int and p]
+        pool = ints if fault in ("float", "negative") and ints else nodes[1:]
+        path, value = pool[rng.integers(len(pool))]
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = {
+            "bool": bool(rng.integers(2)), "none": None, "str": str(value),
+            "float": float(value) if type(value) is int else 2.0,
+            "negative": -1 - int(rng.integers(3)),
+        }[fault]
+    else:
+        doc["version"] = [True, 2][rng.integers(2)]
+
+
+def test_schema_walk_agrees_with_a_draft_2020_12_validator():
+    """2,000 seeded mutants, one to three faults each (bool, None, str and
+    integral-float values, negative indices, missing and extra keys, short
+    and long arrays, a bad kind, version True or 2), of the octahedron,
+    hulls at n = 8, 50 and 200, a star suspension and a decomposition:
+    the schema walk accepts or refuses each as jsonschema does, with the
+    pointer of jsonschema's first error sorted by path, and with its message
+    except for item counts (jsonschema prints the whole array).  The
+    pointer and message are the schema step's: validate_document raises
+    them as "<pointer>: <message>"."""
+    import jsonschema
+
+    oracle = jsonschema.Draft202012Validator(_bundled_schema())
+    rng = default_rng(2023)
+    star = generators.star_suspension(default_rng(4), 6)
+    bases = [  # (document, mutants): fewer of the large ones, which the oracle walks slowly
+        (shapes.octahedron(), 600),
+        (generators.random_convex_hull_surface(default_rng(8), 8), 560),
+        (generators.random_convex_hull_surface(default_rng(50), 50), 60),
+        (generators.random_convex_hull_surface(default_rng(200), 200), 12),
+        (star, 384),
+        (suspensions.axis_decomposition(star), 384),
+    ]
+    checker = fileio._checker()
+    disagreements, refused = [], 0
+    for obj, count in bases:
+        base = json.dumps(fileio.to_document(obj))
+        for k in range(count):
+            doc = json.loads(base)
+            for _ in range(rng.integers(1, 4)):
+                _mutate(rng, doc)
+            errors = sorted(oracle.iter_errors(doc), key=lambda e: list(e.absolute_path))
+            expected = (tuple(errors[0].absolute_path), errors[0].message) if errors else None
+            got = checker(doc)
+            if expected is None or got is None:
+                agree = got == expected
+            else:
+                refused += 1
+                counted = errors[0].validator in ("minItems", "maxItems")
+                agree = got[0] == expected[0] and (counted or got[1] == expected[1])
+            if not agree:
+                disagreements.append((type(obj).__name__, k, expected, got))
+    assert not disagreements, (len(disagreements), disagreements[:3])
+    assert refused > 1700  # most mutants exercise the first-error order
+
+
+def test_a_schema_keyword_the_walk_does_not_implement_is_refused():
+    """A schema edit that uses a keyword the walk does not implement, here
+    `pattern` on an edge's kind, is refused when the schema is compiled
+    rather than silently unchecked."""
+    schema = _bundled_schema()
+    fileio._compile(schema)
+    schema["properties"]["edges"]["items"]["properties"]["kind"]["pattern"] = "^[a-z]+$"
+    with pytest.raises(ValueError, match=r"^#/properties/edges/items/properties/kind: .*'pattern'"):
+        fileio._compile(schema)
 
 
 def test_bad_json_file(tmp_path):

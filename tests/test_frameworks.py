@@ -755,7 +755,8 @@ def _fibonacci_sphere_hull(n):
 
 def certificate_pools():
     """Closed spheres (E = 3n - 6) at n = 80..400: random sphere hulls,
-    dented hull stars, reflex star suspensions, and the n = 100 Fibonacci
+    dented hull stars, reflex star suspensions (two at n = 100, one at
+    200), and the n = 100 Fibonacci
     sphere coned at one face from heights 1e-11..1e-2, which put
     sigma_min / sigma_max at 1.6 times the height: from 1e-2 to 1e7 times
     the rank cutoff at rank_tol 1e-9, and from 1e-5 to 1e4 at 1e-6."""
@@ -764,8 +765,8 @@ def certificate_pools():
     pools = {
         "sphere hulls": [_sphere_hull(rng((2217, n)), n) for n in (80, 120, 200, 400)],
         "dented hull stars": [dented_hull_star(rng((2218, n)), n).surface for n in (80, 120)],
-        "reflex stars": [star_suspension(rng((2219, n)), n, require_reflex=True).surface
-                         for n in (100, 200)],
+        "reflex stars": [star_suspension(rng(seed), seed[1], require_reflex=True).surface
+                         for seed in ((2219, 100), (2219, 100, 1), (2219, 200))],
     }
     pools = {name: [Framework.from_surface(s) for s in pool] for name, pool in pools.items()}
     pools["near the cutoff"] = [_coned_face(coned, h) for h in np.logspace(-11, -2, 19)]
@@ -785,14 +786,16 @@ def small_certificate_pool():
 def test_sparse_rank_certificate_matches_the_dense_rank(monkeypatch):
     """rigidity_rank equals the dense rank of every closed sphere at
     rank_tol 1e-9 and 1e-6; the certificate never fires on a deficient dense
-    rank, and it fires in every pool.  Below SPARSE_MIN_VERTICES the
+    rank, and it fires in every pool.  At rank_tol 1e-6 it certifies every
+    sphere hull (sigma_min / sigma_max down to 6e-4 at n = 400) and both
+    n = 100 reflex stars (about 1e-4).  Below SPARSE_MIN_VERTICES the
     certificate runs with the threshold patched to 4."""
     pools = certificate_pools()
     monkeypatch.setattr(frameworks, "SPARSE_MIN_VERTICES", 4)
     pools["below the threshold"] = small_certificate_pool()
-    fired_pools, deficient = set(), set()
+    fired_pools, deficient, fired_at_1e6 = set(), set(), set()
     for name, pool in pools.items():
-        for fw in pool:
+        for k, fw in enumerate(pool):
             assert fw.n_edges == 3 * fw.n_vertices - 6
             values = np.linalg.svd(rigidity_matrix(fw), compute_uv=False)
             for rank_tol in (1e-9, 1e-6):
@@ -803,10 +806,14 @@ def test_sparse_rank_certificate_matches_the_dense_rank(monkeypatch):
                 assert dense == fw.n_edges or not fired, (name, fw.n_vertices, rank_tol)
                 if fired:
                     fired_pools.add(name)
+                    if rank_tol == 1e-6:
+                        fired_at_1e6.add((name, k))
                 if dense < fw.n_edges:
                     deficient.add(name)
     assert fired_pools == set(pools)
     assert deficient == {"near the cutoff", "below the threshold"}
+    assert {("sphere hulls", k) for k in range(4)} <= fired_at_1e6
+    assert {("reflex stars", 0), ("reflex stars", 1)} <= fired_at_1e6
 
 
 def test_rebuilt_frameworks_and_suspensions_keep_the_tolerances():
