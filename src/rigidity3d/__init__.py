@@ -16,7 +16,6 @@ from .geometry import (  # noqa: F401
     InvariantError,
     PolyhedralSurface,
     ProjectiveMap,
-    SphericalPolygon,
     Tolerances,
     apply_projective,
     cayley_menger_feasible,
@@ -26,8 +25,6 @@ from .geometry import (  # noqa: F401
     edge_flags,
     is_weakly_convex,
     normalize_pole_frame,
-    spherical_polygon_relation_residual,
-    vertex_link,
 )
 
 from .frameworks import (  # noqa: F401

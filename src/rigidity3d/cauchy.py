@@ -33,6 +33,13 @@ logger = logging.getLogger(__name__)
 # norm and the surface to unit diameter
 SIGN_RATE_TOL = 1e-9
 
+# impossible_labeling_search tries all 2**E labelings; 14 admits the
+# octahedron's 12 edges
+LABELING_EDGE_CAP = 14
+
+# hull sizes dent_rigidity_harness draws, both ends included
+DENT_HULL_VERTICES = (8, 20)
+
 
 class CauchyError(Exception):
     pass
@@ -309,7 +316,7 @@ def rotation_system(surface):
     }
 
 
-def impossible_labeling_search(rotation, max_edges=14):
+def impossible_labeling_search(rotation):
     """Exhaustively search all +-1 edge labelings of an embedded graph for
     one where no vertex sees all-equal signs and all vertices but at most
     three see at least 4 sign changes.
@@ -324,9 +331,9 @@ def impossible_labeling_search(rotation, max_edges=14):
         for v in nbrs:
             if u not in rotation[v]:
                 raise CauchyError(f"rotation system is not symmetric at ({u}, {v})")
-    if len(edges) > max_edges:
+    if len(edges) > LABELING_EDGE_CAP:
         raise CauchyError(
-            f"{len(edges)} edges: exhaustive search is capped at {max_edges}"
+            f"{len(edges)} edges: exhaustive search is capped at {LABELING_EDGE_CAP}"
         )
     index = {e: k for k, e in enumerate(edges)}
     slots = {
@@ -480,7 +487,6 @@ def _cofacial(surface, e1, e2):
 def dent_rigidity_harness(
     seed=0,
     trials=100,
-    n_range=(8, 20),
     include_control=False,
     tol: Tolerances = DEFAULT_TOL,
 ):
@@ -500,7 +506,7 @@ def dent_rigidity_harness(
     skipped = 0
     for t in range(trials):
         rng = np.random.default_rng((seed, t))
-        n = int(rng.integers(n_range[0], n_range[1] + 1))
+        n = int(rng.integers(DENT_HULL_VERTICES[0], DENT_HULL_VERTICES[1] + 1))
         try:
             surface = generators.random_convex_hull_surface(rng, n, tol=tol)
         except generators.GenerationError as exc:  # degenerate sample

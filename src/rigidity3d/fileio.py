@@ -286,18 +286,16 @@ def from_document(doc, tol: Tolerances = DEFAULT_TOL):
             )
     suspension = None
     if "poles" in doc:
-        poles = doc["poles"]
+        # the schema's integers include integral floats such as 0.0
+        layout = [int(doc["poles"]["north"]), int(doc["poles"]["south"])]
+        layout += [int(v) for v in doc["equator"]]
         try:
             suspension = build_suspension(
-                vertices[poles["north"]],
-                vertices[poles["south"]],
-                vertices[doc["equator"]],
-                tol,
+                vertices[layout[0]], vertices[layout[1]], vertices[layout[2:]], tol
             )
         except (GeometryError, SuspensionError) as exc:
             raise FileFormatError(f"/poles: {exc}") from None
         if surface is not None:
-            layout = [poles["north"], poles["south"], *doc["equator"]]
             faces = {tuple(sorted(f)) for f in doc["faces"]}
             built = {tuple(sorted(layout[v] for v in f))
                      for f in suspension.surface.faces.tolist()}

@@ -59,14 +59,12 @@ class Framework:
     """Tensegrity framework: points plus edges labeled bar/cable/strut.
 
     Edges may be given as (i, j) pairs (labeled bars) or (i, j, kind)
-    triples; they are stored with i < j, in the given order.  The
-    tolerances are kept for the frameworks `with_edge` and `without_edge`
-    build.  Equality is identity.
+    triples; they are stored with i < j, in the given order.  `tol` sets
+    the near-zero edge-length floor checked here.  Equality is identity.
     """
 
     vertices: np.ndarray
     edges: tuple
-    tol: Tolerances
 
     def __init__(self, vertices, edges, tol: Tolerances = DEFAULT_TOL):
         vertices = as_points(vertices)
@@ -105,7 +103,6 @@ class Framework:
         vertices.flags.writeable = False
         self.vertices = vertices
         self.edges = tuple(norm_edges)
-        self.tol = tol
 
     @classmethod
     def from_surface(cls, surface, tol: Tolerances = DEFAULT_TOL):
@@ -123,24 +120,6 @@ class Framework:
     @property
     def edge_pairs(self):
         return tuple((i, j) for i, j, _ in self.edges)
-
-    def kind_of(self, pair):
-        i, j = sorted(pair)
-        for a, b, kind in self.edges:
-            if (a, b) == (i, j):
-                return kind
-        raise FrameworkError(f"({i}, {j}) is not an edge of the framework")
-
-    def without_edge(self, pair):
-        i, j = sorted(pair)
-        if (i, j) not in self.edge_pairs:
-            raise FrameworkError(f"({i}, {j}) is not an edge of the framework")
-        return Framework(
-            self.vertices, [e for e in self.edges if (e[0], e[1]) != (i, j)], tol=self.tol
-        )
-
-    def with_edge(self, i, j, kind=EdgeKind.BAR):
-        return Framework(self.vertices, list(self.edges) + [(i, j, kind)], tol=self.tol)
 
     def _replace_vertices(self, new_vertices, tol: Tolerances):
         return Framework(new_vertices, list(self.edges), tol=tol)

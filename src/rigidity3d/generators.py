@@ -36,6 +36,20 @@ from .suspensions import (
 # adjacent hull facets closer than this to coplanar get the sample rejected
 FLAT_EDGE_MARGIN = 1e-3
 
+# draws each sampler makes before it raises GenerationError
+HULL_TRIES = 60
+AZIMUTH_TRIES = 100
+# twenty draws per halving of the radius spread, ten halvings in all
+POLYGON_TRIES = 200
+CONVEX_SUSPENSION_TRIES = 40
+STAR_SUSPENSION_TRIES = 120
+RANDOM_SUSPENSION_TRIES = 60
+DENTED_HULL_TRIES = 20
+PROJECTIVE_TRIES = 50
+
+EDGE_PROBABILITY = 0.55
+PROJECTIVE_STRENGTH = 0.15
+
 
 class GenerationError(Exception):
     pass
@@ -46,7 +60,7 @@ class GenerationError(Exception):
 # ---------------------------------------------------------------------------
 
 
-def random_convex_hull_surface(rng, n, tol: Tolerances = DEFAULT_TOL, max_tries=60):
+def random_convex_hull_surface(rng, n, tol: Tolerances = DEFAULT_TOL):
     """Boundary surface of the convex hull of n random points on the unit
     sphere.  Samples are rejected until every point is a hull vertex and
     no two adjacent facets are within FLAT_EDGE_MARGIN of coplanar, so the
@@ -55,7 +69,7 @@ def random_convex_hull_surface(rng, n, tol: Tolerances = DEFAULT_TOL, max_tries=
         raise GenerationError("need at least 4 points for a hull surface")
     from scipy.spatial import ConvexHull  # deferred: only hull callers pay its import
 
-    for _ in range(max_tries):
+    for _ in range(HULL_TRIES):
         x = rng.normal(size=(n, 3))
         norms = np.linalg.norm(x, axis=1)
         if norms.min() < 1e-9:
@@ -72,7 +86,7 @@ def random_convex_hull_surface(rng, n, tol: Tolerances = DEFAULT_TOL, max_tries=
             continue
         return surface
     raise GenerationError(
-        f"no usable hull of {n} sphere points in {max_tries} attempts"
+        f"no usable hull of {n} sphere points in {HULL_TRIES} attempts"
     )
 
 
@@ -81,26 +95,26 @@ def random_convex_hull_surface(rng, n, tol: Tolerances = DEFAULT_TOL, max_tries=
 # ---------------------------------------------------------------------------
 
 
-def _azimuths(rng, n, max_tries=100):
+def _azimuths(rng, n):
     """n sorted azimuths with every cyclic gap inside (floor, pi - 0.05).
 
     The smallest drawn gap is about 0.6 / n, so the floor is
     min(0.05, 0.61 / n): 0.05 up to n = 12, scaled down past it."""
     floor = min(0.05, 0.61 / n)
-    for _ in range(max_tries):
+    for _ in range(AZIMUTH_TRIES):
         gaps = rng.uniform(0.15, 2.9, n)
         gaps *= 2.0 * np.pi / gaps.sum()
         if gaps.max() < np.pi - 0.05 and gaps.min() > floor:
             return np.concatenate([[0.0], np.cumsum(gaps)[:-1]])
     raise GenerationError(
-        f"could not draw {n} azimuth gaps inside ({floor:.3g}, pi - 0.05) in {max_tries} tries"
+        f"could not draw {n} azimuth gaps inside ({floor:.3g}, pi - 0.05) in {AZIMUTH_TRIES} tries"
     )
 
 
-def random_convex_polygon(rng, n, max_tries=200):
+def random_convex_polygon(rng, n):
     """Radii and azimuths of a convex n-gon winding once around the
     origin (so the origin is strictly interior)."""
-    for attempt in range(max_tries):
+    for attempt in range(POLYGON_TRIES):
         az = _azimuths(rng, n)
         spread = 0.3 * 0.5 ** (attempt // 20)  # tighten until convex
         radii = rng.uniform(1.0 - spread, 1.0 + spread, n)
@@ -113,7 +127,7 @@ def random_convex_polygon(rng, n, max_tries=200):
     raise GenerationError("could not draw a convex polygon")
 
 
-def convex_suspension(rng, n, tol: Tolerances = DEFAULT_TOL, max_tries=40):
+def convex_suspension(rng, n, tol: Tolerances = DEFAULT_TOL):
     """Strongly strictly convex suspension: the bipyramid over a convex
     polygon, with pole offsets and out-of-plane jitter accepted only when
     the convex hull of the vertices has exactly the bipyramid's faces.
@@ -123,7 +137,7 @@ def convex_suspension(rng, n, tol: Tolerances = DEFAULT_TOL, max_tries=40):
     skip equator vertices entirely), the whole instance is redrawn."""
     from scipy.spatial import ConvexHull  # deferred: only hull callers pay its import
 
-    for _ in range(max_tries):
+    for _ in range(CONVEX_SUSPENSION_TRIES):
         radii, az = random_convex_polygon(rng, n)
         base = np.stack([radii * np.cos(az), radii * np.sin(az), np.zeros(n)], axis=1)
         h_n = rng.uniform(0.6, 1.6)
@@ -146,12 +160,12 @@ def convex_suspension(rng, n, tol: Tolerances = DEFAULT_TOL, max_tries=40):
     raise GenerationError("convex suspension generation did not converge")
 
 
-def star_suspension(rng, n, require_reflex=False, tol: Tolerances = DEFAULT_TOL, max_tries=120):
+def star_suspension(rng, n, require_reflex=False, tol: Tolerances = DEFAULT_TOL):
     """Axis-decomposable, weakly strictly convex suspension whose equator
     sits on a cylinder around the axis (so every vertex is exposed) with
     random heights.  With require_reflex, resamples until at least one
     lateral edge is reflex."""
-    for _ in range(max_tries):
+    for _ in range(STAR_SUSPENSION_TRIES):
         az = _azimuths(rng, n)
         radius = rng.uniform(0.6, 1.4)
         z = rng.uniform(-0.55, 0.55, n)
@@ -169,11 +183,11 @@ def star_suspension(rng, n, require_reflex=False, tol: Tolerances = DEFAULT_TOL,
     raise GenerationError("no suitable cylinder suspension found")
 
 
-def random_suspension(rng, n, tol: Tolerances = DEFAULT_TOL, max_tries=60):
+def random_suspension(rng, n, tol: Tolerances = DEFAULT_TOL):
     """Unconstrained suspension: random radii and heights, and with
     probability ~0.3 a shuffled azimuth order (so the equator may be
     knotted around the axis and fail decomposability)."""
-    for _ in range(max_tries):
+    for _ in range(RANDOM_SUSPENSION_TRIES):
         az = _azimuths(rng, n)
         if rng.uniform() < 0.3:
             az = az[rng.permutation(n)]
@@ -279,14 +293,14 @@ def flexible_suspension_fixture(
 # ---------------------------------------------------------------------------
 
 
-def dented_hull_star(rng, n, tol: Tolerances = DEFAULT_TOL, max_tries=20):
+def dented_hull_star(rng, n, tol: Tolerances = DEFAULT_TOL):
     """Dent a random hull at one edge and cone it from an end of the new
     reflex edge (from which the dented solid is star-shaped).
 
     Decompositions with a tetrahedron too flat for the analytic angle
     Jacobian are rejected and the hull redrawn, so the result always
     supports lambda_matrix."""
-    for _ in range(max_tries):
+    for _ in range(DENTED_HULL_TRIES):
         surface = random_convex_hull_surface(rng, n, tol)
         edges = list(surface.edges)
         for k in rng.permutation(len(edges)):
@@ -335,33 +349,33 @@ def probe_decomposition(kind, rng, tol: Tolerances = DEFAULT_TOL):
 # ---------------------------------------------------------------------------
 
 
-def random_framework(rng, n, edge_prob=0.55, tol: Tolerances = DEFAULT_TOL):
-    """Random bar framework: n Gaussian points, each pair joined with the
-    given probability, plus a path so the result is connected."""
+def random_framework(rng, n, tol: Tolerances = DEFAULT_TOL):
+    """Random bar framework: n Gaussian points, each pair joined with
+    probability EDGE_PROBABILITY, plus a path so the result is connected."""
     if n < 2:
         raise GenerationError("need at least 2 vertices")
     pts = rng.normal(size=(n, 3))
     edges = {(i, i + 1) for i in range(n - 1)}
     for i in range(n):
         for j in range(i + 1, n):
-            if rng.uniform() < edge_prob:
+            if rng.uniform() < EDGE_PROBABILITY:
                 edges.add((i, j))
     return Framework(pts, sorted(edges), tol)
 
 
-def random_projective_map(rng, points, strength=0.15, max_tries=50):
+def random_projective_map(rng, points):
     """A random projective map keeping every given point finite (all
     homogeneous denominators bounded away from zero)."""
     points = np.asarray(points, dtype=float)
     span = max(1.0, np.abs(points).max())
-    for _ in range(max_tries):
+    for _ in range(PROJECTIVE_TRIES):
         linear = np.eye(3) + rng.uniform(-0.4, 0.4, (3, 3))
         if abs(np.linalg.det(linear)) < 1e-3:
             continue
         m = np.eye(4)
         m[:3, :3] = linear
         m[3, :3] = rng.uniform(-0.5, 0.5, 3)
-        m[:3, 3] = rng.uniform(-strength, strength, 3) / span
+        m[:3, 3] = rng.uniform(-PROJECTIVE_STRENGTH, PROJECTIVE_STRENGTH, 3) / span
         m[3, 3] = 1.0
         w = points @ m[:3, 3] + m[3, 3]
         if np.abs(w).min() < 0.2:

@@ -1,7 +1,7 @@
 """Low-level 3D geometry for rigidity analysis.
 
 Polyhedral surfaces (closed, oriented, triangulated), convexity
-classification, dihedral angles, vertex links, projective maps, pole
+classification, dihedral angles, projective maps, pole
 normalization for suspensions, and Cayley-Menger feasibility of edge
 lengths.
 
@@ -559,67 +559,6 @@ def classify_convexity(surface, tol: Tolerances = DEFAULT_TOL):
     if unexposed_edges:
         return ConvexityReport(Convexity.WEAKLY_STRICTLY_CONVEX, flags, (), tuple(unexposed_edges))
     return ConvexityReport(Convexity.STRONGLY_STRICTLY_CONVEX, flags, (), ())
-
-
-# ---------------------------------------------------------------------------
-# vertex links and the spherical polygon relation
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SphericalPolygon:
-    """Closed polygon on the unit sphere: the link of a vertex.
-
-    vertices[i] is the unit direction to the i-th neighbor; angles[i] is
-    the face angle between directions i and i+1 (cyclically) at the apex.
-    """
-
-    vertices: np.ndarray
-    angles: np.ndarray
-
-    def __post_init__(self):
-        verts = np.array(self.vertices, dtype=float)
-        angles = np.array(self.angles, dtype=float)
-        if verts.ndim != 2 or verts.shape[1] != 3 or len(verts) != len(angles):
-            raise GeometryError("link needs matching (k,3) directions and k angles")
-        norms = np.linalg.norm(verts, axis=1)
-        if np.abs(norms - 1.0).max() > 1e-12:
-            raise GeometryError("link directions must be unit vectors (within 1e-12)")
-        if np.any(angles <= 0.0) or np.any(angles >= 2.0 * np.pi):
-            raise GeometryError("link angles must lie in (0, 2*pi)")
-        verts.flags.writeable = False
-        angles.flags.writeable = False
-        object.__setattr__(self, "vertices", verts)
-        object.__setattr__(self, "angles", angles)
-
-    def __len__(self):
-        return len(self.angles)
-
-
-def vertex_link(surface, v, tol: Tolerances = DEFAULT_TOL):
-    """Link of a vertex: unit directions to its neighbors in cyclic order,
-    with the face angle met at the apex between consecutive directions."""
-    cycle = surface.neighbors_cyclic(v)
-    p = surface.vertices
-    dirs = np.array([unit(p[w] - p[v]) for w in cycle])
-    k = len(cycle)
-    angles = np.empty(k)
-    for i in range(k):
-        cosang = np.clip(dirs[i] @ dirs[(i + 1) % k], -1.0, 1.0)
-        angles[i] = np.arccos(cosang)
-    return SphericalPolygon(dirs, angles)
-
-
-def spherical_polygon_relation_residual(link, angle_variations):
-    """Sum of theta'_i * p_i over the link; zero (to tolerance) iff the
-    given first-order angle variations are realizable by a motion of the
-    polygon on the sphere."""
-    theta = np.asarray(angle_variations, dtype=float)
-    if theta.shape != (len(link),):
-        raise GeometryError(
-            f"expected {len(link)} angle variations, got shape {theta.shape}"
-        )
-    return theta @ link.vertices
 
 
 # ---------------------------------------------------------------------------

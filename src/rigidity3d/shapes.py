@@ -86,15 +86,15 @@ def icosahedron():
     return PolyhedralSurface(v, hull_faces(v, ConvexHull(v).simplices))
 
 
-def square_pyramid(apex_height=1.0, half_width=1.0):
+def square_pyramid():
     """Square pyramid; apex last (index 4), base split along a diagonal."""
     v = np.array(
         [
-            [half_width, 0, 0],
-            [0, half_width, 0],
-            [-half_width, 0, 0],
-            [0, -half_width, 0],
-            [0, 0, apex_height],
+            [1.0, 0, 0],
+            [0, 1.0, 0],
+            [-1.0, 0, 0],
+            [0, -1.0, 0],
+            [0, 0, 1.0],
         ]
     )
     faces = [(4, 0, 1), (4, 1, 2), (4, 2, 3), (4, 3, 0), (0, 2, 1), (0, 3, 2)]

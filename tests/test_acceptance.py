@@ -220,7 +220,7 @@ def test_07_convex_profile_positivity_certificate():
 
 
 def test_08_dented_hull_rigidity_harness():
-    report = dent_rigidity_harness(seed=0, trials=100, n_range=(8, 20))
+    report = dent_rigidity_harness(seed=0, trials=100)
     assert report.n_trials == 100 and report.skipped == 0
     assert report.all_rigid
     for trial in report.trials:

@@ -198,14 +198,15 @@ def test_suspend_draws_sixty_equator_vertices(capsys, tmp_path, profile):
     assert fileio.load(out).suspension.n == 60
 
 
-def test_azimuths_name_the_gap_bounds_when_they_run_out():
+def test_azimuths_name_the_gap_bounds_when_they_run_out(monkeypatch):
     """Two gaps can never both lie under pi - 0.05; the message gives n and
     both bounds, the floor as scaled for n."""
     with pytest.raises(generators.GenerationError) as exc:
         generators._azimuths(default_rng(7), 2)
     assert str(exc.value) == "could not draw 2 azimuth gaps inside (0.05, pi - 0.05) in 100 tries"
+    monkeypatch.setattr(generators, "AZIMUTH_TRIES", 0)
     with pytest.raises(generators.GenerationError) as exc:
-        generators._azimuths(default_rng(7), 1000, max_tries=0)
+        generators._azimuths(default_rng(7), 1000)
     assert str(exc.value) == (
         "could not draw 1000 azimuth gaps inside (0.00061, pi - 0.05) in 0 tries")
 

@@ -204,6 +204,17 @@ def test_suspension_must_have_the_documents_faces():
         fileio.from_document(dict(permuted, equator=[5, 4, 1, 2]))
 
 
+def test_integral_float_poles_and_equator_load_as_indices():
+    """The schema's integers include integral floats: a suspension document
+    whose poles and equator are 0.0, 1.0, ... loads the same suspension as
+    the one with integers."""
+    doc = fileio.to_document(suspensions.Suspension(shapes.octahedron().vertices))
+    floats = dict(doc, poles={"north": 0.0, "south": 1.0},
+                  equator=[float(v) for v in doc["equator"]])
+    loaded = fileio.from_document(floats).suspension
+    assert np.array_equal(loaded.vertices, fileio.from_document(doc).suspension.vertices)
+
+
 def test_face_edges_must_match_edge_list():
     doc = octa_doc()
     doc["edges"].append({"i": 0, "j": 1, "kind": "bar"})

@@ -14,7 +14,6 @@ from rigidity3d.geometry import (
     GeometryError,
     PolyhedralSurface,
     ProjectiveMap,
-    SphericalPolygon,
     Tolerances,
     _cross,
     apply_projective,
@@ -27,10 +26,8 @@ from rigidity3d.geometry import (
     is_weakly_convex,
     normalize_pole_frame,
     pole_frame_ok,
-    spherical_polygon_relation_residual,
     support_functional,
     transform_points,
-    vertex_link,
 )
 from rigidity3d.generators import (
     convex_suspension,
@@ -652,133 +649,6 @@ def test_lps_without_presolve_match_the_presolved_solve(monkeypatch, oracle_repo
         assert classify_convexity(surf, tol) == report
     assert gaps
     assert max(gaps) <= 1e-12
-
-
-# ---------------------------------------------------------------------------
-# vertex links
-# ---------------------------------------------------------------------------
-
-
-def test_pyramid_apex_link_radius():
-    """Lateral edges at 45 degrees to the axis: link vertices sit at
-    spherical distance pi/4 from the downward axis direction."""
-    lk = vertex_link(square_pyramid(), 4)
-    axis = np.array([0.0, 0.0, -1.0])
-    for d in lk.vertices:
-        assert np.arccos(d @ axis) == pytest.approx(np.pi / 4, abs=1e-12)
-
-
-def test_octahedron_link_angles():
-    """Four equilateral face angles meet at each vertex: sum 4*pi/3."""
-    lk = vertex_link(octahedron(), 0)
-    assert len(lk) == 4
-    assert lk.angles.sum() == pytest.approx(4 * np.pi / 3, abs=1e-12)
-
-
-def test_link_of_minimal_vertex():
-    """A tetrahedron vertex has exactly three incident faces -- the
-    smallest legal star."""
-    lk = vertex_link(tetrahedron(), 0)
-    assert len(lk) == 3
-
-
-def test_spherical_polygon_validation():
-    with pytest.raises(GeometryError, match="unit"):
-        SphericalPolygon(np.array([[1.0, 0, 0], [0, 2.0, 0], [0, 0, 1.0]]), [1, 1, 1])
-    with pytest.raises(GeometryError, match="angles"):
-        SphericalPolygon(np.eye(3), [1.0, 1.0, 7.0])
-
-
-# ---------------------------------------------------------------------------
-# first-order relation on the link
-# ---------------------------------------------------------------------------
-
-
-def test_residual_zero_variation():
-    lk = vertex_link(octahedron(), 0)
-    assert np.allclose(spherical_polygon_relation_residual(lk, np.zeros(4)), 0.0)
-
-
-def test_residual_direct_summation():
-    """Residual equals the direct vector sum of theta'_i * p_i."""
-    lk = vertex_link(octahedron(), 0)
-    # alternating variation: exact cancellation by the square's symmetry
-    assert np.allclose(
-        spherical_polygon_relation_residual(lk, [1.0, -1.0, 1.0, -1.0]), 0.0, atol=1e-15
-    )
-    # single-entry variation picks out one direction
-    r = spherical_polygon_relation_residual(lk, [1.0, 0.0, 0.0, 0.0])
-    assert np.allclose(r, lk.vertices[0])
-
-
-def test_residual_is_linear():
-    rng = np.random.default_rng(7)
-    lk = vertex_link(octahedron(), 0)
-    x, y = rng.normal(size=(2, 4))
-    rx = spherical_polygon_relation_residual(lk, x)
-    ry = spherical_polygon_relation_residual(lk, y)
-    assert np.allclose(
-        spherical_polygon_relation_residual(lk, 2.5 * x - 3.0 * y),
-        2.5 * rx - 3.0 * ry,
-        atol=1e-12,
-    )
-
-
-def _star_flex(apex, ring):
-    """A first-order flex of the cone star (all edges bars), orthogonal to
-    the trivial motions.  Oracle-local rigidity matrix, independent of the
-    package's own rigidity code."""
-    pts = np.vstack([apex, ring])
-    k = len(ring)
-    edges = [(0, i + 1) for i in range(k)] + [(i + 1, 1 + (i + 1) % k) for i in range(k)]
-    rows = []
-    for i, j in edges:
-        row = np.zeros(3 * len(pts))
-        row[3 * i : 3 * i + 3] = pts[i] - pts[j]
-        row[3 * j : 3 * j + 3] = pts[j] - pts[i]
-        rows.append(row)
-    r = np.array(rows)
-    trivial = []
-    for t in np.eye(3):
-        trivial.append(np.tile(t, len(pts)))
-    for a in np.eye(3):
-        trivial.append(np.cross(pts, a).ravel())
-    trivial = np.array(trivial)
-    _, s, vt = np.linalg.svd(np.vstack([r, trivial * 1.0]))
-    null = vt[(s > 1e-9 * s[0]).sum() :]
-    assert len(null) >= 1, "cone star should flex"
-    return pts, null[0].reshape(-1, 3)
-
-
-def _link_polygon_angles(pts):
-    """Angles of the link polygon at each link vertex (between the arcs to
-    the two neighbours), for a star given as apex + ring."""
-    dirs = np.array([(p - pts[0]) / np.linalg.norm(p - pts[0]) for p in pts[1:]])
-    k = len(dirs)
-    out = np.empty(k)
-    for i in range(k):
-        p = dirs[i]
-        ta = dirs[(i - 1) % k] - (dirs[(i - 1) % k] @ p) * p
-        tb = dirs[(i + 1) % k] - (dirs[(i + 1) % k] @ p) * p
-        out[i] = np.arccos(np.clip((ta / np.linalg.norm(ta)) @ (tb / np.linalg.norm(tb)), -1, 1))
-    return out, dirs
-
-
-def test_residual_vanishes_for_actual_flex():
-    """Finite-difference angle variations of a genuinely flexing vertex
-    star satisfy the relation: sum theta'_i p_i = 0 within 1e-6."""
-    apex = np.array([0.0, 0.0, 1.0])
-    ring = np.array([[1.1, 0, 0], [0, 0.9, 0], [-1.0, 0.2, 0], [0.1, -1.0, 0]])
-    pts, flex = _star_flex(apex, ring)
-    t = 1e-6
-    plus, _ = _link_polygon_angles(pts + t * flex)
-    minus, _ = _link_polygon_angles(pts - t * flex)
-    theta_var = (plus - minus) / (2 * t)
-    assert np.linalg.norm(theta_var) > 1e-3  # the flex genuinely moves angles
-    _, dirs = _link_polygon_angles(pts)
-    lk = SphericalPolygon(dirs, _link_polygon_angles(pts)[0])
-    resid = spherical_polygon_relation_residual(lk, theta_var)
-    assert np.linalg.norm(resid) <= 1e-6
 
 
 # ---------------------------------------------------------------------------

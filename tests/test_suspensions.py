@@ -262,10 +262,11 @@ def test_tensegrity_edge_counts():
 def test_tensegrity_kinds():
     s = octa_suspension()
     fw = tensegrity_labeling(s, include_ns=True)
-    assert fw.kind_of(NS_EDGE) is EdgeKind.CABLE
-    assert fw.kind_of((2, 3)) is EdgeKind.CABLE
-    assert fw.kind_of((0, 2)) is EdgeKind.BAR
-    assert fw.kind_of((1, 5)) is EdgeKind.BAR
+    kinds = {(i, j): kind for i, j, kind in fw.edges}
+    assert kinds[NS_EDGE] is EdgeKind.CABLE
+    assert kinds[(2, 3)] is EdgeKind.CABLE
+    assert kinds[(0, 2)] is EdgeKind.BAR
+    assert kinds[(1, 5)] is EdgeKind.BAR
 
 
 def test_axis_decomposition_octahedron():
