@@ -17,10 +17,8 @@ from .geometry import (  # noqa: F401
     PolyhedralSurface,
     ProjectiveMap,
     Tolerances,
-    apply_projective,
     cayley_menger_feasible,
     classify_convexity,
-    dihedral_angle,
     dihedral_angles,
     edge_flags,
     is_weakly_convex,
@@ -34,7 +32,6 @@ from .frameworks import (  # noqa: F401
     FrameworkError,
     Motion,
     Stress,
-    TensegrityFlexReport,
     bar_flex_space,
     equilibrium_residual,
     equilibrium_stress_space,
@@ -43,8 +40,6 @@ from .frameworks import (  # noqa: F401
     nontrivial_flex,
     rigidity_matrix,
     rigidity_rank,
-    stress_energy,
-    tensegrity_flex_test,
     trivial_dimension,
     trivial_motion_basis,
 )
@@ -64,7 +59,6 @@ from .cauchy import (  # noqa: F401
     dent_rigidity_harness,
     dihedral_rates,
     impossible_labeling_search,
-    rotation_system,
     sign_subgraph,
     sign_vector_from_flex,
     vertex_sign_change_check,
@@ -97,14 +91,10 @@ from .hessian import (  # noqa: F401
     LambdaMatrix,
     ProbeReport,
     ProbeTrial,
-    cone_angles,
     decompose_star,
-    dihedral_table,
     lambda_matrix,
-    mean_curvature_H,
     pd_probe,
     rigidity_from_lambda,
-    schlafli_residual,
     tetra_angles_and_jacobian,
 )
 
@@ -112,11 +102,8 @@ from .generators import (  # noqa: F401
     GenerationError,
     convex_suspension,
     dented_hull_star,
-    flexible_suspension_fixture,
     probe_decomposition,
     random_convex_hull_surface,
-    random_framework,
-    random_projective_map,
     random_suspension,
     star_suspension,
     suspension_profile,
@@ -126,11 +113,9 @@ from .fileio import (  # noqa: F401
     FileFormatError,
     LoadedInstance,
     analysis_report,
-    dump_off,
     from_document,
     instance_hash,
     load,
-    load_off,
     save,
     to_document,
     validate_document,

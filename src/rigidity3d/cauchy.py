@@ -308,14 +308,6 @@ def count_sign_changes(g: SignedPlanarGraph):
 # ---------------------------------------------------------------------------
 
 
-def rotation_system(surface):
-    """The rotation system of a surface's 1-skeleton."""
-    return {
-        v: tuple(int(w) for w in surface.neighbors_cyclic(v))
-        for v in range(surface.n_vertices)
-    }
-
-
 def impossible_labeling_search(rotation):
     """Exhaustively search all +-1 edge labelings of an embedded graph for
     one where no vertex sees all-equal signs and all vertices but at most

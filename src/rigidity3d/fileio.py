@@ -1,5 +1,5 @@
 """Serialization: one JSON document format for all the library's objects,
-analysis reports, CSV tables, and a minimal OFF importer.
+analysis reports and CSV tables.
 
 A document is a vertex set plus optional views of it -- an edge list
 (framework), a face list (closed surface), poles and an equator order
@@ -10,7 +10,6 @@ bitwise.
 
 import csv
 import hashlib
-import io
 import json
 import time
 from dataclasses import dataclass
@@ -342,10 +341,10 @@ def write_json(fh, obj):
 
 
 def load(path, tol: Tolerances = DEFAULT_TOL):
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise FileFormatError(f"{path}: not valid JSON ({exc})") from None
     return from_document(doc, tol)
 
@@ -465,59 +464,3 @@ def matrix_table(matrix):
     rows = [tuple([i] + [float(x) for x in matrix[i]]) for i in range(matrix.shape[0])]
     return header, rows
 
-
-# ---------------------------------------------------------------------------
-# minimal OFF import (triangles only)
-# ---------------------------------------------------------------------------
-
-
-def load_off(path, tol: Tolerances = DEFAULT_TOL):
-    """Read a triangulated OFF file into a PolyhedralSurface."""
-    if hasattr(path, "read"):
-        tokens = _off_tokens(path.read())
-    else:
-        with open(path) as fh:
-            tokens = _off_tokens(fh.read())
-    if not tokens or tokens[0].upper() != "OFF":
-        raise FileFormatError("not an OFF file (missing OFF header)")
-    cursor = iter(tokens[1:])
-
-    def take(count, convert):
-        try:
-            return [convert(next(cursor)) for _ in range(count)]
-        except StopIteration:
-            raise FileFormatError("truncated OFF file") from None
-        except ValueError as exc:
-            raise FileFormatError(f"malformed OFF token: {exc}") from None
-
-    nv, nf, _ = take(3, int)
-    vertices = np.array(take(3 * nv, float)).reshape(nv, 3)
-    faces = []
-    for k in range(nf):
-        (size,) = take(1, int)
-        if size != 3:
-            raise FileFormatError(
-                f"face {k} has {size} vertices; only triangles are supported"
-            )
-        faces.append(take(3, int))
-    return PolyhedralSurface(vertices, faces, tol)
-
-
-def _off_tokens(text):
-    tokens = []
-    for line in text.splitlines():
-        body = line.split("#", 1)[0]
-        tokens.extend(body.split())
-    return tokens
-
-
-def dump_off(surface):
-    """OFF text for a surface (round-trip counterpart of load_off)."""
-    out = io.StringIO()
-    out.write("OFF\n")
-    out.write(f"{surface.n_vertices} {surface.n_faces} {surface.n_edges}\n")
-    for p in surface.vertices:
-        out.write(" ".join(repr(float(x)) for x in p) + "\n")
-    for f in surface.faces:
-        out.write("3 " + " ".join(str(int(v)) for v in f) + "\n")
-    return out.getvalue()

@@ -23,18 +23,15 @@ __all__ = [
     "Motion",
     "Stress",
     "FlexSpace",
-    "TensegrityFlexReport",
     "rigidity_matrix",
     "rigidity_rank",
     "bar_flex_space",
     "trivial_dimension",
     "trivial_motion_basis",
     "is_infinitesimally_rigid",
-    "tensegrity_flex_test",
     "equilibrium_stress_space",
     "equilibrium_residual",
     "is_proper",
-    "stress_energy",
 ]
 
 
@@ -120,9 +117,6 @@ class Framework:
     @property
     def edge_pairs(self):
         return tuple((i, j) for i, j, _ in self.edges)
-
-    def _replace_vertices(self, new_vertices, tol: Tolerances):
-        return Framework(new_vertices, list(self.edges), tol=tol)
 
     @cached_property
     def svd(self):
@@ -432,38 +426,6 @@ def nontrivial_flex(fw, tol: Tolerances = DEFAULT_TOL):
 
 
 # ---------------------------------------------------------------------------
-# tensegrity sign conditions
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TensegrityFlexReport:
-    """Per-edge outcome of the first-order cable/bar/strut conditions."""
-
-    values: dict  # edge pair -> (p_i - p_j) . (m_i - m_j)
-    violations: tuple
-
-    @property
-    def satisfied(self):
-        return not self.violations
-
-
-def tensegrity_flex_test(fw, motion, slack=1e-10):
-    """Evaluate (p_i - p_j) . (m_i - m_j) on every edge and check the
-    sign condition for its kind: = 0 bars, <= 0 cables, >= 0 struts."""
-    m = motion.velocities
-    if m.shape != fw.vertices.shape:
-        raise FrameworkError("motion size does not match framework")
-    rates = np.einsum("ij,ij->i", *_edge_vectors(fw, m)[1:])  # R m
-    values = dict(zip(fw.edge_pairs, rates.tolist()))
-    violations = tuple((i, j) for (i, j, kind), v in zip(fw.edges, values.values())
-                       if (kind is EdgeKind.BAR and abs(v) > slack)
-                       or (kind is EdgeKind.CABLE and v > slack)
-                       or (kind is EdgeKind.STRUT and v < -slack))
-    return TensegrityFlexReport(values, violations)
-
-
-# ---------------------------------------------------------------------------
 # equilibrium stresses
 # ---------------------------------------------------------------------------
 
@@ -491,10 +453,3 @@ def is_proper(fw, stress, slack=1e-12):
     return not any((kind is EdgeKind.CABLE and w < -slack)
                    or (kind is EdgeKind.STRUT and w > slack)
                    for (*_, kind), w in zip(fw.edges, stress.as_vector(fw).tolist()))
-
-
-def stress_energy(fw, stress, motion):
-    """Contraction sum_ij omega_ij (p_i - p_j) . (m_i - m_j); identically
-    zero in the motion whenever the stress is an equilibrium stress."""
-    rates = np.einsum("ij,ij->i", *_edge_vectors(fw, motion.velocities)[1:])
-    return float(stress.as_vector(fw) @ rates)

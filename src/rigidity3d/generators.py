@@ -1,26 +1,22 @@
 """Randomized instance factories.
 
-Everything downstream of the core library that needs "a random convex
-hull", "a random suspension with a reflex lateral edge", or "a length
-fixture tuned until the axis invariant vanishes" gets it from here, so
-the sampling conventions (and their seeds) live in one place.
+Everything in the library and the CLI that needs "a random convex hull",
+"a random suspension with a reflex lateral edge" or "a dented hull coned
+from a reflex edge" gets it from here, so the sampling conventions (and
+their seeds) live in one place.  Fixtures only the tests use, such as the
+suspension tuned until its axis invariant vanishes, live in the tests.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .cauchy import CauchyError, dent
-from .frameworks import Framework
 from .geometry import (
     DEFAULT_TOL,
     GeometryError,
     PolyhedralSurface,
-    ProjectiveMap,
     Tolerances,
     dihedral_angles,
     is_weakly_convex,
-    transform_points,
 )
 from .hessian import DecompositionError, decompose_star, lambda_matrix
 from .shapes import hull_faces
@@ -29,7 +25,6 @@ from .suspensions import (
     axis_decomposition,
     build_suspension,
     is_ns_decomposable,
-    lambda_scalar,
     reflex_lateral_edges,
 )
 
@@ -45,10 +40,6 @@ CONVEX_SUSPENSION_TRIES = 40
 STAR_SUSPENSION_TRIES = 120
 RANDOM_SUSPENSION_TRIES = 60
 DENTED_HULL_TRIES = 20
-PROJECTIVE_TRIES = 50
-
-EDGE_PROBABILITY = 0.55
-PROJECTIVE_STRENGTH = 0.15
 
 
 class GenerationError(Exception):
@@ -220,75 +211,6 @@ def suspension_profile(profile, rng, n, tol: Tolerances = DEFAULT_TOL):
 
 
 # ---------------------------------------------------------------------------
-# a suspension tuned to the rigidity threshold
-# ---------------------------------------------------------------------------
-
-
-def _notched_equator(notch_radius, notch_height):
-    third = 2.0 * np.pi / 3.0
-    return [
-        [1.0, 0.0, 0.5],
-        [
-            notch_radius * np.cos(third / 2.0),
-            notch_radius * np.sin(third / 2.0),
-            notch_height,
-        ],
-        [np.cos(third), np.sin(third), 0.5],
-        [np.cos(2 * third), np.sin(2 * third), 0.5],
-    ]
-
-
-@dataclass(frozen=True)
-class ThresholdSuspension:
-    suspension: object
-    notch_height: float
-    lam: float
-
-
-def flexible_suspension_fixture(
-    tol: Tolerances = DEFAULT_TOL, target=1e-10, notch_radius=0.18
-):
-    """A suspension with axis invariant tuned to zero: a triangle-plus-notch
-    equator whose notch height is bisected until |lambda| <= target.
-
-    The notch vertex sits well inside the hull, so the result is not
-    weakly convex -- as it must not be, since it carries a nontrivial
-    flex."""
-
-    def lam_at(t):
-        s = build_suspension(
-            (0.0, 0.0, 1.0), (0.0, 0.0, 0.0), _notched_equator(notch_radius, t), tol
-        )
-        return s, lambda_scalar(s, tol).total
-
-    grid = np.linspace(0.05, 0.95, 37)
-    values = [lam_at(t)[1] for t in grid]
-    bracket = None
-    for a, b, fa, fb in zip(grid, grid[1:], values, values[1:]):
-        if fa == 0.0 or fa * fb < 0.0:
-            bracket = (a, b, fa, fb)
-            break
-    if bracket is None:
-        raise GenerationError(
-            "the notch-height family never crosses zero; invariant range "
-            f"[{min(values):.4g}, {max(values):.4g}]"
-        )
-    lo, hi, flo, fhi = bracket
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        s, fmid = lam_at(mid)
-        if abs(fmid) <= target:
-            return ThresholdSuspension(s, mid, fmid)
-        if flo * fmid < 0.0:
-            hi, fhi = mid, fmid
-        else:
-            lo, flo = mid, fmid
-    raise GenerationError(
-        f"bisection stalled: |lambda| = {abs(fmid):.3g} > {target:.3g}"
-    )
-
-
-# ---------------------------------------------------------------------------
 # decomposition sampling for the spectrum probe
 # ---------------------------------------------------------------------------
 
@@ -342,48 +264,3 @@ def probe_decomposition(kind, rng, tol: Tolerances = DEFAULT_TOL):
                 return axis_decomposition(s, tol)
         raise GenerationError("control instance stayed weakly convex")
     raise GenerationError(f"unknown probe kind {kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# frameworks and projective maps
-# ---------------------------------------------------------------------------
-
-
-def random_framework(rng, n, tol: Tolerances = DEFAULT_TOL):
-    """Random bar framework: n Gaussian points, each pair joined with
-    probability EDGE_PROBABILITY, plus a path so the result is connected."""
-    if n < 2:
-        raise GenerationError("need at least 2 vertices")
-    pts = rng.normal(size=(n, 3))
-    edges = {(i, i + 1) for i in range(n - 1)}
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.uniform() < EDGE_PROBABILITY:
-                edges.add((i, j))
-    return Framework(pts, sorted(edges), tol)
-
-
-def random_projective_map(rng, points):
-    """A random projective map keeping every given point finite (all
-    homogeneous denominators bounded away from zero)."""
-    points = np.asarray(points, dtype=float)
-    span = max(1.0, np.abs(points).max())
-    for _ in range(PROJECTIVE_TRIES):
-        linear = np.eye(3) + rng.uniform(-0.4, 0.4, (3, 3))
-        if abs(np.linalg.det(linear)) < 1e-3:
-            continue
-        m = np.eye(4)
-        m[:3, :3] = linear
-        m[3, :3] = rng.uniform(-0.5, 0.5, 3)
-        m[:3, 3] = rng.uniform(-PROJECTIVE_STRENGTH, PROJECTIVE_STRENGTH, 3) / span
-        m[3, 3] = 1.0
-        w = points @ m[:3, 3] + m[3, 3]
-        if np.abs(w).min() < 0.2:
-            continue
-        try:
-            pmap = ProjectiveMap(m)
-            transform_points(pmap, points)
-        except GeometryError:
-            continue
-        return pmap
-    raise GenerationError("no admissible projective map found")

@@ -309,9 +309,6 @@ class PolyhedralSurface:
         below geom_tol * diameter**2."""
         return np.linalg.norm(self.face_cross, axis=1) <= tol.geom_tol * self.diameter**2
 
-    def _replace_vertices(self, new_vertices, tol: Tolerances):
-        return PolyhedralSurface(new_vertices, np.array(self.faces), tol=tol)
-
 
 def _signed_volume(vertices, faces):
     v = vertices[faces]
@@ -376,20 +373,6 @@ def dihedral_angles(surface, tol: Tolerances = DEFAULT_TOL):
     i, j = np.array(surface.edges).T
     cross, p = surface.face_cross[surface.flanking_faces.T], surface.vertices
     return _dihedral_kernel(p[i], p[j], *cross, tol.geom_tol * surface.diameter**2)
-
-
-def dihedral_angle(surface, edge, tol: Tolerances = DEFAULT_TOL):
-    """One entry of dihedral_angles, for the edge {i, j} in either order;
-    GeometryError if it is not an edge or a flanking face is degenerate."""
-    i, j = sorted(int(v) for v in edge)
-    flanks, p = surface.edge_faces(i, j), surface.vertices
-    cross, floor = surface.face_cross[list(flanks)], tol.geom_tol * surface.diameter**2
-    angle = float(_dihedral_kernel(p[[i]], p[[j]], cross[:1], cross[1:], floor)[0])
-    if np.isnan(angle):
-        f_idx = next(f for f, bad in zip(flanks, np.linalg.norm(cross, axis=1) <= floor) if bad)
-        raise GeometryError(f"face {f_idx} = {tuple(surface.faces[f_idx].tolist())} is "
-                            "degenerate (zero area)")
-    return angle
 
 
 class Convexity(Enum):
@@ -596,21 +579,6 @@ class ProjectiveMap:
     def identity(cls):
         return cls(np.eye(4))
 
-    @classmethod
-    def affine(cls, linear, translation):
-        m = np.eye(4)
-        m[:3, :3] = np.asarray(linear, dtype=float).T
-        m[3, :3] = np.asarray(translation, dtype=float)
-        return cls(m)
-
-    def then(self, other):
-        """Composite map: apply self first, then other."""
-        return ProjectiveMap(self.matrix @ other.matrix)
-
-    @property
-    def is_identity(self):
-        return bool(np.allclose(self.matrix, np.eye(4), atol=1e-14))
-
 
 def transform_points(pmap, points, tol: Tolerances = DEFAULT_TOL):
     points = as_points(points)
@@ -623,15 +591,6 @@ def transform_points(pmap, points, tol: Tolerances = DEFAULT_TOL):
             f"(homogeneous coordinate {w[bad[0]]:.2e})"
         )
     return hom[:, :3] / w[:, None]
-
-
-def apply_projective(pmap, obj, tol: Tolerances = DEFAULT_TOL):
-    """Apply a projective map to points, or to any object exposing
-    `_replace_vertices` (surfaces, frameworks, suspensions), which is
-    rebuilt with `tol`."""
-    if hasattr(obj, "_replace_vertices"):
-        return obj._replace_vertices(transform_points(pmap, obj.vertices, tol), tol)
-    return transform_points(pmap, obj, tol)
 
 
 # ---------------------------------------------------------------------------

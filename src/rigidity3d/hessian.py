@@ -142,17 +142,6 @@ def _angles_and_jacobian(lengths, feasible):
     return angles, jacobian
 
 
-def schlafli_residual(lengths, direction):
-    """Sum over edges of l_e * (d alpha_e in the given length direction);
-    identically zero for a Euclidean tetrahedron."""
-    direction = np.asarray(direction, dtype=float)
-    if direction.shape != (6,):
-        raise DecompositionError(f"direction must have 6 entries, got {direction.shape}")
-    lengths = np.asarray(lengths, dtype=float)
-    _, jac = tetra_angles_and_jacobian(lengths)
-    return float(lengths @ (jac @ direction))
-
-
 # ---------------------------------------------------------------------------
 # decompositions
 # ---------------------------------------------------------------------------
@@ -341,11 +330,6 @@ class Decomposition:
             raise DecompositionError(f"expected {self.r} interior lengths")
         return np.concatenate([interior_l, self._edge_lengths[self.r :]])[self._edge_index]
 
-    def tet_lengths(self, t_idx, interior_l=None):
-        """Six edge lengths of a tetrahedron in TETRA_EDGE_ORDER, taking
-        interior-edge lengths from interior_l when given."""
-        return self._lengths(interior_l)[t_idx]
-
     @cached_property
     def _embedded_lambda(self):
         """lambda at the embedded lengths, assembled once: decompositions
@@ -375,27 +359,8 @@ def decompose_star(surface, apex, tol: Tolerances = DEFAULT_TOL):
 
 
 # ---------------------------------------------------------------------------
-# cone angles, mean curvature, lambda matrix
+# the lambda matrix
 # ---------------------------------------------------------------------------
-
-
-def cone_angles(d, interior_l=None):
-    """Total dihedral angle collected around each interior edge at the
-    given interior lengths (default: the embedded lengths, where every
-    entry is 2*pi for closed stars)."""
-    angles, _ = tetra_angles_and_jacobian(d._lengths(interior_l), d.tol)
-    interior = d._edge_index < d.r
-    theta = np.zeros(d.r)
-    np.add.at(theta, d._edge_index[interior], angles[interior])
-    return theta
-
-
-def mean_curvature_H(d, interior_l=None):
-    """Sum over (tetrahedron, edge) incidences of length times dihedral
-    angle; its gradient in the interior lengths is the cone-angle vector."""
-    lengths = d._lengths(interior_l)
-    angles, _ = tetra_angles_and_jacobian(lengths, d.tol)
-    return float((lengths * angles).sum())
 
 
 @dataclass(frozen=True)
@@ -483,26 +448,6 @@ def lambda_matrix(d, interior_l=None, tol: Tolerances = DEFAULT_TOL):
     else:
         lam, eigenvalues, scale = _assemble_lambda(d, interior_l)
     return LambdaMatrix(lam, eigenvalues, tol.numerical_rank(np.abs(eigenvalues), scale))
-
-
-def dihedral_table(d, interior_l=None):
-    """Angle per (tetrahedron, edge) incidence, with a per-tetrahedron
-    Gram consistency check on the four outward face normals."""
-    angles, _ = tetra_angles_and_jacobian(d._lengths(interior_l), d.tol)
-    # faces are indexed by their opposite vertex: the edge (a, b) is shared
-    # by the faces opposite the *other* two vertices
-    c_v, d_v = np.array([sorted(set(range(4)) - set(pair)) for pair in TETRA_EDGE_ORDER]).T
-    gram = np.tile(np.eye(4), (len(angles), 1, 1))
-    gram[:, c_v, d_v] = gram[:, d_v, c_v] = -np.cos(angles)
-    failed = np.flatnonzero(np.linalg.det(gram) < -1e-9)
-    if failed.size:
-        raise InvariantError(f"dihedral angles of tetrahedron {failed[0]} fail the Gram check")
-    edges = d.interior_edges + d.boundary_edges
-    return {
-        (t_idx, edges[k]): float(angles[t_idx, m])
-        for t_idx, row in enumerate(d._edge_index)
-        for m, k in enumerate(row)
-    }
 
 
 def rigidity_from_lambda(d, tol: Tolerances = DEFAULT_TOL):

@@ -110,9 +110,6 @@ class Suspension:
         """Vertex index of the equator slot (cyclic)."""
         return 2 + slot % self.n
 
-    def _replace_vertices(self, new_vertices, tol: Tolerances):
-        return Suspension(new_vertices, tol)
-
 
 def build_suspension(north, south, equator, tol: Tolerances = DEFAULT_TOL):
     """Suspension from pole points and a cyclically ordered equator."""

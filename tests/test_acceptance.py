@@ -10,12 +10,7 @@ import pytest
 from numpy.random import default_rng
 
 from rigidity3d import generators, shapes
-from rigidity3d.geometry import apply_projective
-from rigidity3d.cauchy import (
-    dent_rigidity_harness,
-    impossible_labeling_search,
-    rotation_system,
-)
+from rigidity3d.cauchy import dent_rigidity_harness, impossible_labeling_search
 from rigidity3d.frameworks import (
     Framework,
     Stress,
@@ -26,10 +21,10 @@ from rigidity3d.frameworks import (
     is_proper,
     rigidity_rank,
 )
+from rigidity3d.geometry import transform_points
 from rigidity3d.hessian import (
     TETRA_EDGE_ORDER,
     cayley_menger_feasible,
-    cone_angles,
     lambda_matrix,
     pd_probe,
     rigidity_from_lambda,
@@ -48,6 +43,8 @@ from rigidity3d.suspensions import (
     suspension_rigidity,
     tensegrity_labeling,
 )
+
+from oracles import cone_angles, flexible_suspension_fixture, random_framework, random_projective_map
 
 
 def _positive_ns(fw, stress):
@@ -81,7 +78,7 @@ def _min_relative_volume(d):
     lengths0 = np.asarray(d.embedded_interior_lengths, dtype=float)
     out = np.inf
     for t in range(len(d.tetrahedra)):
-        lengths = d.tet_lengths(t, lengths0)
+        lengths = d._lengths(lengths0)[t]
         _, volume = cayley_menger_feasible(lengths)
         out = min(out, volume / lengths.max() ** 3)
     return out
@@ -194,7 +191,7 @@ def test_05_invariant_matches_axis_finite_difference(decomposable_suspensions):
 
 def test_06_invariant_zero_iff_flexible(decomposable_suspensions):
     for radius in (0.08, 0.10, 0.12, 0.14, 0.16, 0.18, 0.20):
-        fixture = generators.flexible_suspension_fixture(notch_radius=radius)
+        fixture = flexible_suspension_fixture(notch_radius=radius)
         assert abs(fixture.lam) <= 1e-10
         fw = Framework.from_surface(fixture.suspension.surface)
         assert bar_flex_space(fw).dimension == 7
@@ -229,8 +226,9 @@ def test_08_dented_hull_rigidity_harness():
 
 
 def test_09_exhaustive_labeling_search_and_counting_identities():
-    assert impossible_labeling_search(rotation_system(shapes.tetrahedron())) is None
-    assert impossible_labeling_search(rotation_system(shapes.octahedron())) is None
+    for solid in (shapes.tetrahedron(), shapes.octahedron()):
+        rotation = {v: solid.neighbors_cyclic(v) for v in range(solid.n_vertices)}
+        assert impossible_labeling_search(rotation) is None
     surfaces = []
     for k in range(5):
         rng = default_rng((4900, k))
@@ -291,9 +289,9 @@ def test_11_lambda_rigidity_agrees_with_rank(decomposition_pool):
 def test_12_projective_rank_invariance():
     for k in range(100):
         rng = default_rng((41200, k))
-        fw = generators.random_framework(rng, int(rng.integers(5, 13)))
-        mapping = generators.random_projective_map(rng, fw.vertices)
-        mapped = apply_projective(mapping, fw)
+        fw = random_framework(rng, int(rng.integers(5, 13)))
+        mapping = random_projective_map(rng, fw.vertices)
+        mapped = Framework(transform_points(mapping, fw.vertices), fw.edges)
         assert rigidity_rank(mapped) == rigidity_rank(fw)
 
 

@@ -13,7 +13,6 @@ from rigidity3d.cauchy import (
     dent_rigidity_harness,
     dihedral_rates,
     impossible_labeling_search,
-    rotation_system,
     sign_subgraph,
     sign_vector_from_flex,
     vertex_sign_change_check,
@@ -31,12 +30,13 @@ from rigidity3d.geometry import (
     PolyhedralSurface,
     Tolerances,
     classify_convexity,
-    dihedral_angle,
     dihedral_angles,
     edge_flags,
 )
 from rigidity3d.hessian import tetra_angles_and_jacobian
 from rigidity3d.shapes import cube, icosahedron, octahedron, square_pyramid, tetrahedron
+
+from oracles import flexible_suspension_fixture
 
 FD_STEP = 1e-6
 
@@ -44,10 +44,11 @@ FD_STEP = 1e-6
 def fd_rates(surface, motion, step=FD_STEP):
     plus = PolyhedralSurface(surface.vertices + step * motion.velocities, surface.faces)
     minus = PolyhedralSurface(surface.vertices - step * motion.velocities, surface.faces)
-    return {
-        e: (dihedral_angle(plus, e) - dihedral_angle(minus, e)) / (2 * step)
-        for e in surface.edges
-    }
+    return dict(zip(surface.edges, (dihedral_angles(plus) - dihedral_angles(minus)) / (2 * step)))
+
+
+def rotation_system(surface):
+    return {v: surface.neighbors_cyclic(v) for v in range(surface.n_vertices)}
 
 
 def octa_hand_labeling(surf):
@@ -88,7 +89,7 @@ def test_rates_at_flat_edges_match_central_differences():
     surfaces = [cube(), PolyhedralSurface(bent, pyramid.faces)]
     coarse = Tolerances(geom_tol=5e-4)
     assert edge_flags(surfaces[0])[(0, 2)] == "flat"
-    assert abs(dihedral_angle(surfaces[1], (0, 2)) - np.pi) < 1e-2
+    assert abs(dihedral_angles(surfaces[1])[surfaces[1].edges.index((0, 2))] - np.pi) < 1e-2
     rng = np.random.default_rng(2100)
     for surf in surfaces:
         for _ in range(4):
@@ -316,8 +317,6 @@ def test_vertex_check_reads_the_callers_geom_tol():
 
 
 def flex_fixture():
-    from rigidity3d.generators import flexible_suspension_fixture
-
     fix = flexible_suspension_fixture()
     surf = fix.suspension.surface
     m = nontrivial_flex(Framework.from_surface(surf))
@@ -424,7 +423,7 @@ def test_dent_octahedron_equator_edge():
     assert (0, 1) in d.surface.edges and (2, 3) not in d.surface.edges
     faces = {tuple(sorted(f)) for f in d.surface.faces.tolist()}
     assert {0, 1, 2} in map(set, faces) and {0, 1, 3} in map(set, faces)
-    assert dihedral_angle(d.surface, (0, 1)) > np.pi
+    assert dihedral_angles(d.surface)[d.surface.edges.index((0, 1))] > np.pi
     report = classify_convexity(d.surface)
     assert report.reflex_edges == ((0, 1),)
     assert report.classification is Convexity.WEAKLY_STRICTLY_CONVEX
@@ -439,7 +438,7 @@ def test_dent_icosahedron_any_edge():
         report = classify_convexity(d.surface)
         assert report.classification is Convexity.WEAKLY_STRICTLY_CONVEX
         assert report.reflex_edges == (d.new_edge,)
-        assert dihedral_angle(d.surface, d.new_edge) > np.pi
+        assert dihedral_angles(d.surface)[d.surface.edges.index(d.new_edge)] > np.pi
 
 
 def test_dent_is_an_involution():

@@ -17,6 +17,8 @@ from rigidity3d import cauchy, fileio, frameworks, generators, hessian, shapes, 
 from rigidity3d.cli import main
 from rigidity3d.hessian import lambda_matrix
 
+from oracles import flexible_suspension_fixture
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -389,7 +391,7 @@ def test_signs_reads_every_flex_of_a_surface_with_flat_edges(capsys, tmp_path):
 
 
 def test_signs_on_flexible_fixture(capsys, tmp_path):
-    fixture = generators.flexible_suspension_fixture()
+    fixture = flexible_suspension_fixture()
     path = tmp_path / "flex.json"
     fileio.save(path, fixture.suspension)
     code, out, _ = run(capsys, "signs", str(path), "--json")
@@ -592,7 +594,7 @@ def contract_docs(tmp_path_factory):
         "octahedron": shapes.octahedron(),
         "star": star,
         "star_axis": suspensions.axis_decomposition(star),
-        "flexible": generators.flexible_suspension_fixture().suspension,
+        "flexible": flexible_suspension_fixture().suspension,
     }
     root = tmp_path_factory.mktemp("contract")
     for name, obj in objects.items():
@@ -677,7 +679,7 @@ def test_improper_inductive_stress_exits_two(capsys, monkeypatch, star_path):
 
 def test_sign_change_totals_disagreement_exits_two(capsys, monkeypatch, tmp_path):
     path = tmp_path / "flex.json"
-    fileio.save(path, generators.flexible_suspension_fixture().suspension)
+    fileio.save(path, flexible_suspension_fixture().suspension)
     # the embedding's Euler check sees every face, the face-side count none
     traced = []
     original = cauchy._trace_faces

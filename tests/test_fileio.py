@@ -1,4 +1,4 @@
-"""Document round trips, validation pointers, reports, CSV, and OFF."""
+"""Document round trips, validation pointers, reports and CSV."""
 
 import csv
 import io
@@ -379,6 +379,13 @@ def test_bad_json_file(tmp_path):
         fileio.load(path)
 
 
+def test_a_file_that_is_not_utf8_text_is_named(tmp_path):
+    path = tmp_path / "binary.json"
+    path.write_bytes(bytes([0xB1, 0x00, 0xFF, 0x7B]))
+    with pytest.raises(FileFormatError, match="binary.json: not valid JSON .*utf-8"):
+        fileio.load(path)
+
+
 # ---------------------------------------------------------------------------
 # hashing and reports
 # ---------------------------------------------------------------------------
@@ -480,51 +487,3 @@ def test_matrix_table_shapes():
     assert header == ("row", "col0", "col1", "col2")
     assert rows[1] == (1, 3.0, 4.0, 5.0)
 
-
-# ---------------------------------------------------------------------------
-# OFF import/export
-# ---------------------------------------------------------------------------
-
-
-def test_off_round_trip(tmp_path):
-    octa = shapes.octahedron()
-    path = tmp_path / "octa.off"
-    path.write_text(fileio.dump_off(octa))
-    surface = fileio.load_off(path)
-    assert np.allclose(surface.vertices, octa.vertices)
-    assert surface.edges == octa.edges
-    assert set(map(tuple, surface.faces)) == set(map(tuple, octa.faces))
-
-
-def test_off_skips_comments(tmp_path):
-    path = tmp_path / "tet.off"
-    path.write_text(
-        "OFF\n# a comment line\n4 4 6\n"
-        "0 0 0\n1 0 0\n0 1 0\n0 0 1\n"
-        "3 0 2 1\n3 0 1 3\n3 1 2 3\n3 0 3 2\n"
-    )
-    surface = fileio.load_off(path)
-    assert len(surface.faces) == 4
-
-
-def test_off_rejects_non_triangles(tmp_path):
-    path = tmp_path / "quad.off"
-    path.write_text(
-        "OFF\n5 1 0\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n1 1 1\n4 0 1 2 3\n"
-    )
-    with pytest.raises(FileFormatError, match="only triangles"):
-        fileio.load_off(path)
-
-
-def test_off_rejects_missing_header(tmp_path):
-    path = tmp_path / "x.off"
-    path.write_text("4 4 6\n0 0 0\n")
-    with pytest.raises(FileFormatError, match="OFF"):
-        fileio.load_off(path)
-
-
-def test_off_truncated(tmp_path):
-    path = tmp_path / "short.off"
-    path.write_text("OFF\n4 4 6\n0 0 0\n1 0 0\n")
-    with pytest.raises(FileFormatError, match="truncated"):
-        fileio.load_off(path)

@@ -19,8 +19,6 @@ from rigidity3d.frameworks import (
     nontrivial_flex,
     rigidity_matrix,
     rigidity_rank,
-    stress_energy,
-    tensegrity_flex_test,
     trivial_dimension,
     trivial_motion_basis,
 )
@@ -29,9 +27,7 @@ from rigidity3d.fileio import analysis_report, from_document, to_document
 from rigidity3d.generators import (
     convex_suspension,
     dented_hull_star,
-    flexible_suspension_fixture,
     random_convex_hull_surface,
-    random_framework,
     random_suspension,
     star_suspension,
 )
@@ -40,11 +36,12 @@ from rigidity3d.geometry import (
     PolyhedralSurface,
     ProjectiveMap,
     Tolerances,
-    apply_projective,
     transform_points,
 )
 from rigidity3d.shapes import cube, hull_faces, octahedron, tetrahedron
-from rigidity3d.suspensions import Suspension, tensegrity_labeling
+from rigidity3d.suspensions import tensegrity_labeling
+
+from oracles import flexible_suspension_fixture, random_framework, stress_energy, tensegrity_flex_test
 
 NS = (0, 1)  # pole edge in the shared bipyramid vertex layout
 
@@ -815,17 +812,3 @@ def test_sparse_rank_certificate_matches_the_dense_rank(monkeypatch):
     assert {("sphere hulls", k) for k in range(4)} <= fired_at_1e6
     assert {("reflex stars", 0), ("reflex stars", 1)} <= fired_at_1e6
 
-
-def test_rebuilt_frameworks_and_suspensions_keep_the_tolerances():
-    tol = Tolerances(geom_tol=1e-12)
-    pts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1e-10, 0, 0]])
-    fw = Framework(pts, [(0, 1), (0, 4), (1, 2), (2, 3)], tol=tol)
-    # the rebuilt framework accepts the 1e-10 edge at its own tol; the default refuses it
-    assert apply_projective(ProjectiveMap.identity(), fw, tol).edges == fw.edges
-    with pytest.raises(FrameworkError, match=r"edge \(0, 4\) has \(near-\)zero length"):
-        Framework(pts, fw.edges)
-
-    equator = [[1, 0, 0], [1, 1e-10, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0]]
-    s = Suspension(np.vstack([[0, 0, 1.0], [0, 0, -1.0], equator]), tol)
-    image = apply_projective(ProjectiveMap.identity(), s, tol)
-    assert np.array_equal(image.vertices, s.vertices)

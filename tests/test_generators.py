@@ -14,24 +14,18 @@ from rigidity3d.generators import (
     _azimuths,
     convex_suspension,
     dented_hull_star,
-    flexible_suspension_fixture,
     probe_decomposition,
     random_convex_hull_surface,
     random_convex_polygon,
-    random_framework,
-    random_projective_map,
     random_suspension,
     star_suspension,
     suspension_profile,
 )
-from rigidity3d.geometry import (
-    Convexity,
-    apply_projective,
-    classify_convexity,
-    dihedral_angle,
-)
+from rigidity3d.geometry import Convexity, classify_convexity, dihedral_angles, transform_points
 from rigidity3d.hessian import rigidity_from_lambda
 from rigidity3d.suspensions import is_ns_decomposable, lambda_scalar
+
+from oracles import flexible_suspension_fixture, random_framework, random_projective_map
 
 
 def test_random_hull_is_strongly_convex():
@@ -39,7 +33,7 @@ def test_random_hull_is_strongly_convex():
     assert surf.n_vertices == 10
     report = classify_convexity(surf)
     assert report.classification is Convexity.STRONGLY_STRICTLY_CONVEX
-    assert max(dihedral_angle(surf, e) for e in surf.edges) < np.pi - 1e-3
+    assert dihedral_angles(surf).max() < np.pi - 1e-3
 
 
 def test_random_hull_needs_four_points():
@@ -172,6 +166,6 @@ def test_projective_maps_preserve_rigidity_rank():
     for k in range(10):
         fw = random_framework(np.random.default_rng((11, k)), int(5 + k % 4))
         pmap = random_projective_map(np.random.default_rng((12, k)), fw.vertices)
-        image = apply_projective(pmap, fw)
+        image = Framework(transform_points(pmap, fw.vertices), fw.edges)
         assert rigidity_rank(image) == rigidity_rank(fw)
         assert image.edges == fw.edges

@@ -9,7 +9,6 @@ from rigidity3d.frameworks import Framework, is_infinitesimally_rigid
 from rigidity3d.generators import (
     convex_suspension,
     dented_hull_star,
-    flexible_suspension_fixture,
     probe_decomposition,
     random_convex_hull_surface,
     star_suspension,
@@ -20,23 +19,27 @@ from rigidity3d.geometry import (
     InvariantError,
     PolyhedralSurface,
     Tolerances,
-    dihedral_angle,
+    dihedral_angles,
 )
 from rigidity3d.hessian import (
     Decomposition,
     DecompositionError,
     LambdaMatrix,
-    cone_angles,
     decompose_star,
-    dihedral_table,
     lambda_matrix,
-    mean_curvature_H,
     rigidity_from_lambda,
-    schlafli_residual,
     tetra_angles_and_jacobian,
 )
 from rigidity3d.shapes import icosahedron, octahedron, tetrahedron
 from rigidity3d.suspensions import axis_decomposition
+
+from oracles import (
+    cone_angles,
+    dihedral_table,
+    flexible_suspension_fixture,
+    mean_curvature_H,
+    schlafli_residual,
+)
 
 TETRA_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
@@ -87,8 +90,9 @@ def test_angles_match_embedding():
     assert angles.max() > 3.1 and angles.min() < 1e-3
     for pts, row in zip(tets, angles):
         surf = PolyhedralSurface(pts, [(0, 2, 1), (0, 1, 3), (0, 3, 2), (1, 2, 3)])
+        by_edge = dict(zip(surf.edges, dihedral_angles(surf)))
         for k, pair in enumerate(TETRA_PAIRS):
-            assert row[k] == pytest.approx(dihedral_angle(surf, pair), abs=1e-10)
+            assert row[k] == pytest.approx(by_edge[pair], abs=1e-10)
 
 
 def test_batched_kernel_equals_single_calls():
@@ -512,10 +516,10 @@ def test_cone_angles_stretched_vs_embedding_oracle():
     theta = cone_angles(d, stretched)[0]
     oracle = 0.0
     for t_idx in range(4):
-        lengths = d.tet_lengths(t_idx, stretched)
+        lengths = d._lengths(stretched)[t_idx]
         pts = embed_tet(lengths)
         surf = PolyhedralSurface(pts, [(0, 2, 1), (0, 1, 3), (0, 3, 2), (1, 2, 3)])
-        oracle += dihedral_angle(surf, (0, 1))
+        oracle += dihedral_angles(surf)[surf.edges.index((0, 1))]
     assert theta == pytest.approx(oracle, abs=1e-9)
     # the octahedron's lambda entry is positive, so stretching opens the cone
     assert theta > 2 * np.pi

@@ -37,7 +37,7 @@ from rigidity3d.geometry import (
     transform_points,
     unit,
 )
-from rigidity3d.hessian import cone_angles, lambda_matrix
+from rigidity3d.hessian import lambda_matrix
 from rigidity3d.shapes import NORTH, SOUTH, octahedron
 from rigidity3d.suspensions import (
     NS_EDGE,
@@ -56,6 +56,8 @@ from rigidity3d.suspensions import (
     tensegrity_labeling,
     theta_prime,
 )
+
+from oracles import cone_angles
 
 
 def octa_suspension():
