@@ -58,7 +58,6 @@ from .cauchy import (  # noqa: F401
     dent,
     dent_rigidity_harness,
     dihedral_rates,
-    impossible_labeling_search,
     sign_subgraph,
     sign_vector_from_flex,
     vertex_sign_change_check,
@@ -75,7 +74,6 @@ from .suspensions import (  # noqa: F401
     convex_profile_certificate,
     cylindrical_equator,
     inductive_proper_stress,
-    interior_edge_star,
     is_ns_decomposable,
     lambda_scalar,
     normalize_poles,
@@ -95,7 +93,6 @@ from .hessian import (  # noqa: F401
     lambda_matrix,
     pd_probe,
     rigidity_from_lambda,
-    tetra_angles_and_jacobian,
 )
 
 from .generators import (  # noqa: F401

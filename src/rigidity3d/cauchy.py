@@ -5,15 +5,13 @@ variation.  Discarding the silent edges leaves a signed graph embedded
 in the sphere; counting sign changes around its vertices and faces and
 playing the two counts against the Euler relation is what forbids
 nontrivial flexes.  This module computes the signs analytically, builds
-the signed subgraph, counts changes, searches small embedded graphs
-exhaustively for labelings that the counting argument rules out, and
-implements the edge-flip ("denting") construction together with a
-randomized rigidity harness for dented convex surfaces.
+the signed subgraph, counts changes, and implements the edge-flip
+("denting") construction together with a randomized rigidity harness for
+dented convex surfaces.
 """
 
 import logging
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -32,10 +30,6 @@ logger = logging.getLogger(__name__)
 # threshold on the angle variation, after normalizing the motion to unit
 # norm and the surface to unit diameter
 SIGN_RATE_TOL = 1e-9
-
-# impossible_labeling_search tries all 2**E labelings; 14 admits the
-# octahedron's 12 edges
-LABELING_EDGE_CAP = 14
 
 # hull sizes dent_rigidity_harness draws, both ends included
 DENT_HULL_VERTICES = (8, 20)
@@ -94,9 +88,6 @@ class SignVector:
     @property
     def nonzero_edges(self):
         return tuple(e for e, s in sorted(self.signs.items()) if s != 0)
-
-    def negated(self):
-        return SignVector({e: -s for e, s in self.signs.items()})
 
 
 def sign_vector_from_flex(surface, motion, tol: Tolerances = DEFAULT_TOL):
@@ -170,14 +161,6 @@ class SignedPlanarGraph:
                     f"embedding fails the Euler relation: v-e+f = {v - e + f}"
                 )
 
-    @property
-    def n_vertices(self):
-        return len(self.rotation)
-
-    @property
-    def n_edges(self):
-        return len(self.labels)
-
 
 def sign_subgraph(surface, sv: SignVector, tol: Tolerances = DEFAULT_TOL):
     """Drop the 0 edges (and the vertices they strand).
@@ -236,13 +219,6 @@ class SignChangeStats:
     s: int
 
     @property
-    def face_size_histogram(self):
-        hist = {}
-        for k in self.face_sizes:
-            hist[k] = hist.get(k, 0) + 1
-        return hist
-
-    @property
     def vertex_bound(self):
         """4v - 6: a lower bound for s when at least 4 changes happen at
         all vertices but at most three (which keep at least 2)."""
@@ -252,14 +228,6 @@ class SignChangeStats:
     def face_bound(self):
         """4e - 4f: an upper bound for s from the per-face caps."""
         return 4 * self.e - 4 * self.f
-
-    @property
-    def satisfies_vertex_bound(self):
-        return self.s >= self.vertex_bound
-
-    @property
-    def satisfies_face_bound(self):
-        return self.s <= self.face_bound
 
     @property
     def bounds_contradict(self):
@@ -301,53 +269,6 @@ def count_sign_changes(g: SignedPlanarGraph):
         f=len(faces),
         s=s,
     )
-
-
-# ---------------------------------------------------------------------------
-# exhaustive impossibility check on small embedded graphs
-# ---------------------------------------------------------------------------
-
-
-def impossible_labeling_search(rotation):
-    """Exhaustively search all +-1 edge labelings of an embedded graph for
-    one where no vertex sees all-equal signs and all vertices but at most
-    three see at least 4 sign changes.
-
-    No such labeling can exist on a sphere; returns None once all
-    labelings are refuted, or the counterexample labeling (which would
-    indicate an implementation bug)."""
-    edges = sorted(
-        {tuple(sorted((u, v))) for u, nbrs in rotation.items() for v in nbrs}
-    )
-    for u, nbrs in rotation.items():
-        for v in nbrs:
-            if u not in rotation[v]:
-                raise CauchyError(f"rotation system is not symmetric at ({u}, {v})")
-    if len(edges) > LABELING_EDGE_CAP:
-        raise CauchyError(
-            f"{len(edges)} edges: exhaustive search is capped at {LABELING_EDGE_CAP}"
-        )
-    index = {e: k for k, e in enumerate(edges)}
-    slots = {
-        v: [index[tuple(sorted((v, w)))] for w in nbrs]
-        for v, nbrs in rotation.items()
-    }
-    for labels in product((1, -1), repeat=len(edges)):
-        low_change_vertices = 0
-        ok = True
-        for v, slot_ids in slots.items():
-            seq = [labels[k] for k in slot_ids]
-            if all(s == seq[0] for s in seq):
-                ok = False
-                break
-            if cyclic_sign_changes(seq) < 4:
-                low_change_vertices += 1
-                if low_change_vertices > 3:
-                    ok = False
-                    break
-        if ok:
-            return dict(zip(edges, labels))
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -461,14 +382,6 @@ class DentHarnessReport:
     skipped: int
     failures: tuple
     control_verdicts: tuple = ()
-
-    @property
-    def n_trials(self):
-        return len(self.trials)
-
-    @property
-    def all_rigid(self):
-        return not self.failures
 
 
 def _cofacial(surface, e1, e2):

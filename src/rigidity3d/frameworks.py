@@ -16,24 +16,6 @@ import numpy as np
 
 from .geometry import DEFAULT_TOL, Tolerances, _cross, as_points, diameter
 
-__all__ = [
-    "EdgeKind",
-    "Framework",
-    "FrameworkError",
-    "Motion",
-    "Stress",
-    "FlexSpace",
-    "rigidity_matrix",
-    "rigidity_rank",
-    "bar_flex_space",
-    "trivial_dimension",
-    "trivial_motion_basis",
-    "is_infinitesimally_rigid",
-    "equilibrium_stress_space",
-    "equilibrium_residual",
-    "is_proper",
-]
-
 
 class FrameworkError(Exception):
     """Invalid framework input or violated operation precondition."""
@@ -219,10 +201,6 @@ class FlexSpace:
             gram = mat @ mat.T
             if np.abs(gram - np.eye(len(mat))).max() > 1e-10:
                 raise FrameworkError("flex basis is not orthonormal")
-
-    @property
-    def nontrivial_dimension(self):
-        return self.dimension - self.trivial_dimension
 
 
 # ---------------------------------------------------------------------------

@@ -102,18 +102,29 @@ def _azimuths(rng, n):
     )
 
 
+def _polygon_scale(n):
+    """min(1, (12 / n)**3): the factor on random_convex_polygon's turn floor
+    and radius spread and on convex_suspension's first out-of-plane jitter,
+    so every draw with n <= 12 is unchanged.  At fixed values no polygon
+    passed at n = 80, and the jitter broke the hull faces at n = 200, where
+    the planar equator's flattest edge still clears FLAT_EDGE_MARGIN
+    (deficit 0.004)."""
+    return min(1.0, (12 / n) ** 3)
+
+
 def random_convex_polygon(rng, n):
     """Radii and azimuths of a convex n-gon winding once around the
     origin (so the origin is strictly interior)."""
+    scale = _polygon_scale(n)
     for attempt in range(POLYGON_TRIES):
         az = _azimuths(rng, n)
-        spread = 0.3 * 0.5 ** (attempt // 20)  # tighten until convex
+        spread = 0.3 * 0.5 ** (attempt // 20) * scale  # tighten until convex
         radii = rng.uniform(1.0 - spread, 1.0 + spread, n)
         u = np.stack([radii * np.cos(az), radii * np.sin(az)], axis=1)
         edges = np.roll(u, -1, axis=0) - u
         nxt = np.roll(edges, -1, axis=0)
         cross = edges[:, 0] * nxt[:, 1] - edges[:, 1] * nxt[:, 0]
-        if cross.min() > 1e-6:
+        if cross.min() > 1e-6 * scale:
             return radii, az
     raise GenerationError("could not draw a convex polygon")
 
@@ -135,7 +146,7 @@ def convex_suspension(rng, n, tol: Tolerances = DEFAULT_TOL):
         h_s = rng.uniform(0.6, 1.6)
         north = np.array([rng.uniform(-0.15, 0.15), rng.uniform(-0.15, 0.15), h_n])
         south = np.array([rng.uniform(-0.15, 0.15), rng.uniform(-0.15, 0.15), -h_s])
-        jitter = rng.uniform(-0.1, 0.1, n)
+        jitter = rng.uniform(-0.1, 0.1, n) * _polygon_scale(n)
         for _ in range(8):
             eq = base.copy()
             eq[:, 2] = jitter
@@ -155,7 +166,12 @@ def star_suspension(rng, n, require_reflex=False, tol: Tolerances = DEFAULT_TOL)
     """Axis-decomposable, weakly strictly convex suspension whose equator
     sits on a cylinder around the axis (so every vertex is exposed) with
     random heights.  With require_reflex, resamples until at least one
-    lateral edge is reflex."""
+    lateral edge is reflex, which needs n >= 4."""
+    if require_reflex and n < 4:
+        raise GenerationError(
+            f"no reflex lateral edge at n={n}: a degree-3 pole's link is a "
+            "spherical triangle, so no lateral edge there is reflex"
+        )
     for _ in range(STAR_SUSPENSION_TRIES):
         az = _azimuths(rng, n)
         radius = rng.uniform(0.6, 1.4)

@@ -241,10 +241,6 @@ class PolyhedralSurface:
     def n_vertices(self):
         return len(self.vertices)
 
-    @property
-    def n_faces(self):
-        return len(self.faces)
-
     @cached_property
     def edges(self):
         """Undirected edges as sorted (i, j) pairs, lexicographically ordered."""

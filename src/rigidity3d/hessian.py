@@ -71,15 +71,16 @@ def _gram_map():
 _GRAM_MAP = _gram_map()
 
 
-def tetra_angles_and_jacobian(lengths, tol: Tolerances = DEFAULT_TOL):
+def _angles_and_jacobian(lengths, feasible):
     """Six dihedral angles of each tetrahedron and their length derivatives.
 
-    lengths has shape (..., 6), each row in TETRA_EDGE_ORDER = (01, 02, 03,
-    12, 13, 23); the k-th angle sits at the k-th edge.  Returns (angles,
-    jacobian) of shapes (..., 6) and (..., 6, 6), with
-    jacobian[..., k, m] = d alpha_k / d length_m.  Raises DecompositionError
-    naming the first row that is not a nondegenerate tetrahedron, by the
-    Cayley-Menger check at `tol`.
+    lengths is a float array of shape (..., 6), each row in
+    TETRA_EDGE_ORDER = (01, 02, 03, 12, 13, 23); the k-th angle sits at the
+    k-th edge.  `feasible` is the first output of cayley_menger_feasible on
+    it, which the caller has already made.  Returns (angles, jacobian) of
+    shapes (..., 6) and (..., 6, 6), with jacobian[..., k, m] =
+    d alpha_k / d length_m.  Raises DecompositionError naming the first row
+    that is not a nondegenerate tetrahedron.
 
     The angle at edge (a, b) comes from the Gram matrix M of the frame
     based at a: with G = det M = 36 V^2 and c = M00*M12 - M01*M02
@@ -87,14 +88,6 @@ def tetra_angles_and_jacobian(lengths, tol: Tolerances = DEFAULT_TOL):
     Derivatives are assembled by the chain rule through the (linear)
     map squared-lengths -> Gram entries, _GRAM_MAP.
     """
-    lengths = np.asarray(lengths, dtype=float)
-    return _angles_and_jacobian(lengths, cayley_menger_feasible(lengths, tol)[0])
-
-
-def _angles_and_jacobian(lengths, feasible):
-    """tetra_angles_and_jacobian on a float (..., 6) array whose
-    Cayley-Menger check the caller has already made: `feasible` is its
-    first output."""
     m = np.einsum("...q,kgq->...kg", lengths**2, _GRAM_MAP)
     m00, m11, m22, m01, m02, m12 = np.moveaxis(m, -1, 0)
     big_g = (
@@ -315,11 +308,6 @@ class Decomposition:
     def r(self):
         return len(self.interior_edges)
 
-    @property
-    def embedded_interior_lengths(self):
-        """The special length vector realized by the embedding."""
-        return self._edge_lengths[: self.r].copy()
-
     def _lengths(self, interior_l=None):
         """(T, 6) edge lengths of every tetrahedron in TETRA_EDGE_ORDER,
         taking interior-edge lengths from interior_l when given."""
@@ -502,10 +490,6 @@ class ProbeReport:
     trials: tuple
     failures: int
     counterexamples: tuple  # weakly convex, non-PD instances, dumped verbatim
-
-    @property
-    def n_trials(self):
-        return len(self.trials)
 
     @property
     def min_eigenvalues(self):

@@ -1,4 +1,5 @@
-"""Canonical example surfaces used by tests, demos and generators."""
+"""The suspension vertex layout, outward-oriented hull faces and the
+octahedron, the bipyramid the benchmark traces."""
 
 import numpy as np
 
@@ -42,60 +43,3 @@ def octahedron():
     """Regular octahedron: poles (0,0,+-1), unit square equator."""
     equator = np.array([[1.0, 0, 0], [0, 1.0, 0], [-1.0, 0, 0], [0, -1.0, 0]])
     return bipyramid(equator, [0.0, 0.0, 1.0], [0.0, 0.0, -1.0])
-
-
-def tetrahedron():
-    """Regular tetrahedron with unit-ish edge, centered at the origin."""
-    v = np.array(
-        [[1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]]
-    ) / np.sqrt(8.0)
-    faces = [(0, 2, 1), (0, 1, 3), (0, 3, 2), (1, 2, 3)]
-    return PolyhedralSurface(v, faces)
-
-
-def cube():
-    """Unit cube, each square face split along a diagonal."""
-    v = np.array(
-        [
-            [0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0],
-            [0, 0, 1], [1, 0, 1], [1, 1, 1], [0, 1, 1],
-        ],
-        dtype=float,
-    )
-    faces = [
-        (0, 2, 1), (0, 3, 2),  # bottom (z=0)
-        (4, 5, 6), (4, 6, 7),  # top (z=1)
-        (0, 1, 5), (0, 5, 4),  # y=0
-        (1, 2, 6), (1, 6, 5),  # x=1
-        (2, 3, 7), (2, 7, 6),  # y=1
-        (3, 0, 4), (3, 4, 7),  # x=0
-    ]
-    return PolyhedralSurface(v, faces)
-
-
-def icosahedron():
-    """Regular icosahedron from golden-ratio rectangles."""
-    phi = (1.0 + np.sqrt(5.0)) / 2.0
-    v = []
-    for a in (-1.0, 1.0):
-        for b in (-phi, phi):
-            v += [[0.0, a, b], [a, b, 0.0], [b, 0.0, a]]
-    v = np.array(v)
-    from scipy.spatial import ConvexHull
-
-    return PolyhedralSurface(v, hull_faces(v, ConvexHull(v).simplices))
-
-
-def square_pyramid():
-    """Square pyramid; apex last (index 4), base split along a diagonal."""
-    v = np.array(
-        [
-            [1.0, 0, 0],
-            [0, 1.0, 0],
-            [-1.0, 0, 0],
-            [0, -1.0, 0],
-            [0, 0, 1.0],
-        ]
-    )
-    faces = [(4, 0, 1), (4, 1, 2), (4, 2, 3), (4, 3, 0), (0, 2, 1), (0, 3, 2)]
-    return PolyhedralSurface(v, faces)

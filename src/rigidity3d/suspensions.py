@@ -102,10 +102,6 @@ class Suspension:
     def equator(self):
         return self.vertices[2:]
 
-    @property
-    def axis_length(self):
-        return float(np.linalg.norm(self.north - self.south))
-
     def equator_index(self, slot):
         """Vertex index of the equator slot (cyclic)."""
         return 2 + slot % self.n
@@ -307,10 +303,6 @@ class LambdaBreakdown:
     vertex_terms: np.ndarray
     theta: np.ndarray
     scale: float
-
-    @property
-    def n(self):
-        return len(self.simplex_terms)
 
     @property
     def total_simplex(self):
@@ -612,17 +604,6 @@ def convex_profile_certificate(s: Suspension, tol: Tolerances = DEFAULT_TOL):
     if not rigid:
         raise InvariantError("positive invariant but the rigidity verdict is negative")
     return ConvexProfileReport(True, None, breakdown, rigid)
-
-
-def interior_edge_star(d: Decomposition, tol: Tolerances = DEFAULT_TOL):
-    """The suspension formed by the tetrahedra around the single interior
-    edge of a decomposition: poles are the edge endpoints, the equator is
-    the cycle of flank vertices."""
-    if d.r != 1:
-        raise SuspensionError(f"decomposition has {d.r} interior edges; need exactly one")
-    _, link = d._star(0)
-    north, south = d.interior_edges[0]
-    return build_suspension(d.vertices[north], d.vertices[south], d.vertices[list(link)], tol)
 
 
 def normalize_poles(s: Suspension, tol: Tolerances = DEFAULT_TOL):

@@ -1,34 +1,112 @@
 """Test fixtures and oracles: routines that only the tests call.
 
 Nothing in the library, the CLI or the benchmark calls these, so they are
-not part of the package (`test_exports.py` checks that every export has a
-program caller).  Tests import them with `from oracles import ...`: pytest
-puts this directory on the import path.
+not part of the package (`test_exports.py` checks that every public name in
+it has a program caller).  Tests import them with `from oracles import ...`:
+pytest puts this directory on the import path.
 """
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
+from rigidity3d.cauchy import CauchyError, cyclic_sign_changes
 from rigidity3d.frameworks import EdgeKind, Framework, FrameworkError, _edge_vectors
-from rigidity3d.generators import GenerationError
+from rigidity3d.generators import (
+    CONVEX_SUSPENSION_TRIES,
+    FLAT_EDGE_MARGIN,
+    POLYGON_TRIES,
+    GenerationError,
+    _azimuths,
+)
 from rigidity3d.geometry import (
     DEFAULT_TOL,
     TETRA_EDGE_ORDER,
     GeometryError,
     InvariantError,
+    PolyhedralSurface,
     ProjectiveMap,
     Tolerances,
+    cayley_menger_feasible,
+    dihedral_angles,
     transform_points,
 )
-from rigidity3d.hessian import DecompositionError, tetra_angles_and_jacobian
-from rigidity3d.suspensions import build_suspension, lambda_scalar
+from rigidity3d.hessian import Decomposition, DecompositionError, _angles_and_jacobian
+from rigidity3d.shapes import hull_faces
+from rigidity3d.suspensions import SuspensionError, build_suspension, lambda_scalar
 
 # draws random_projective_map makes before it raises GenerationError
 PROJECTIVE_TRIES = 50
 
+# impossible_labeling_search tries all 2**E labelings; 14 admits the
+# octahedron's 12 edges
+LABELING_EDGE_CAP = 14
+
 EDGE_PROBABILITY = 0.55
 PROJECTIVE_STRENGTH = 0.15
+
+
+# ---------------------------------------------------------------------------
+# canonical surfaces
+# ---------------------------------------------------------------------------
+
+
+def tetrahedron():
+    """Regular tetrahedron with unit-ish edge, centered at the origin."""
+    v = np.array(
+        [[1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]]
+    ) / np.sqrt(8.0)
+    faces = [(0, 2, 1), (0, 1, 3), (0, 3, 2), (1, 2, 3)]
+    return PolyhedralSurface(v, faces)
+
+
+def cube():
+    """Unit cube, each square face split along a diagonal."""
+    v = np.array(
+        [
+            [0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0],
+            [0, 0, 1], [1, 0, 1], [1, 1, 1], [0, 1, 1],
+        ],
+        dtype=float,
+    )
+    faces = [
+        (0, 2, 1), (0, 3, 2),  # bottom (z=0)
+        (4, 5, 6), (4, 6, 7),  # top (z=1)
+        (0, 1, 5), (0, 5, 4),  # y=0
+        (1, 2, 6), (1, 6, 5),  # x=1
+        (2, 3, 7), (2, 7, 6),  # y=1
+        (3, 0, 4), (3, 4, 7),  # x=0
+    ]
+    return PolyhedralSurface(v, faces)
+
+
+def icosahedron():
+    """Regular icosahedron from golden-ratio rectangles."""
+    phi = (1.0 + np.sqrt(5.0)) / 2.0
+    v = []
+    for a in (-1.0, 1.0):
+        for b in (-phi, phi):
+            v += [[0.0, a, b], [a, b, 0.0], [b, 0.0, a]]
+    v = np.array(v)
+    from scipy.spatial import ConvexHull
+
+    return PolyhedralSurface(v, hull_faces(v, ConvexHull(v).simplices))
+
+
+def square_pyramid():
+    """Square pyramid; apex last (index 4), base split along a diagonal."""
+    v = np.array(
+        [
+            [1.0, 0, 0],
+            [0, 1.0, 0],
+            [-1.0, 0, 0],
+            [0, -1.0, 0],
+            [0, 0, 1.0],
+        ]
+    )
+    faces = [(4, 0, 1), (4, 1, 2), (4, 2, 3), (4, 3, 0), (0, 2, 1), (0, 3, 2)]
+    return PolyhedralSurface(v, faces)
 
 
 # ---------------------------------------------------------------------------
@@ -77,6 +155,60 @@ def random_projective_map(rng, points):
 
 
 # ---------------------------------------------------------------------------
+# convex polygons and suspensions with a fixed floor, spread and jitter
+# ---------------------------------------------------------------------------
+
+
+def random_convex_polygon(rng, n):
+    """Radii and azimuths of a convex n-gon winding once around the
+    origin (so the origin is strictly interior)."""
+    for attempt in range(POLYGON_TRIES):
+        az = _azimuths(rng, n)
+        spread = 0.3 * 0.5 ** (attempt // 20)  # tighten until convex
+        radii = rng.uniform(1.0 - spread, 1.0 + spread, n)
+        u = np.stack([radii * np.cos(az), radii * np.sin(az)], axis=1)
+        edges = np.roll(u, -1, axis=0) - u
+        nxt = np.roll(edges, -1, axis=0)
+        cross = edges[:, 0] * nxt[:, 1] - edges[:, 1] * nxt[:, 0]
+        if cross.min() > 1e-6:
+            return radii, az
+    raise GenerationError("could not draw a convex polygon")
+
+
+def convex_suspension(rng, n, tol: Tolerances = DEFAULT_TOL):
+    """Strongly strictly convex suspension: the bipyramid over a convex
+    polygon, with pole offsets and out-of-plane jitter accepted only when
+    the convex hull of the vertices has exactly the bipyramid's faces.
+
+    Jitter is halved towards the guaranteed planar equator; if that never
+    converges (a pole offset outside a small polygon can make the hull
+    skip equator vertices entirely), the whole instance is redrawn."""
+    from scipy.spatial import ConvexHull  # deferred: only hull callers pay its import
+
+    for _ in range(CONVEX_SUSPENSION_TRIES):
+        radii, az = random_convex_polygon(rng, n)
+        base = np.stack([radii * np.cos(az), radii * np.sin(az), np.zeros(n)], axis=1)
+        h_n = rng.uniform(0.6, 1.6)
+        h_s = rng.uniform(0.6, 1.6)
+        north = np.array([rng.uniform(-0.15, 0.15), rng.uniform(-0.15, 0.15), h_n])
+        south = np.array([rng.uniform(-0.15, 0.15), rng.uniform(-0.15, 0.15), -h_s])
+        jitter = rng.uniform(-0.1, 0.1, n)
+        for _ in range(8):
+            eq = base.copy()
+            eq[:, 2] = jitter
+            s = build_suspension(north, south, eq, tol)
+            pts = s.surface.vertices
+            hull = ConvexHull(pts)
+            hull_faces = {tuple(sorted(f)) for f in hull.simplices.tolist()}
+            surf_faces = {tuple(sorted(f)) for f in s.surface.faces.tolist()}
+            sharp = (dihedral_angles(s.surface, tol) < np.pi - FLAT_EDGE_MARGIN).all()
+            if hull_faces == surf_faces and sharp:
+                return s
+            jitter *= 0.5
+    raise GenerationError("convex suspension generation did not converge")
+
+
+# ---------------------------------------------------------------------------
 # tensegrity sign conditions
 # ---------------------------------------------------------------------------
 
@@ -113,6 +245,53 @@ def stress_energy(fw, stress, motion):
     zero in the motion whenever the stress is an equilibrium stress."""
     rates = np.einsum("ij,ij->i", *_edge_vectors(fw, motion.velocities)[1:])
     return float(stress.as_vector(fw) @ rates)
+
+
+# ---------------------------------------------------------------------------
+# the Cauchy lemma on small embedded graphs
+# ---------------------------------------------------------------------------
+
+
+def impossible_labeling_search(rotation):
+    """Exhaustively search all +-1 edge labelings of an embedded graph for
+    one where no vertex sees all-equal signs and all vertices but at most
+    three see at least 4 sign changes.
+
+    No such labeling can exist on a sphere; returns None once all
+    labelings are refuted, or the counterexample labeling (which would
+    indicate an implementation bug)."""
+    edges = sorted(
+        {tuple(sorted((u, v))) for u, nbrs in rotation.items() for v in nbrs}
+    )
+    for u, nbrs in rotation.items():
+        for v in nbrs:
+            if u not in rotation[v]:
+                raise CauchyError(f"rotation system is not symmetric at ({u}, {v})")
+    if len(edges) > LABELING_EDGE_CAP:
+        raise CauchyError(
+            f"{len(edges)} edges: exhaustive search is capped at {LABELING_EDGE_CAP}"
+        )
+    index = {e: k for k, e in enumerate(edges)}
+    slots = {
+        v: [index[tuple(sorted((v, w)))] for w in nbrs]
+        for v, nbrs in rotation.items()
+    }
+    for labels in product((1, -1), repeat=len(edges)):
+        low_change_vertices = 0
+        ok = True
+        for v, slot_ids in slots.items():
+            seq = [labels[k] for k in slot_ids]
+            if all(s == seq[0] for s in seq):
+                ok = False
+                break
+            if cyclic_sign_changes(seq) < 4:
+                low_change_vertices += 1
+                if low_change_vertices > 3:
+                    ok = False
+                    break
+        if ok:
+            return dict(zip(edges, labels))
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +366,26 @@ def flexible_suspension_fixture(
 # ---------------------------------------------------------------------------
 # angle oracles on tetrahedra and decompositions
 # ---------------------------------------------------------------------------
+
+
+def tetra_angles_and_jacobian(lengths, tol: Tolerances = DEFAULT_TOL):
+    """hessian._angles_and_jacobian behind the Cayley-Menger check at `tol`:
+    (angles, jacobian) of shapes (..., 6) and (..., 6, 6) for (..., 6) edge
+    lengths in TETRA_EDGE_ORDER, or DecompositionError naming the first row
+    that is not a nondegenerate tetrahedron."""
+    lengths = np.asarray(lengths, dtype=float)
+    return _angles_and_jacobian(lengths, cayley_menger_feasible(lengths, tol)[0])
+
+
+def interior_edge_star(d: Decomposition, tol: Tolerances = DEFAULT_TOL):
+    """The suspension formed by the tetrahedra around the single interior
+    edge of a decomposition: poles are the edge endpoints, the equator is
+    the cycle of flank vertices."""
+    if d.r != 1:
+        raise SuspensionError(f"decomposition has {d.r} interior edges; need exactly one")
+    _, link = d._star(0)
+    north, south = d.interior_edges[0]
+    return build_suspension(d.vertices[north], d.vertices[south], d.vertices[list(link)], tol)
 
 
 def schlafli_residual(lengths, direction):

@@ -17,7 +17,7 @@ from rigidity3d import cauchy, fileio, frameworks, generators, hessian, shapes, 
 from rigidity3d.cli import main
 from rigidity3d.hessian import lambda_matrix
 
-from oracles import flexible_suspension_fixture
+from oracles import cube, flexible_suspension_fixture, square_pyramid
 
 
 def run(capsys, *argv):
@@ -347,7 +347,7 @@ def test_dent_rejects_non_edge(capsys, octa_path, tmp_path):
 
 def test_dent_rejects_flat_edge(capsys, tmp_path):
     path = tmp_path / "pyramid.json"
-    fileio.save(path, shapes.square_pyramid())
+    fileio.save(path, square_pyramid())
     code, _, err = run(capsys, "dent", str(path), "--edge", "0,2",
                        "--out", str(tmp_path / "x.json"))
     assert code == 1 and "coplanar" in err
@@ -376,10 +376,10 @@ def test_signs_flex_index_out_of_range(capsys, octa_path):
 def test_signs_reads_every_flex_of_a_surface_with_flat_edges(capsys, tmp_path):
     """The triangulated cube's face diagonals are flat (angle pi).  Its flex
     space is the six trivial motions, and each one gives all-zero signs."""
-    cube = shapes.cube()
-    assert "flat" in rigidity3d.edge_flags(cube).values()
+    surface = cube()
+    assert "flat" in rigidity3d.edge_flags(surface).values()
     path = tmp_path / "cube.json"
-    fileio.save(path, cube)
+    fileio.save(path, surface)
     for k in range(6):
         code, out, err = run(capsys, "signs", str(path), "--flex-index", str(k), "--json")
         assert (code, err) == (0, "")

@@ -38,10 +38,11 @@ from rigidity3d.geometry import (
     Tolerances,
     transform_points,
 )
-from rigidity3d.shapes import cube, hull_faces, octahedron, tetrahedron
+from rigidity3d.shapes import hull_faces, octahedron
 from rigidity3d.suspensions import tensegrity_labeling
 
-from oracles import flexible_suspension_fixture, random_framework, stress_energy, tensegrity_flex_test
+from oracles import (cube, flexible_suspension_fixture, random_framework, stress_energy,
+                     tensegrity_flex_test, tetrahedron)
 
 NS = (0, 1)  # pole edge in the shared bipyramid vertex layout
 
@@ -144,7 +145,7 @@ def test_tetrahedron_flex_space_is_trivial():
     space = bar_flex_space(Framework.from_surface(tetrahedron()))
     assert space.dimension == 6
     assert space.trivial_dimension == 6
-    assert space.nontrivial_dimension == 0
+    assert space.dimension == space.trivial_dimension
 
 
 def test_vertex_in_face_interior_gives_flex():
@@ -604,7 +605,7 @@ def test_analysis_report_counts_the_dimensions_of_the_bases():
         assert verdicts["flex_dimension"] == space.dimension == len(space.basis)
         assert verdicts["trivial_dimension"] == space.trivial_dimension
         assert verdicts["stress_space_dimension"] == len(equilibrium_stress_space(fw))
-        assert verdicts["rigid"] is (space.nontrivial_dimension == 0)
+        assert verdicts["rigid"] is (space.dimension == space.trivial_dimension)
         rigid_seen.add(verdicts["rigid"])
     assert rigid_seen == {True, False}
 

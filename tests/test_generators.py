@@ -25,6 +25,7 @@ from rigidity3d.geometry import Convexity, classify_convexity, dihedral_angles, 
 from rigidity3d.hessian import rigidity_from_lambda
 from rigidity3d.suspensions import is_ns_decomposable, lambda_scalar
 
+import oracles
 from oracles import flexible_suspension_fixture, random_framework, random_projective_map
 
 
@@ -85,6 +86,31 @@ def test_convex_suspensions_are_strongly_convex_and_decomposable():
         report = classify_convexity(s.surface)
         assert report.classification is Convexity.STRONGLY_STRICTLY_CONVEX
         assert bool(is_ns_decomposable(s))
+
+
+def test_convex_draws_up_to_twelve_vertices_are_the_fixed_rules():
+    """The polygon floor, spread and jitter shrink only past n = 12, so every
+    draw with n <= 12 equals the fixed rules' draw bit for bit, and leaves the
+    stream where they left it; past n = 12 the scaled rules still draw."""
+    for n in range(3, 13):
+        for seed in range(5):
+            new, old = np.random.default_rng((seed, n)), np.random.default_rng((seed, n))
+            s = convex_suspension(new, n)
+            assert np.array_equal(s.vertices, oracles.convex_suspension(old, n).vertices)
+            polygon = random_convex_polygon(new, n)
+            assert np.array_equal(polygon, oracles.random_convex_polygon(old, n))
+            assert np.array_equal(new.random(2), old.random(2))
+    for n in (80, 200):
+        s = suspension_profile("convex", np.random.default_rng(0), n)
+        assert classify_convexity(s.surface).classification is Convexity.STRONGLY_STRICTLY_CONVEX
+
+
+def test_star_profile_refuses_three_equator_vertices_before_drawing():
+    rng = np.random.default_rng(0)
+    with pytest.raises(GenerationError, match="degree-3 pole's link is a spherical triangle"):
+        suspension_profile("star", rng, 3)
+    assert np.array_equal(rng.random(2), np.random.default_rng(0).random(2))
+    assert star_suspension(np.random.default_rng(0), 3).n == 3
 
 
 def test_star_suspensions_have_reflex_laterals():

@@ -35,8 +35,8 @@ from rigidity3d.generators import (
     random_suspension,
     star_suspension,
 )
-from rigidity3d.hessian import pd_probe, tetra_angles_and_jacobian
-from rigidity3d.shapes import cube, hull_faces, icosahedron, octahedron, square_pyramid, tetrahedron
+from rigidity3d.hessian import pd_probe
+from rigidity3d.shapes import hull_faces, octahedron
 from rigidity3d.suspensions import (
     Suspension,
     SuspensionError,
@@ -46,7 +46,8 @@ from rigidity3d.suspensions import (
     suspension_rigidity,
 )
 
-from oracles import flexible_suspension_fixture
+from oracles import (cube, flexible_suspension_fixture, icosahedron, square_pyramid,
+                     tetra_angles_and_jacobian, tetrahedron)
 
 
 def dented_octahedron():
@@ -71,7 +72,7 @@ def dented_octahedron():
 def test_surface_counts():
     """Accepted closed triangulated surfaces satisfy v-e+f=2 and 2e=3f."""
     for surf in (octahedron(), cube(), tetrahedron(), square_pyramid()):
-        v, e, f = surf.n_vertices, surf.n_edges, surf.n_faces
+        v, e, f = surf.n_vertices, surf.n_edges, len(surf.faces)
         assert v - e + f == 2
         assert 2 * e == 3 * f
         assert surf.signed_volume > 0.0
@@ -533,7 +534,7 @@ def test_weak_convexity_callers_solve_no_lp(monkeypatch):
     monkeypatch.setattr(scipy.optimize, "linprog", counting)
     for include_controls in (False, True):
         report = pd_probe(trials=6, seed=1, include_controls=include_controls)
-        assert report.failures == 0 and report.n_trials == 6
+        assert report.failures == 0 and len(report.trials) == 6
     for k in range(4):
         s = star_suspension(np.random.default_rng((403, k)), 4 + k, require_reflex=True)
         inductive_proper_stress(s)

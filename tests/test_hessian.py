@@ -28,17 +28,19 @@ from rigidity3d.hessian import (
     decompose_star,
     lambda_matrix,
     rigidity_from_lambda,
-    tetra_angles_and_jacobian,
 )
-from rigidity3d.shapes import icosahedron, octahedron, tetrahedron
+from rigidity3d.shapes import octahedron
 from rigidity3d.suspensions import axis_decomposition
 
 from oracles import (
     cone_angles,
     dihedral_table,
     flexible_suspension_fixture,
+    icosahedron,
     mean_curvature_H,
     schlafli_residual,
+    tetra_angles_and_jacobian,
+    tetrahedron,
 )
 
 TETRA_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -186,7 +188,7 @@ def test_octahedron_star_decomposition():
     surf_edges = set(octahedron().edges)
     assert (0, 1) not in surf_edges  # classification oracle
     assert set(d.boundary_edges) == surf_edges
-    assert d.embedded_interior_lengths[0] == pytest.approx(2.0)
+    assert d._edge_lengths[0] == pytest.approx(2.0)
 
 
 def test_dented_octahedron_star_decomposition_has_no_interior_edges():
@@ -659,7 +661,7 @@ def test_lambda_matches_finite_difference_jacobian():
         surf = PolyhedralSurface(pts, base.faces)
         d = decompose_star(surf, 0)
         lam = lambda_matrix(d).matrix
-        l0 = d.embedded_interior_lengths
+        l0 = d._edge_lengths[: d.r]
         for m in range(d.r):
             lp, lm = l0.copy(), l0.copy()
             lp[m] += h
@@ -732,7 +734,7 @@ def test_lambda_is_assembled_once_per_decomposition(monkeypatch):
     assert np.array_equal(lambda_matrix(d).matrix, lam.matrix)
     assert calls == [(d.r, d.r)]
     # an explicit length vector is assembled afresh
-    lambda_matrix(d, d.embedded_interior_lengths)
+    lambda_matrix(d, d._edge_lengths[: d.r])
     assert len(calls) == 2
 
 
