@@ -15,9 +15,7 @@ from .geometry import (  # noqa: F401
     GeometryError,
     InvariantError,
     PolyhedralSurface,
-    ProjectiveMap,
     Tolerances,
-    cayley_menger_feasible,
     classify_convexity,
     dihedral_angles,
     edge_flags,
@@ -76,7 +74,6 @@ from .suspensions import (  # noqa: F401
     inductive_proper_stress,
     is_ns_decomposable,
     lambda_scalar,
-    normalize_poles,
     reflex_lateral_edges,
     suspension_rigidity,
     tensegrity_labeling,

@@ -212,7 +212,6 @@ class SignChangeStats:
 
     per_vertex: dict
     per_face: tuple
-    face_sizes: tuple
     v: int
     e: int
     f: int
@@ -246,14 +245,12 @@ def count_sign_changes(g: SignedPlanarGraph):
         per_vertex[v] = count
     faces = _trace_faces(g.rotation)
     per_face = []
-    face_sizes = []
     for cycle in faces:
         seq = [g.labels[tuple(sorted(de))] for de in cycle]
         count = cyclic_sign_changes(seq)
         if count % 2:
             raise CauchyError("odd change count on a face")
         per_face.append(count)
-        face_sizes.append(len(cycle))
     s = sum(per_face)
     if s != sum(per_vertex.values()):
         raise InvariantError(
@@ -263,7 +260,6 @@ def count_sign_changes(g: SignedPlanarGraph):
     return SignChangeStats(
         per_vertex=per_vertex,
         per_face=tuple(per_face),
-        face_sizes=tuple(face_sizes),
         v=len(g.rotation),
         e=len(g.labels),
         f=len(faces),
@@ -381,7 +377,6 @@ class DentHarnessReport:
     trials: tuple
     skipped: int
     failures: tuple
-    control_verdicts: tuple = ()
 
 
 def _cofacial(surface, e1, e2):
@@ -389,25 +384,16 @@ def _cofacial(surface, e1, e2):
     return any(both <= set(map(int, f)) for f in surface.faces)
 
 
-def dent_rigidity_harness(
-    seed=0,
-    trials=100,
-    include_control=False,
-    tol: Tolerances = DEFAULT_TOL,
-):
+def dent_rigidity_harness(seed=0, trials=100, tol: Tolerances = DEFAULT_TOL):
     """Dent random convex hulls at one edge, then at a second edge sharing
     a vertex with the first (but not a face), and verify that every
     result is infinitesimally rigid.
 
-    Generation degeneracies are skipped and counted.  With
-    include_control, each trial also dents two edges sharing no vertex
-    and records the verdict without asserting it (outside the guaranteed
-    class, though no flexible example is known)."""
+    Generation degeneracies are skipped and counted."""
     from . import generators
 
     trial_list = []
     failures = []
-    controls = []
     skipped = 0
     for t in range(trials):
         rng = np.random.default_rng((seed, t))
@@ -464,24 +450,4 @@ def dent_rigidity_harness(
         trial_list.append(trial)
         if not single_rigid or double_rigid is False:
             failures.append(trial)
-
-        if include_control:
-            far = [e for e in edges if not (set(e) & set(e1))]
-            for k in rng.permutation(len(far)):
-                try:
-                    dc = dent(dent1.surface, far[k], tol)
-                except CauchyError:
-                    continue
-                controls.append(
-                    (
-                        (seed, t),
-                        far[k],
-                        is_infinitesimally_rigid(
-                            Framework.from_surface(dc.surface, tol=tol), tol
-                        ),
-                    )
-                )
-                break
-    return DentHarnessReport(
-        tuple(trial_list), skipped, tuple(failures), tuple(controls)
-    )
+    return DentHarnessReport(tuple(trial_list), skipped, tuple(failures))

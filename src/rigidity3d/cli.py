@@ -117,9 +117,8 @@ def cmd_stress(args):
         stress = inductive_proper_stress(loaded.suspension, tol)
         fw = tensegrity_labeling(loaded.suspension, include_ns=True, tol=tol)
         residual = equilibrium_residual(fw, stress)
-        # rows name the document's vertices, not the suspension's layout
-        poles = loaded.document["poles"]
-        layout = [poles["north"], poles["south"], *loaded.document["equator"]]
+        # rows name the document's vertices, not the suspension's
+        layout = loaded.layout
         header = ("i", "j", "kind", "omega")
         rows = [(*sorted((layout[i], layout[j])), kind.value, stress[(i, j)])
                 for i, j, kind in fw.edges]

@@ -248,13 +248,16 @@ def _body(obj):
 
 @dataclass(frozen=True)
 class LoadedInstance:
-    """All the views a document supports, constructed eagerly."""
+    """All the views a document supports, constructed eagerly.  `layout`
+    is the document's vertex index of each suspension vertex (north, south,
+    then the equator), as ints; None without poles."""
 
     document: dict
     framework: Framework
     surface: PolyhedralSurface | None
     suspension: Suspension | None
     decomposition: Decomposition | None
+    layout: tuple | None
 
     @property
     def vertices(self):
@@ -283,14 +286,14 @@ def from_document(doc, tol: Tolerances = DEFAULT_TOL):
             raise FileFormatError(
                 "/faces: face edges do not match the edge list"
             )
-    suspension = None
+    suspension = layout = None
     if "poles" in doc:
         # the schema's integers include integral floats such as 0.0
-        layout = [int(doc["poles"]["north"]), int(doc["poles"]["south"])]
-        layout += [int(v) for v in doc["equator"]]
+        poles = doc["poles"]
+        layout = tuple(map(int, (poles["north"], poles["south"], *doc["equator"])))
         try:
             suspension = build_suspension(
-                vertices[layout[0]], vertices[layout[1]], vertices[layout[2:]], tol
+                vertices[layout[0]], vertices[layout[1]], vertices[list(layout[2:])], tol
             )
         except (GeometryError, SuspensionError) as exc:
             raise FileFormatError(f"/poles: {exc}") from None
@@ -315,7 +318,7 @@ def from_document(doc, tol: Tolerances = DEFAULT_TOL):
                 "/edges: the edges must be the tetrahedra's boundary edges: "
                 f"extra {sorted(edges - boundary)}, missing {sorted(boundary - edges)}"
             )
-    return LoadedInstance(doc, framework, surface, suspension, decomposition)
+    return LoadedInstance(doc, framework, surface, suspension, decomposition, layout)
 
 
 def save(path, obj, metadata=None):

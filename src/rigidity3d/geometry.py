@@ -1,9 +1,8 @@
 """Low-level 3D geometry for rigidity analysis.
 
 Polyhedral surfaces (closed, oriented, triangulated), convexity
-classification, dihedral angles, projective maps, pole
-normalization for suspensions, and Cayley-Menger feasibility of edge
-lengths.
+classification, dihedral angles, and the pole frame of suspensions (a
+projective normalization written as two support-plane functionals).
 
 Conventions:
 
@@ -541,55 +540,6 @@ def classify_convexity(surface, tol: Tolerances = DEFAULT_TOL):
 
 
 # ---------------------------------------------------------------------------
-# projective maps
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ProjectiveMap:
-    """Projective transformation of R^3, row-vector convention:
-    [x, 1] @ matrix gives homogeneous output, divided by its 4th entry.
-
-    The stored matrix is canonically scaled so its largest-magnitude
-    entry equals 1.
-    """
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.shape != (4, 4):
-            raise GeometryError(f"projective matrix must be 4x4, got {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise GeometryError("non-finite projective matrix")
-        pivot = m.flat[np.abs(m).argmax()]
-        if pivot == 0.0:
-            raise GeometryError("zero projective matrix")
-        m = m / pivot
-        if abs(np.linalg.det(m)) <= 1e-12:
-            raise GeometryError("projective matrix is singular")
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-
-    @classmethod
-    def identity(cls):
-        return cls(np.eye(4))
-
-
-def transform_points(pmap, points, tol: Tolerances = DEFAULT_TOL):
-    points = as_points(points)
-    hom = np.hstack([points, np.ones((len(points), 1))]) @ pmap.matrix
-    w = hom[:, 3]
-    bad = np.nonzero(np.abs(w) < tol.geom_tol)[0]
-    if len(bad):
-        raise GeometryError(
-            f"vertex {bad[0]} maps to the plane at infinity "
-            f"(homogeneous coordinate {w[bad[0]]:.2e})"
-        )
-    return hom[:, :3] / w[:, None]
-
-
-# ---------------------------------------------------------------------------
 # pole normalization
 # ---------------------------------------------------------------------------
 
@@ -630,21 +580,20 @@ def _vertex_support_normal(pts, hull, k, tol):
 
 
 def normalize_pole_frame(points, north, south, tol: Tolerances = DEFAULT_TOL):
-    """Projective map carrying the configuration into the standard pole
-    frame: south at the origin, north at (0,0,1), all other vertices with
-    z in (0,1), so the planes orthogonal to the axis at the poles support
-    the configuration.
+    """The configuration in the standard pole frame: south at the origin,
+    north at (0,0,1), all other vertices with z in (0,1), so the planes
+    orthogonal to the axis at the poles support the configuration.
 
-    Returns (map, new_points).  If the input already satisfies the
-    condition the identity map is returned.  The support plane at a pole
-    comes from the same qhull as is_weakly_convex: a pole is exposed iff it
-    is a hull vertex and the plane normal to the unit sum of its facets'
-    outward normals clears every other point by more than
-    geom_tol * diameter.  Raises GeometryError when a pole is not exposed.
+    Returns the new points, the input itself when it already satisfies the
+    condition.  The support plane at a pole comes from the same qhull as
+    is_weakly_convex: a pole is exposed iff it is a hull vertex and the
+    plane normal to the unit sum of its facets' outward normals clears
+    every other point by more than geom_tol * diameter.  Raises
+    GeometryError when a pole is not exposed.
     """
     points = as_points(points)
     if pole_frame_ok(points, north, south, tol):
-        return ProjectiveMap.identity(), points
+        return points
 
     pts, hull, nonexposed = _hull_vertex_stage(points, diameter(points))
     normals = []
@@ -654,79 +603,20 @@ def normalize_pole_frame(points, north, south, tol: Tolerances = DEFAULT_TOL):
             raise GeometryError(f"{name} pole (vertex {pole}) is not an exposed point")
         normals.append(u)
     u_n, u_s = normals
-    c_n, c_s = u_n @ points[north], u_s @ points[south]
 
-    # Homogeneous functionals F = u_n.x - c_n and G = u_s.x - c_s are zero on
-    # the support planes and negative elsewhere on the configuration.  The map
-    # (x, 1) -> (v1.(x - S), v2.(x - S), -G, -(F + G)) sends the southern
-    # support plane to z=0, the northern one to z=1, S to the origin and N to
-    # (0,0,1); -(F+G) > 0 on the configuration, so nothing hits infinity.
+    # The plane functionals F = u_n.(x - N) and G = u_s.(x - S) are zero on
+    # the support planes and negative elsewhere on the configuration, so
+    # w = -(F + G) > 0 there.  The projective map
+    # x -> ((x - S).v1, (x - S).v2, -G) / w sends the southern support plane
+    # to z=0, the northern one to z=1, S to the origin and N to (0,0,1).
     v1, v2 = axis_frame(unit(points[north] - points[south]))
-    s_pos = points[south]
-
-    m = np.empty((4, 4))
-    m[:3, 0] = v1
-    m[3, 0] = -v1 @ s_pos
-    m[:3, 1] = v2
-    m[3, 1] = -v2 @ s_pos
-    m[:3, 2] = -u_s
-    m[3, 2] = c_s
-    m[:3, 3] = -(u_n + u_s)
-    m[3, 3] = c_n + c_s
-    pmap = ProjectiveMap(m)
-
-    new_points = transform_points(pmap, points, tol)
+    rel = points - points[south]
+    g = rel @ u_s
+    w = -((points - points[north]) @ u_n + g)
+    new_points = np.stack([rel @ v1, rel @ v2, -g], axis=1) / w[:, None]
     # exact pinning of the poles against roundoff
     new_points[south] = 0.0
     new_points[north] = np.array([0.0, 0.0, 1.0])
     if not pole_frame_ok(new_points, north, south, tol):
         raise InvariantError("pole normalization failed its own support-plane check")
-    return pmap, new_points
-
-
-# ---------------------------------------------------------------------------
-# Cayley-Menger feasibility
-# ---------------------------------------------------------------------------
-
-# index pairs for the canonical length order (d01, d02, d03, d12, d13, d23)
-TETRA_EDGE_ORDER = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-# the four faces (012, 013, 023, 123), each as its edges (ab, bc, ca) in
-# TETRA_EDGE_ORDER positions
-_FACE_CYCLES = np.array([[0, 3, 1], [0, 4, 2], [1, 5, 2], [3, 5, 4]])
-# the same cycles rotated by one and by two places: (bc, ca, ab), (ca, ab, bc)
-_FACE_CYCLES_NEXT = _FACE_CYCLES[:, [1, 2, 0]]
-_FACE_CYCLES_PREV = _FACE_CYCLES[:, [2, 0, 1]]
-# position of the squared length d_ij in the padded vector (0, d01^2, ..., d23^2)
-_CM_INDEX = np.array([[0, 1, 2, 3], [1, 0, 4, 5], [2, 4, 0, 6], [3, 5, 6, 0]])
-
-
-def cayley_menger_feasible(lengths, tol: Tolerances = DEFAULT_TOL):
-    """Whether six lengths (d01, d02, d03, d12, d13, d23) are the edge
-    lengths of a nondegenerate Euclidean tetrahedron.
-
-    lengths has shape (..., 6).  Returns (feasible, volume) of shape (...),
-    as a bool and a float for a single (6,) input; volume is 0.0 where
-    infeasible.
-    """
-    lengths = np.asarray(lengths, dtype=float)
-    if lengths.ndim == 0 or lengths.shape[-1] != 6:
-        raise GeometryError(f"expected 6 lengths, got shape {lengths.shape}")
-    if np.any(lengths <= 0.0) or not np.all(np.isfinite(lengths)):
-        raise GeometryError("edge lengths must be positive and finite")
-
-    scale = lengths.max(axis=-1)
-    # triangle inequalities d_ab + d_bc >= d_ca on every face, in every rotation
-    broken = lengths[..., _FACE_CYCLES] + lengths[..., _FACE_CYCLES_NEXT] < (
-        lengths[..., _FACE_CYCLES_PREV] - tol.geom_tol * scale[..., None, None]
-    )
-
-    cm = np.ones(lengths.shape[:-1] + (5, 5))
-    cm[..., 0, 0] = 0.0
-    padded = np.concatenate([np.zeros(lengths.shape[:-1] + (1,)), lengths**2], axis=-1)
-    cm[..., 1:, 1:] = padded[..., _CM_INDEX]
-    vol_sq = np.linalg.det(cm) / 288.0
-    feasible = ~broken.any(axis=(-2, -1)) & (vol_sq > tol.geom_tol**2 * scale**6)
-    volume = np.sqrt(np.where(feasible, vol_sq, 0.0))
-    if lengths.ndim == 1:
-        return bool(feasible), float(volume)
-    return feasible, volume
+    return new_points

@@ -24,13 +24,11 @@ import numpy as np
 from .frameworks import Framework, is_infinitesimally_rigid
 from .geometry import (
     DEFAULT_TOL,
-    TETRA_EDGE_ORDER,
     GeometryError,
     InvariantError,
     Tolerances,
     _cross,
     as_points,
-    cayley_menger_feasible,
     diameter,
     is_weakly_convex,
 )
@@ -41,6 +39,8 @@ SYM_TOL = 1e-7
 # squared-volume margin (relative to longest-edge^6) below which the
 # Jacobian of the angles is refused: derivatives blow up at degeneracy
 E_INTERIOR_MARGIN = 1e-10
+# index pairs for the canonical length order (d01, d02, d03, d12, d13, d23)
+TETRA_EDGE_ORDER = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
 class DecompositionError(Exception):
@@ -71,23 +71,11 @@ def _gram_map():
 _GRAM_MAP = _gram_map()
 
 
-def _angles_and_jacobian(lengths, feasible):
-    """Six dihedral angles of each tetrahedron and their length derivatives.
-
-    lengths is a float array of shape (..., 6), each row in
-    TETRA_EDGE_ORDER = (01, 02, 03, 12, 13, 23); the k-th angle sits at the
-    k-th edge.  `feasible` is the first output of cayley_menger_feasible on
-    it, which the caller has already made.  Returns (angles, jacobian) of
-    shapes (..., 6) and (..., 6, 6), with jacobian[..., k, m] =
-    d alpha_k / d length_m.  Raises DecompositionError naming the first row
-    that is not a nondegenerate tetrahedron.
-
-    The angle at edge (a, b) comes from the Gram matrix M of the frame
-    based at a: with G = det M = 36 V^2 and c = M00*M12 - M01*M02
-    (= (u x v).(u x w) by Lagrange), alpha = atan2(sqrt(G * M00), c).
-    Derivatives are assembled by the chain rule through the (linear)
-    map squared-lengths -> Gram entries, _GRAM_MAP.
-    """
+def _gram(lengths):
+    """(M, G) for (..., 6) edge lengths in TETRA_EDGE_ORDER: M[..., k, :]
+    holds the Gram entries (M00, M11, M22, M01, M02, M12) of the frame at
+    edge k (see _GRAM_MAP), shape (..., 6, 6), and G[..., k] = det M =
+    36 V^2, shape (..., 6)."""
     m = np.einsum("...q,kgq->...kg", lengths**2, _GRAM_MAP)
     m00, m11, m22, m01, m02, m12 = np.moveaxis(m, -1, 0)
     big_g = (
@@ -97,15 +85,44 @@ def _angles_and_jacobian(lengths, feasible):
         + 2.0 * m01 * m02 * m12
         - m02**2 * m11
     )
+    return m, big_g
+
+
+def _refused(lengths, gram, tol):
+    """Boolean (...,) mask of the length rows the angle kernel refuses.
+
+    Six positive lengths are a nondegenerate tetrahedron iff the Gram
+    matrix M of an edge frame is positive definite: M00 * M11 - M01^2
+    (four times a face area squared) and det M (36 V^2) are positive.  A
+    row is also refused unless V^2 = det M / 36 exceeds both geom_tol^2
+    and E_INTERIOR_MARGIN times the longest length^6: the derivatives blow
+    up at degeneracy.  `gram` is _gram(lengths); the frame at edge 01 is
+    read."""
+    m, big_g = gram
+    m00, m11, _, m01 = np.moveaxis(m[..., 0, :4], -1, 0)
+    floor = max(tol.geom_tol**2, E_INTERIOR_MARGIN) * lengths.max(axis=-1) ** 6
+    return ~((m00 * m11 - m01**2 > 0.0) & (big_g[..., 0] / 36.0 > floor))
+
+
+def _angles_and_jacobian(lengths, gram):
+    """Six dihedral angles of each tetrahedron and their length derivatives.
+
+    lengths is a float array of shape (..., 6), each row in
+    TETRA_EDGE_ORDER = (01, 02, 03, 12, 13, 23); the k-th angle sits at the
+    k-th edge.  `gram` is _gram(lengths), and no row may be one that
+    _refused refuses.  Returns (angles, jacobian) of shapes (..., 6) and
+    (..., 6, 6), with jacobian[..., k, m] = d alpha_k / d length_m.
+
+    The angle at edge (a, b) comes from the Gram matrix M of the frame
+    based at a: with G = det M = 36 V^2 and c = M00*M12 - M01*M02
+    (= (u x v).(u x w) by Lagrange), alpha = atan2(sqrt(G * M00), c).
+    Derivatives are assembled by the chain rule through the (linear)
+    map squared-lengths -> Gram entries, _GRAM_MAP.
+    """
+    m, big_g = gram
+    m00, m11, m22, m01, m02, m12 = np.moveaxis(m, -1, 0)
     cos_part = m00 * m12 - m01 * m02
     sin_part = np.sqrt(np.maximum(big_g * m00, 0.0))
-    bad = np.flatnonzero(~np.asarray(feasible) | np.any(sin_part <= 0.0, axis=-1))
-    if bad.size:
-        t = int(bad[0])
-        raise DecompositionError(
-            f"tetrahedron {t}: lengths {lengths.reshape(-1, 6)[t].tolist()} are not "
-            "a tetrahedron (infeasible or degenerate: angle derivative undefined)"
-        )
     angles = np.arctan2(sin_part, cos_part)
 
     # gradients with respect to the six independent Gram entries
@@ -152,7 +169,7 @@ class Decomposition:
     close up; they must form one cycle, so its total angle is well defined
     and equals 2*pi at the embedded lengths.  With a surface, the boundary
     faces must be exactly its faces.  `tol` is kept: the checks run at its
-    geom_tol, and lambda assemblies check Cayley-Menger feasibility at it.
+    geom_tol, and lambda assemblies refuse degenerate lengths at it.
     Equality is identity.
     """
 
@@ -316,6 +333,8 @@ class Decomposition:
         interior_l = np.asarray(interior_l, dtype=float)
         if interior_l.shape != (self.r,):
             raise DecompositionError(f"expected {self.r} interior lengths")
+        if not np.all(np.isfinite(interior_l) & (interior_l > 0.0)):
+            raise GeometryError("interior lengths must be positive and finite")
         return np.concatenate([interior_l, self._edge_lengths[self.r :]])[self._edge_index]
 
     @cached_property
@@ -398,21 +417,22 @@ def _assemble_lambda(d, interior_l):
     (None: embedded).  scale is the largest per-tetrahedron Jacobian entry:
     the magnitude the entries of lambda are sums and differences of.
 
-    Refuses near-degenerate tetrahedra (squared volume below the interior
-    margin relative to the longest edge), where the derivatives blow up,
-    and lengths that fail the Cayley-Menger check at the decomposition's
-    tolerances.  That check runs once: the angle kernel reuses it.
+    Refuses lengths that are not a nondegenerate tetrahedron at the
+    decomposition's tolerances, or too close to a degenerate one (squared
+    volume below the interior margin relative to the longest edge), where
+    the derivatives blow up: _refused, read from the kernel's own Gram
+    matrices before any derivative is formed.
     """
     lengths = d._lengths(interior_l)
-    feasible, vol = cayley_menger_feasible(lengths, d.tol)
-    refused = np.flatnonzero(~feasible | (vol**2 < E_INTERIOR_MARGIN * lengths.max(axis=1) ** 6))
+    gram = _gram(lengths)
+    refused = np.flatnonzero(_refused(lengths, gram, d.tol))
     if refused.size:
         t = int(refused[0])
         raise DecompositionError(
             f"tetrahedron {t} = {d.tetrahedra[t]} is degenerate or too "
             f"close to the boundary of the feasible length domain"
         )
-    _, jac = _angles_and_jacobian(lengths, feasible)
+    _, jac = _angles_and_jacobian(lengths, gram)
     rows = np.broadcast_to(d._edge_index[:, :, None], jac.shape)
     cols = np.broadcast_to(d._edge_index[:, None, :], jac.shape)
     interior = (rows < d.r) & (cols < d.r)

@@ -581,7 +581,7 @@ def convex_profile_certificate(s: Suspension, tol: Tolerances = DEFAULT_TOL):
     report when the hypothesis (or the pole normalization) fails.
     """
     try:
-        s_norm, _ = normalize_poles(s, tol)
+        s_norm = Suspension(normalize_pole_frame(s.vertices, NORTH, SOUTH, tol), tol)
     except GeometryError as exc:
         return ConvexProfileReport(False, f"pole normalization failed: {exc}", None, None)
     ns = is_ns_decomposable(s_norm, tol)
@@ -604,11 +604,3 @@ def convex_profile_certificate(s: Suspension, tol: Tolerances = DEFAULT_TOL):
     if not rigid:
         raise InvariantError("positive invariant but the rigidity verdict is negative")
     return ConvexProfileReport(True, None, breakdown, rigid)
-
-
-def normalize_poles(s: Suspension, tol: Tolerances = DEFAULT_TOL):
-    """Projectively move the suspension into the standard pole frame
-    (south at the origin, north at (0,0,1), equator heights in (0,1)).
-    Returns the normalized suspension and the map used."""
-    pmap, new_points = normalize_pole_frame(s.vertices, NORTH, SOUTH, tol)
-    return Suspension(new_points, tol), pmap

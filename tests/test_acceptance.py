@@ -21,10 +21,8 @@ from rigidity3d.frameworks import (
     is_proper,
     rigidity_rank,
 )
-from rigidity3d.geometry import transform_points
 from rigidity3d.hessian import (
     TETRA_EDGE_ORDER,
-    cayley_menger_feasible,
     lambda_matrix,
     pd_probe,
     rigidity_from_lambda,
@@ -43,9 +41,9 @@ from rigidity3d.suspensions import (
     tensegrity_labeling,
 )
 
-from oracles import (cone_angles, flexible_suspension_fixture, impossible_labeling_search,
-                     random_framework, random_projective_map, tetra_angles_and_jacobian,
-                     tetrahedron)
+from oracles import (cayley_menger_feasible, cone_angles, flexible_suspension_fixture,
+                     impossible_labeling_search, random_framework, random_projective_map,
+                     tetra_angles_and_jacobian, tetrahedron, transform_points)
 
 
 def _positive_ns(fw, stress):

@@ -282,6 +282,23 @@ def test_stress_inductive_is_proper_equilibrium(capsys, star_path):
             assert rec["omega"] <= 1e-12
 
 
+def test_stress_inductive_rows_read_integral_float_indices(capsys, tmp_path):
+    """The schema's integers include integral floats.  A star suspension's
+    document whose poles and equator are 0.0, 1.0, ... prints the integer
+    document's rows in --json and --csv: the indices are converted once,
+    when the document loads."""
+    doc = fileio.to_document(generators.suspension_profile("star", default_rng(7), 5))
+    floats = dict(doc, poles={"north": 0.0, "south": 1.0},
+                  equator=[float(v) for v in doc["equator"]])
+    fileio.save(tmp_path / "int.json", doc)
+    fileio.save(tmp_path / "float.json", floats)
+    for flag in ("--json", "--csv"):
+        outputs = [run(capsys, "stress", str(tmp_path / name), "--inductive", flag)
+                   for name in ("int.json", "float.json")]
+        assert outputs[0][0] == 0
+        assert outputs[1] == outputs[0]
+
+
 def test_stress_inductive_rows_name_the_documents_vertices(capsys, tmp_path):
     """A star suspension's document with its vertices permuted, so that the
     poles sit at indices 5 and 6: the rows are that document's tensegrity

@@ -31,18 +31,12 @@ from rigidity3d.generators import (
     random_suspension,
     star_suspension,
 )
-from rigidity3d.geometry import (
-    DEFAULT_TOL,
-    PolyhedralSurface,
-    ProjectiveMap,
-    Tolerances,
-    transform_points,
-)
+from rigidity3d.geometry import DEFAULT_TOL, PolyhedralSurface, Tolerances
 from rigidity3d.shapes import hull_faces, octahedron
 from rigidity3d.suspensions import tensegrity_labeling
 
-from oracles import (cube, flexible_suspension_fixture, random_framework, stress_energy,
-                     tensegrity_flex_test, tetrahedron)
+from oracles import (ProjectiveMap, cube, flexible_suspension_fixture, random_framework,
+                     stress_energy, tensegrity_flex_test, tetrahedron, transform_points)
 
 NS = (0, 1)  # pole edge in the shared bipyramid vertex layout
 

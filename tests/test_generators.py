@@ -21,12 +21,13 @@ from rigidity3d.generators import (
     star_suspension,
     suspension_profile,
 )
-from rigidity3d.geometry import Convexity, classify_convexity, dihedral_angles, transform_points
+from rigidity3d.geometry import Convexity, classify_convexity, dihedral_angles
 from rigidity3d.hessian import rigidity_from_lambda
 from rigidity3d.suspensions import is_ns_decomposable, lambda_scalar
 
 import oracles
-from oracles import flexible_suspension_fixture, random_framework, random_projective_map
+from oracles import (flexible_suspension_fixture, random_framework, random_projective_map,
+                     transform_points)
 
 
 def test_random_hull_is_strongly_convex():

@@ -13,10 +13,8 @@ from rigidity3d.geometry import (
     ConvexityReport,
     GeometryError,
     PolyhedralSurface,
-    ProjectiveMap,
     Tolerances,
     _cross,
-    cayley_menger_feasible,
     classify_convexity,
     diameter,
     dihedral_angles,
@@ -25,7 +23,6 @@ from rigidity3d.geometry import (
     normalize_pole_frame,
     pole_frame_ok,
     support_functional,
-    transform_points,
 )
 from rigidity3d.generators import (
     convex_suspension,
@@ -46,8 +43,9 @@ from rigidity3d.suspensions import (
     suspension_rigidity,
 )
 
-from oracles import (cube, flexible_suspension_fixture, icosahedron, square_pyramid,
-                     tetra_angles_and_jacobian, tetrahedron)
+from oracles import (ProjectiveMap, cayley_menger_feasible, cube, flexible_suspension_fixture,
+                     icosahedron, square_pyramid, tetra_angles_and_jacobian, tetrahedron,
+                     transform_points)
 
 
 def dented_octahedron():
@@ -636,7 +634,7 @@ def test_lps_without_presolve_match_the_presolved_solve(monkeypatch, oracle_repo
 
 
 # ---------------------------------------------------------------------------
-# projective maps
+# projective maps (tests/oracles.py: the frame's and test_12's oracle)
 # ---------------------------------------------------------------------------
 
 
@@ -677,7 +675,7 @@ def test_singular_matrix_rejected():
 def test_normalize_poles_octahedron():
     """Standard octahedron: the affine map z -> (z+1)/2, xy -> xy/2."""
     surf = octahedron()
-    pmap, pts = normalize_pole_frame(surf.vertices, 0, 1)
+    pts = normalize_pole_frame(surf.vertices, 0, 1)
     assert np.allclose(pts[0], [0, 0, 1], atol=1e-9)
     assert np.allclose(pts[1], [0, 0, 0], atol=1e-9)
     assert np.allclose(np.abs(pts[2:, :2]).max(axis=1), 0.5, atol=1e-9)
@@ -686,10 +684,9 @@ def test_normalize_poles_octahedron():
 
 
 def test_normalize_poles_identity_when_already_normalized():
-    _, pts = normalize_pole_frame(octahedron().vertices, 0, 1)
-    pmap, again = normalize_pole_frame(pts, 0, 1)
-    assert np.allclose(pmap.matrix, np.eye(4), atol=1e-14)
-    assert np.allclose(again, pts)
+    pts = normalize_pole_frame(octahedron().vertices, 0, 1)
+    again = normalize_pole_frame(pts, 0, 1)
+    assert np.array_equal(again, pts)
 
 
 def test_normalize_poles_after_projective_tilt():
@@ -703,7 +700,7 @@ def test_normalize_poles_after_projective_tilt():
         m[3, :3] = 0.2 * rng.normal(size=3)
         pm = ProjectiveMap(m)
         tilted = transform_points(pm, surf.vertices)
-        _, pts = normalize_pole_frame(tilted, 0, 1)
+        pts = normalize_pole_frame(tilted, 0, 1)
         assert pole_frame_ok(pts, 0, 1)
 
 
@@ -724,7 +721,7 @@ def test_normalize_poles_rejects_a_flat_configuration():
 
 
 # ---------------------------------------------------------------------------
-# Cayley-Menger feasibility
+# Cayley-Menger feasibility (tests/oracles.py: the lambda refusal's oracle)
 # ---------------------------------------------------------------------------
 
 
@@ -785,7 +782,7 @@ def test_cayley_menger_index_rotations_match_np_roll():
     _FACE_CYCLES give the np.roll version's verdicts and volumes bit for
     bit, on single rows and batches with infeasible rows, at two
     tolerances."""
-    from rigidity3d.geometry import _CM_INDEX, _FACE_CYCLES
+    from oracles import _CM_INDEX, _FACE_CYCLES
 
     def rolled(lengths, tol):
         lengths = np.asarray(lengths, dtype=float)

@@ -15,16 +15,19 @@ from rigidity3d.generators import (
 )
 from rigidity3d.geometry import (
     DEFAULT_TOL,
-    TETRA_EDGE_ORDER,
+    GeometryError,
     InvariantError,
     PolyhedralSurface,
     Tolerances,
     dihedral_angles,
 )
 from rigidity3d.hessian import (
+    TETRA_EDGE_ORDER,
     Decomposition,
     DecompositionError,
     LambdaMatrix,
+    _gram,
+    _refused,
     decompose_star,
     lambda_matrix,
     rigidity_from_lambda,
@@ -33,6 +36,7 @@ from rigidity3d.shapes import octahedron
 from rigidity3d.suspensions import axis_decomposition
 
 from oracles import (
+    cayley_menger_refused,
     cone_angles,
     dihedral_table,
     flexible_suspension_fixture,
@@ -547,6 +551,16 @@ def test_decomposition_vertices_must_be_the_surfaces():
         Decomposition(2.0 * base.vertices, tets, surface=base)
 
 
+def test_lambda_matrix_refuses_non_positive_or_non_finite_lengths():
+    """The Gram matrices read squared lengths, so -2.1 would pass for 2.1:
+    a non-positive or non-finite interior length is refused before any
+    assembly."""
+    d = decompose_star(octahedron(), 0)
+    for bad in (-2.1, 0.0, np.nan, np.inf):
+        with pytest.raises(GeometryError, match="positive and finite"):
+            lambda_matrix(d, np.array([bad]))
+
+
 def test_cone_angles_reject_infeasible_lengths():
     d = decompose_star(octahedron(), 0)
     with pytest.raises(DecompositionError, match="tetrahedron 0"):
@@ -586,17 +600,48 @@ def test_angle_kernel_callers_check_feasibility_at_the_decomposition_tolerance()
         lambda_matrix(strict, near_flat)
 
 
-def test_lambda_assembly_runs_one_cayley_menger_pass(monkeypatch):
+def test_lambda_assembly_makes_one_kernel_call_and_no_cayley_menger_determinant(monkeypatch):
+    """Each assembly forms the Gram matrices once, refuses from them and
+    makes one kernel call; no 5 x 5 (Cayley-Menger) determinant is taken."""
     import rigidity3d.hessian as hessian
 
-    calls = []
-    original = hessian.cayley_menger_feasible
-    monkeypatch.setattr(hessian, "cayley_menger_feasible",
-                        lambda *a: calls.append(1) or original(*a))
+    calls, det_shapes = [], []
+    for name in ("_gram", "_angles_and_jacobian"):
+        monkeypatch.setattr(hessian, name, lambda *a, name=name, f=getattr(hessian, name):
+                            calls.append(name) or f(*a))
+    det = np.linalg.det
+    monkeypatch.setattr(np.linalg, "det", lambda a: det_shapes.append(np.shape(a)) or det(a))
     d = decompose_star(octahedron(), 0)
     lambda_matrix(d)
     lambda_matrix(d, np.array([2.1]))
-    assert len(calls) == 2  # one per assembly: embedded, then stretched
+    assert calls == ["_gram", "_angles_and_jacobian"] * 2  # embedded, then stretched
+    assert not [shape for shape in det_shapes if shape[-2:] == (5, 5)]
+    assert not hasattr(hessian, "cayley_menger_feasible")
+
+
+def test_refusal_equals_the_cayley_menger_refusal():
+    """The kernel's refusal (a positive definite Gram matrix whose squared
+    volume clears geom_tol and the interior margin) refuses exactly the
+    rows the Cayley-Menger route refused (oracles.cayley_menger_refused):
+    realizable tetrahedra, ones squashed to relative thickness 1e-8, both
+    perturbed by up to 30% (many then not realizable), and awkward_tets,
+    at three geom_tol values."""
+    rng = np.random.default_rng(2700)
+    pts = rng.normal(size=(2000, 4, 3))
+    pts[1000:, :, 2] *= np.geomspace(1e-8, 1e-1, 1000)[:, None]
+    pts = np.concatenate([pts, awkward_tets()])
+    first, second = np.array(TETRA_PAIRS).T
+    realizable = np.linalg.norm(pts[:, first] - pts[:, second], axis=-1)
+    perturbed = realizable * rng.uniform(0.7, 1.3, realizable.shape)
+    rows = np.concatenate([realizable, perturbed])
+    for geom_tol in (1e-9, 1e-6, 1e-4):
+        tol = Tolerances(geom_tol=geom_tol)
+        refused = _refused(rows, _gram(rows), tol)
+        assert refused.tolist() == cayley_menger_refused(rows, tol).tolist()
+        for part in np.split(refused, [len(realizable)]):
+            assert 0 < part.sum() < len(part)
+        for row in rows[::250]:
+            assert bool(_refused(row, _gram(row), tol)) == bool(cayley_menger_refused(row, tol))
 
 
 def test_mean_curvature_single_regular_tetrahedron():

@@ -24,7 +24,6 @@ from rigidity3d.generators import (
 from rigidity3d.geometry import (
     DEFAULT_TOL,
     GeometryError,
-    ProjectiveMap,
     Tolerances,
     as_points,
     axis_frame,
@@ -34,7 +33,6 @@ from rigidity3d.geometry import (
     normalize_pole_frame,
     pole_frame_ok,
     support_functional,
-    transform_points,
     unit,
 )
 from rigidity3d.hessian import lambda_matrix
@@ -50,13 +48,13 @@ from rigidity3d.suspensions import (
     inductive_proper_stress,
     is_ns_decomposable,
     lambda_scalar,
-    normalize_poles,
     suspension_rigidity,
     tensegrity_labeling,
     theta_prime,
 )
 
-from oracles import cone_angles, interior_edge_star, tetrahedron
+from oracles import (ProjectiveMap, cone_angles, interior_edge_star, projective_pole_frame,
+                     tetrahedron, transform_points)
 
 
 def octa_suspension():
@@ -830,7 +828,7 @@ def test_interior_edge_star_requires_single_interior_edge():
 
 
 def test_normalize_poles_octahedron():
-    s_norm, pmap = normalize_poles(octa_suspension())
+    s_norm = Suspension(normalize_pole_frame(octa_suspension().vertices, NORTH, SOUTH))
     assert pole_frame_ok(s_norm.vertices, 0, 1)
     assert np.allclose(s_norm.vertices[0], [0, 0, 1])
     assert np.allclose(s_norm.vertices[1], [0, 0, 0])
@@ -838,12 +836,25 @@ def test_normalize_poles_octahedron():
     assert lambda_scalar(s_norm).total == pytest.approx(8.0, abs=1e-9)
 
 
+def test_pole_frame_does_not_depend_on_the_position():
+    """The frame reads only the differences x - N and x - S, so a translated
+    octahedron normalizes to the same points and its certificate stays in
+    scope.  The 4x4 map it replaces, scaled to its largest entry, called
+    the octahedron 3e3 away from the origin singular."""
+    s = octa_suspension()
+    base = normalize_pole_frame(s.vertices, NORTH, SOUTH)
+    for shift in (1e3, 1e4, 1e6):
+        moved = s.vertices + np.array([shift, -shift, 0.5 * shift])
+        assert np.abs(normalize_pole_frame(moved, NORTH, SOUTH) - base).max() <= 1e-9
+        assert convex_profile_certificate(Suspension(moved)).in_scope
+
+
 def lp_pole_frame(points, north, south, tol=DEFAULT_TOL):
     """Reference pole frame from two exposure LPs: each pole's plane is
-    support_functional's, and the map is normalize_pole_frame's."""
+    support_functional's, and the map is projective_pole_frame's."""
     points = as_points(points)
     if pole_frame_ok(points, north, south, tol):
-        return ProjectiveMap.identity(), points
+        return points
     planes = []
     for name, pole in (("north", north), ("south", south)):
         u, c, delta = support_functional(points, (pole,), tol)
@@ -857,11 +868,10 @@ def lp_pole_frame(points, north, south, tol=DEFAULT_TOL):
     m[:3, 1], m[3, 1] = v2, -v2 @ points[south]
     m[:3, 2], m[3, 2] = -u_s, c_s
     m[:3, 3], m[3, 3] = -(u_n + u_s), c_n + c_s
-    pmap = ProjectiveMap(m)
-    new_points = transform_points(pmap, points, tol)
+    new_points = transform_points(ProjectiveMap(m), points, tol)
     new_points[south] = 0.0
     new_points[north] = (0.0, 0.0, 1.0)
-    return pmap, new_points
+    return new_points
 
 
 def pole_frame_pool():
@@ -908,7 +918,7 @@ def test_pole_frame_matches_the_lp_frame(monkeypatch):
         readings = []
         for frame in (normalize_pole_frame, lp_pole_frame):
             try:
-                pmap, pts = frame(s.vertices, NORTH, SOUTH)
+                pts = frame(s.vertices, NORTH, SOUTH)
             except GeometryError as exc:
                 pts = str(exc)
                 monkeypatch.setattr(suspensions, "normalize_pole_frame", frame)
@@ -916,7 +926,7 @@ def test_pole_frame_matches_the_lp_frame(monkeypatch):
                 assert pole_frame_ok(pts, NORTH, SOUTH)
                 # the certificate reuses this frame instead of solving it again
                 monkeypatch.setattr(
-                    suspensions, "normalize_pole_frame", lambda *a, result=(pmap, pts): result
+                    suspensions, "normalize_pole_frame", lambda *a, result=pts: result
                 )
             rep = convex_profile_certificate(s)
             total = None if rep.breakdown is None else np.sign(rep.breakdown.total)
@@ -932,3 +942,41 @@ def test_pole_frame_matches_the_lp_frame(monkeypatch):
             assert {hull_cert[1], lp_cert[1]} == {True, None}
     assert rejected == 1
     assert flips <= len(pool) // 100
+
+
+def test_pole_frame_equals_the_projective_map(monkeypatch):
+    """normalize_pole_frame's two plane functionals give the points of the
+    4x4 projective map they replace (oracles.projective_pole_frame) within
+    1e-14 and refuse the same poles; the certificate reads the same
+    in_scope, rigid and breakdown (within 1e-12) in either frame.  Pools:
+    test_07's 100 convex suspensions and pole_frame_pool()."""
+    pool = []
+    for k in range(100):
+        rng = np.random.default_rng((4700, k))
+        pool.append(convex_suspension(rng, int(rng.integers(3, 13))))
+    pool += pole_frame_pool()
+    rejected = in_scope = 0
+    for s in pool:
+        try:
+            _, mapped = projective_pole_frame(s.vertices, NORTH, SOUTH)
+        except GeometryError as exc:
+            with pytest.raises(GeometryError) as direct_exc:
+                normalize_pole_frame(s.vertices, NORTH, SOUTH)
+            assert str(direct_exc.value) == str(exc)
+            rejected += 1
+            continue
+        direct = normalize_pole_frame(s.vertices, NORTH, SOUTH)
+        assert np.abs(direct - mapped).max() <= 1e-14
+        report = convex_profile_certificate(s)
+        with monkeypatch.context() as patch:
+            patch.setattr(suspensions, "normalize_pole_frame", lambda *a, result=mapped: result)
+            reference = convex_profile_certificate(s)
+        assert (report.in_scope, report.rigid) == (reference.in_scope, reference.rigid)
+        if report.breakdown is not None:
+            in_scope += 1
+            for field in ("simplex_terms", "a", "b", "height_terms", "vertex_terms", "theta"):
+                got, want = getattr(report.breakdown, field), getattr(reference.breakdown, field)
+                assert np.abs(got - want).max() <= 1e-12, field
+            assert report.breakdown.scale == pytest.approx(reference.breakdown.scale, abs=1e-12)
+    assert rejected == 1
+    assert in_scope >= 100
