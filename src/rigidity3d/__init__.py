@@ -17,6 +17,7 @@ from .geometry import (  # noqa: F401
     PolyhedralSurface,
     Tolerances,
     classify_convexity,
+    classify_convexity_from_hull,
     dihedral_angles,
     edge_flags,
     is_weakly_convex,

@@ -372,7 +372,7 @@ def analysis_report(loaded: LoadedInstance, tol: Tolerances = DEFAULT_TOL):
     instance hash.
     """
     from .frameworks import rigidity_rank, trivial_dimension
-    from .geometry import classify_convexity
+    from .geometry import classify_convexity_from_hull
     from .hessian import lambda_matrix, rigidity_from_lambda
     from .suspensions import is_ns_decomposable, lambda_scalar
 
@@ -393,7 +393,7 @@ def analysis_report(loaded: LoadedInstance, tol: Tolerances = DEFAULT_TOL):
 
     if loaded.surface is not None:
         t0 = time.perf_counter()
-        report = classify_convexity(loaded.surface, tol)
+        report = classify_convexity_from_hull(loaded.surface, tol)
         verdicts["convexity"] = report.classification.value
         verdicts["reflex_edges"] = [list(e) for e in report.reflex_edges]
         timings["convexity"] = time.perf_counter() - t0

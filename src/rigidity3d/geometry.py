@@ -378,7 +378,7 @@ class Convexity(Enum):
 
 @dataclass(frozen=True)
 class ConvexityReport:
-    """Outcome of classify_convexity.
+    """Outcome of classify_convexity and classify_convexity_from_hull.
 
     edge_flags maps each undirected edge to "convex", "reflex" or "flat"
     according to its dihedral angle; unexposed_edges lists edges that are
@@ -478,6 +478,42 @@ def _edge_exposure(points, i, j, neighbours, tol):
     return support_functional(points[[i, j, *link]], (0, 1), tol)[2]
 
 
+def _lp_margins(pts, hull, tol):
+    """classify_convexity's exposure rule: (i, j) -> the exposure LP's delta
+    over i, j and their hull neighbours."""
+    neighbours = _hull_neighbours(hull, len(pts))
+    return lambda i, j: _edge_exposure(pts, i, j, neighbours, tol)
+
+
+def _hull_edge_gaps(pts, hull):
+    """Gap of every edge of the qhull triangulation of `pts`, as a map
+    (i, j) -> gap with i < j: the smaller of the two distances from one
+    flanking facet's plane to the far vertex of the other facet, read from
+    qhull's facet neighbours and unit-normal facet equations.  Roundoff on a
+    diagonal of a non-triangular facet; on a hull edge, how far the hull
+    bends there."""
+    simplices = hull.simplices
+    # the edge of facet s opposite its vertex k is shared with facet
+    # neighbors[s, k], whose plane lies gaps[s, k] away from that vertex
+    facing = hull.equations[hull.neighbors]
+    gaps = -(np.einsum("skx,skx->sk", facing[..., :3], pts[simplices]) + facing[..., 3])
+    ends = np.sort(np.stack([np.roll(simplices, -1, axis=1), np.roll(simplices, -2, axis=1)],
+                            axis=2), axis=2)
+    codes, where = np.unique(ends[..., 0] * len(pts) + ends[..., 1], return_inverse=True)
+    smaller = np.full(len(codes), np.inf)
+    np.minimum.at(smaller, where.ravel(), gaps.ravel())
+    lo, hi = np.divmod(codes, len(pts))
+    return dict(zip(zip(lo.tolist(), hi.tolist()), smaller.tolist()))
+
+
+def _gap_margins(pts, hull, tol):
+    """classify_convexity_from_hull's exposure rule: (i, j) -> the gap of
+    [p_i, p_j] in the qhull triangulation, 0.0 for a pair that is no
+    triangulation edge."""
+    gaps = _hull_edge_gaps(pts, hull)
+    return lambda i, j: gaps.get((i, j), 0.0)
+
+
 def _hull_vertex_stage(vertices, diam):
     """qhull of the vertices scaled to unit diameter (`diam` is theirs).
 
@@ -504,16 +540,15 @@ def is_weakly_convex(surface):
     return not _hull_vertex_stage(surface.vertices, surface.diameter)[2]
 
 
-def classify_convexity(surface, tol: Tolerances = DEFAULT_TOL):
-    """Classify a closed surface by strict convexity of vertices and edges.
+def _classify(surface, tol, margins):
+    """The convexity classification with the exposure rule left open.
 
-    Strongly strictly convex: every vertex and every edge is exposed on
-    the convex hull (one LP per convex edge, whose rows are the edge's
-    hull neighbours: the second-best vertex of any linear functional is
-    adjacent to the optimal face).  Weakly strictly convex: every
-    vertex is exposed, the is_weakly_convex test.  Vertices lying on the
-    hull boundary without being hull vertices count as not strictly
-    convex (noted in the report).
+    One qhull of the unit-diameter vertices, the edge flags and, when a
+    vertex is not a hull vertex, a note per such vertex.  Once every vertex
+    is a hull vertex, `margins(pts, hull, tol)` gives the rule (i, j) ->
+    margin in unit-diameter lengths, read at the convex-flagged edges in
+    edge order; an edge is exposed iff it is convex-flagged and its margin
+    exceeds geom_tol.
     """
     pts, hull, nonexposed = _hull_vertex_stage(surface.vertices, surface.diameter)
     flags = edge_flags(surface, tol)
@@ -529,14 +564,53 @@ def classify_convexity(surface, tol: Tolerances = DEFAULT_TOL):
             notes.append(f"vertex {v} is {where} but not a hull vertex")
         return ConvexityReport(Convexity.NOT_WEAKLY_CONVEX, flags, nonexposed, (), tuple(notes))
 
-    neighbours = _hull_neighbours(hull, surface.n_vertices)
+    margin = margins(pts, hull, tol)
     unexposed_edges = [
         (i, j) for (i, j), flag in flags.items()
-        if flag != "convex" or _edge_exposure(pts, i, j, neighbours, tol) <= tol.geom_tol
+        if flag != "convex" or margin(i, j) <= tol.geom_tol
     ]
     if unexposed_edges:
         return ConvexityReport(Convexity.WEAKLY_STRICTLY_CONVEX, flags, (), tuple(unexposed_edges))
     return ConvexityReport(Convexity.STRONGLY_STRICTLY_CONVEX, flags, (), ())
+
+
+def classify_convexity(surface, tol: Tolerances = DEFAULT_TOL):
+    """Classify a closed surface by strict convexity of vertices and edges;
+    the LP reference for classify_convexity_from_hull.
+
+    Strongly strictly convex: every vertex and every edge is exposed on
+    the convex hull.  The rule: a convex-flagged edge is exposed iff its
+    exposure LP (support_functional, one per convex edge, whose rows are
+    the edge's hull neighbours: the second-best vertex of any linear
+    functional is adjacent to the optimal face) gives delta > geom_tol.
+    Weakly strictly convex: every vertex is exposed, the is_weakly_convex
+    test.  Vertices lying on the hull boundary without being hull vertices
+    count as not strictly convex (noted in the report).
+
+    Near a flat hull edge delta, taken over |u|_inf <= 1, measured 0.50 to
+    0.75 times the edge's hull gap, so this verdict and
+    classify_convexity_from_hull's may differ where the gap lies in
+    (geom_tol, 2 * geom_tol]: exposed there by the gap, not by delta.
+    """
+    return _classify(surface, tol, _lp_margins)
+
+
+def classify_convexity_from_hull(surface, tol: Tolerances = DEFAULT_TOL):
+    """classify_convexity's classification, read from the qhull hull the
+    vertex stage builds: no LP.
+
+    The rule: a convex-flagged edge is exposed iff it is an edge of qhull's
+    triangulation of the unit-diameter vertices and its gap exceeds
+    geom_tol, where the gap is the smaller of the two distances from one
+    flanking facet's plane to the far vertex of the other facet.  Every
+    other edge is unexposed.  Everything else (hull stage, edge flags,
+    nonexposed-vertex notes) is classify_convexity's.
+
+    Near a flat hull edge the LP's delta measured 0.50 to 0.75 times the
+    gap, so the two verdicts may differ where the gap lies in
+    (geom_tol, 2 * geom_tol]: exposed there by the gap, not by delta.
+    """
+    return _classify(surface, tol, _gap_margins)
 
 
 # ---------------------------------------------------------------------------

@@ -158,7 +158,9 @@ def cylindrical_equator(s: Suspension, tol: Tolerances = DEFAULT_TOL):
     xn, yn = np.roll(x, -1), np.roll(y, -1)
     theta = np.arctan2(x * yn - y * xn, x * xn + y * yn)
     alpha = np.arctan2(y, x)
-    if theta.sum() < 0.0:
+    # the increments sum to 2*pi times the winding number: a winding-zero
+    # sum is roundoff and keeps the orientation
+    if theta.sum() < -np.pi:
         alpha, theta = -alpha, -theta
     return CylindricalEquator(r, alpha, z, theta, scale)
 

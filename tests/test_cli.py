@@ -511,9 +511,9 @@ def _fresh_python(script, *args):
 def test_probe_pd_imports_neither_lp_solver_nor_schema_validator(capsys, tmp_path):
     """Documents are checked by walking the bundled schema, so a fresh
     process running probe-pd, saving a hull document and analyzing it never
-    imports jsonschema.  probe-pd and save solve no LP and load no
-    scipy.optimize; analyze loads it and reaches the same verdicts as this
-    process."""
+    imports jsonschema.  probe-pd, save and analyze (which reads edge
+    exposure from the hull) solve no LP and load no scipy.optimize, and
+    analyze reaches the same verdicts as this process."""
     hull = tmp_path / "hull.json"
     script = textwrap.dedent("""
         import contextlib, io, json, sys
@@ -537,7 +537,7 @@ def test_probe_pd_imports_neither_lp_solver_nor_schema_validator(capsys, tmp_pat
         print(json.dumps({"seen": seen, "verdicts": json.loads(out.getvalue())["verdicts"]}))
     """)
     fresh = _fresh_python(script, tmp_path / "pd", hull)
-    assert fresh["seen"] == {"probe-pd": [], "save": [], "analyze": ["scipy.optimize"]}
+    assert fresh["seen"] == {"probe-pd": [], "save": [], "analyze": []}
     code, out, _ = run(capsys, "analyze", str(hull), "--json")
     verdicts = json.loads(out)["verdicts"]
     assert code == 0 and fresh["verdicts"] == verdicts

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
+from rigidity3d import fileio
 from rigidity3d.geometry import (
     DEFAULT_TOL,
     Convexity,
@@ -16,6 +17,7 @@ from rigidity3d.geometry import (
     Tolerances,
     _cross,
     classify_convexity,
+    classify_convexity_from_hull,
     diameter,
     dihedral_angles,
     edge_flags,
@@ -444,14 +446,19 @@ def test_degenerate_coplanar_surface_reports_not_convex():
     assert any("degenerate" in note for note in rep.notes)
 
 
+def random_rotation(rng):
+    q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    return q
+
+
 def test_classification_is_rigid_motion_and_scale_invariant():
     """Random rotation + scaling + translation never changes the verdict."""
     rng = np.random.default_rng(20260815)
     surfaces = [octahedron(), dented_octahedron(), tetrahedron()]
     for _ in range(5):
-        q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-        if np.linalg.det(q) < 0:
-            q[:, 0] = -q[:, 0]
+        q = random_rotation(rng)
         scale = float(rng.uniform(0.1, 10.0))
         shift = rng.normal(size=3)
         for surf in surfaces:
@@ -462,14 +469,16 @@ def test_classification_is_rigid_motion_and_scale_invariant():
             )
 
 
-def nearly_flat_cube():
-    """Cube with vertices 0 and 2 moved 5e-10 outward along the bottom
-    face's normal: the bottom diagonal (0, 2) bends by about 1.4e-9, more
-    than geom_tol, while its best support plane clears vertices 1 and 3
-    by only about 3e-10 of the diameter."""
+def nearly_flat_cube(drop=5e-10):
+    """Cube with vertices 0 and 2 moved `drop` outward along the bottom
+    face's normal.  At the default drop the bottom diagonal (0, 2) bends by
+    about 1.4e-9, more than geom_tol, while its best support plane clears
+    vertices 1 and 3 by only about 3e-10 of the diameter; its hull gap (the
+    distance from either bottom facet's plane to the other's far vertex)
+    is 2 * drop, about 5.8e-10 of the diameter."""
     base = cube()
     v = base.vertices.copy()
-    v[[0, 2], 2] -= 5e-10
+    v[[0, 2], 2] -= drop
     return PolyhedralSurface(v, base.faces)
 
 
@@ -498,11 +507,14 @@ def oracle_reports():
 
 
 def test_fast_convexity_calls_match_the_lp_classification(oracle_reports):
-    """is_weakly_convex and edge_flags give what classify_convexity (hull
-    vertices plus one exposure LP per convex edge) reports, on pools with both
-    verdicts and every edge flag."""
-    verdicts, flags_seen = set(), set()
+    """is_weakly_convex, edge_flags and classify_convexity_from_hull (every
+    report field) give what classify_convexity (hull vertices plus one
+    exposure LP per convex edge) reports, on pools with both verdicts, every
+    classification and every edge flag."""
+    verdicts, flags_seen, outcomes = set(), set(), set()
     for surf, tol, report in oracle_reports:
+        assert classify_convexity_from_hull(surf, tol) == report
+        outcomes.add(report.classification)
         assert is_weakly_convex(surf) is report.is_weakly_convex
         assert edge_flags(surf, tol) == report.edge_flags
         assert list(edge_flags(surf, tol)) == list(surf.edges)
@@ -510,14 +522,52 @@ def test_fast_convexity_calls_match_the_lp_classification(oracle_reports):
         flags_seen.update(report.edge_flags.values())
     assert verdicts == {True, False}
     assert flags_seen == {"convex", "reflex", "flat"}
+    assert outcomes == set(Convexity)
 
 
-def test_weak_convexity_callers_solve_no_lp(monkeypatch):
-    """The probe, the control generator and the suspension induction read
-    only weak convexity and edge flags, and the pole frame (with the
+def test_hull_classification_matches_the_lp_on_bench_sized_hulls():
+    """classify_convexity_from_hull equals classify_convexity on 20 random
+    sphere hulls at the sizes analyze is timed on (n = 50, 100, 200)."""
+    sizes = [50] * 12 + [100] * 5 + [200] * 3
+    for k, n in enumerate(sizes):
+        surf = random_convex_hull_surface(np.random.default_rng((410, k)), n)
+        report = classify_convexity(surf)
+        assert report.classification is Convexity.STRONGLY_STRICTLY_CONVEX
+        assert classify_convexity_from_hull(surf) == report
+
+
+def test_hull_and_lp_exposure_differ_only_in_the_stated_band():
+    """nearly_flat_cube with its drop h swept over [geom_tol / 10,
+    10 * geom_tol] (41 steps), unrotated and under two random rotations, at
+    geom_tol 1e-6 and 1e-4: the two classifiers agree on every report
+    except where the bottom diagonal's hull gap, 2h / diameter in
+    unit-diameter lengths, lies in (geom_tol, 2 * geom_tol], and the sweep
+    reads both verdicts.  (At 1e-9 the LP's delta falls below HiGHS's feasibility
+    tolerance, so the sweep stops at 1e-6.)"""
+    rng = np.random.default_rng(411)
+    for geom_tol in (1e-6, 1e-4):
+        tol = Tolerances(geom_tol=geom_tol)
+        for rotation in (np.eye(3), random_rotation(rng), random_rotation(rng)):
+            exposed = set()
+            for h in np.geomspace(geom_tol / 10, 10 * geom_tol, 41):
+                flat = nearly_flat_cube(h)
+                surf = PolyhedralSurface(flat.vertices @ rotation.T, flat.faces)
+                report, reference = classify_convexity_from_hull(surf, tol), classify_convexity(surf, tol)
+                exposed.add((0, 2) not in reference.unexposed_edges)
+                if report != reference:
+                    assert geom_tol < 2 * h / surf.diameter <= 2 * geom_tol, h
+                    assert report.unexposed_edges == tuple(
+                        e for e in reference.unexposed_edges if e != (0, 2))
+            assert exposed == {True, False}
+
+
+def test_weak_convexity_callers_solve_no_lp(monkeypatch, tmp_path):
+    """The probe, the control generator, the suspension induction and
+    analyze (analysis_report, which reads exposure from the hull) read only
+    weak convexity, edge flags and the hull, and the pole frame (with the
     certificate built on it) reads the same qhull, so none of them solves
-    an LP; the full classification still solves one per convex edge, each
-    with at most deg(i) + deg(j) inequality rows however large n is."""
+    an LP; the reference classification still solves one per convex edge,
+    each with at most deg(i) + deg(j) inequality rows however large n is."""
     import rigidity3d.geometry as geometry
 
     import scipy.optimize
@@ -542,12 +592,19 @@ def test_weak_convexity_callers_solve_no_lp(monkeypatch):
     for k in range(4):
         certificate = convex_profile_certificate(convex_suspension(np.random.default_rng((409, k)), 5))
         assert certificate.in_scope and certificate.rigid
+    hulls = [random_convex_hull_surface(np.random.default_rng((407, n)), n) for n in (60, 120)]
+    documents = [(octahedron(), "strongly_strictly_convex"),
+                 (dented_octahedron(), "weakly_strictly_convex")]
+    documents += [(surf, "strongly_strictly_convex") for surf in hulls]
+    for k, (surf, convexity) in enumerate(documents):
+        path = tmp_path / f"surface{k}.json"
+        fileio.save(path, surf)
+        assert fileio.analysis_report(fileio.load(path))["verdicts"]["convexity"] == convexity
     assert len(rows) == 0
     classify_convexity(octahedron())
     assert len(rows) == 12
-    for n in (60, 120):
-        surf = random_convex_hull_surface(np.random.default_rng((407, n)), n)
-        degree = np.bincount(np.array(surf.edges).ravel(), minlength=n)
+    for surf in hulls:
+        degree = np.bincount(np.array(surf.edges).ravel(), minlength=surf.n_vertices)
         rows.clear()
         assert classify_convexity(surf).classification is Convexity.STRONGLY_STRICTLY_CONVEX
         assert len(rows) == surf.n_edges

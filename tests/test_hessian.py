@@ -38,11 +38,13 @@ from rigidity3d.suspensions import axis_decomposition
 from oracles import (
     cayley_menger_refused,
     cone_angles,
+    cube,
     dihedral_table,
     flexible_suspension_fixture,
     icosahedron,
     mean_curvature_H,
     schlafli_residual,
+    square_pyramid,
     tetra_angles_and_jacobian,
     tetrahedron,
 )
@@ -790,3 +792,35 @@ def test_lambda_rank_verdict_matches_svd_verdict_on_probe_pools():
             s = np.linalg.svd(lambda_matrix(d).matrix, compute_uv=False)
             by_svd = d.r == 0 or bool(s[-1] > DEFAULT_TOL.rank_tol * s[0])
             assert rigidity_from_lambda(d) == by_svd
+
+
+def test_lambda_is_positive_definite_on_star_decompositions_of_convex_polyhedra():
+    """Izmestiev & Schlenker (Pacific J. Math. 248, 2010): on a
+    triangulation of a convex polyhedron without interior vertices the
+    Hilbert-Einstein function has a negative definite Hessian, which is -Λ,
+    so Λ is positive definite.  Checked with full rank under the rank rule
+    at rank_tol 1e-9 and 1e-6, on three apexes each of 40 random hulls
+    (n = 6..29) and every apex of the canonical convex shapes; a refused
+    star decomposition (DecompositionError) is skipped and counted, and
+    most apexes must be accepted."""
+    surfaces = []
+    for k in range(40):
+        rng = np.random.default_rng((2400, k))
+        surf = random_convex_hull_surface(rng, int(rng.integers(6, 30)))
+        surfaces.append((surf, rng.choice(surf.n_vertices, size=3, replace=False)))
+    for surf in (tetrahedron(), cube(), octahedron(), square_pyramid(), icosahedron()):
+        surfaces.append((surf, range(surf.n_vertices)))
+    for rank_tol in (1e-9, 1e-6):
+        tol = Tolerances(rank_tol=rank_tol)
+        accepted = refused = 0
+        for surf, apexes in surfaces:
+            for apex in apexes:
+                try:
+                    lam = lambda_matrix(decompose_star(surf, apex, tol), tol=tol)
+                except DecompositionError:
+                    refused += 1
+                    continue
+                accepted += 1
+                assert lam.is_positive_definite, (surf.n_vertices, apex, lam.min_eigenvalue)
+                assert lam.rank == lam.r, (surf.n_vertices, apex, lam.eigenvalues)
+        assert accepted > 3 * refused, (accepted, refused)

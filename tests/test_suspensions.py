@@ -948,8 +948,8 @@ def test_pole_frame_equals_the_projective_map(monkeypatch):
     """normalize_pole_frame's two plane functionals give the points of the
     4x4 projective map they replace (oracles.projective_pole_frame) within
     1e-14 and refuse the same poles; the certificate reads the same
-    in_scope, rigid and breakdown (within 1e-12) in either frame.  Pools:
-    test_07's 100 convex suspensions and pole_frame_pool()."""
+    in_scope, rigid, reason and breakdown (within 1e-12) in either frame.
+    Pools: test_07's 100 convex suspensions and pole_frame_pool()."""
     pool = []
     for k in range(100):
         rng = np.random.default_rng((4700, k))
@@ -971,7 +971,8 @@ def test_pole_frame_equals_the_projective_map(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(suspensions, "normalize_pole_frame", lambda *a, result=mapped: result)
             reference = convex_profile_certificate(s)
-        assert (report.in_scope, report.rigid) == (reference.in_scope, reference.rigid)
+        assert (report.in_scope, report.rigid, report.reason) == (
+            reference.in_scope, reference.rigid, reference.reason)
         if report.breakdown is not None:
             in_scope += 1
             for field in ("simplex_terms", "a", "b", "height_terms", "vertex_terms", "theta"):
