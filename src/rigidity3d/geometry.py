@@ -415,18 +415,14 @@ def _reflex_rule(angles, tol):
                      ["reflex", "convex"], "flat")
 
 
-# The exposure LPs have a handful of rows and 5 columns:
-# HiGHS presolve finds nothing to remove and only adds its own setup time.
-_LP_OPTIONS = {"presolve": False}
-
-
-def support_functional(points, touching, tol: Tolerances = DEFAULT_TOL):
+def support_functional(points, touching):
     """Best support plane touching the hull exactly at `touching`.
 
     Maximizes delta subject to u . p_t = c for t in touching,
-    u . p_k <= c - delta otherwise, |u|_inf <= 1.  Returns (u, c, delta)
-    with delta in the same length units as the points; the touching set
-    is exposed iff delta > geom_tol * diameter.
+    u . p_k <= c - delta for every other point k, |u|_inf <= 1.  Returns
+    (u, c, delta) with delta in the same length units as the points; the
+    touching set is exposed iff delta > geom_tol * diameter, a comparison
+    left to the caller.
     """
     points = np.asarray(points, dtype=float)
     touching = sorted(set(int(t) for t in touching))
@@ -442,10 +438,8 @@ def support_functional(points, touching, tol: Tolerances = DEFAULT_TOL):
     bounds = [(-1, 1)] * 3 + [(None, None), (0, None)]
     from scipy.optimize import linprog  # deferred: only LP callers pay its import
 
-    res = linprog(
-        c_obj, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds,
-        method="highs", options=_LP_OPTIONS,
-    )
+    res = linprog(c_obj, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds,
+                  method="highs")
     _check_lp(res, "support_functional")
     u = res.x[:3]
     return u, float(res.x[3]), float(res.x[4])
@@ -458,31 +452,10 @@ def _check_lp(res, caller):
         raise InvariantError(f"{caller}: LP solver failed on a feasible bounded problem: {res.message}")
 
 
-def _hull_neighbours(hull, n_vertices):
-    """Vertex adjacency of the qhull triangulation: a superset of the hull's
-    edge graph (it adds the diagonals of non-triangular facets)."""
-    neighbours = [set() for _ in range(n_vertices)]
-    for a, b, c in hull.simplices.tolist():
-        neighbours[a].update((b, c))
-        neighbours[b].update((a, c))
-        neighbours[c].update((a, b))
-    return neighbours
-
-
-def _edge_exposure(points, i, j, neighbours, tol):
-    """support_functional(points, (i, j))[2], solved over i, j and their hull
-    neighbours only.  Fewer rows can only raise delta; when that delta is
-    positive the plane supports the hull exactly along [p_i, p_j], and the
-    best vertex off that face is adjacent to it, so delta is the same."""
-    link = sorted((neighbours[i] | neighbours[j]) - {i, j})
-    return support_functional(points[[i, j, *link]], (0, 1), tol)[2]
-
-
-def _lp_margins(pts, hull, tol):
+def _lp_margins(pts, hull):
     """classify_convexity's exposure rule: (i, j) -> the exposure LP's delta
-    over i, j and their hull neighbours."""
-    neighbours = _hull_neighbours(hull, len(pts))
-    return lambda i, j: _edge_exposure(pts, i, j, neighbours, tol)
+    with a row for every vertex, support_functional(pts, (i, j))[2]."""
+    return lambda i, j: support_functional(pts, (i, j))[2]
 
 
 def _hull_edge_gaps(pts, hull):
@@ -506,7 +479,7 @@ def _hull_edge_gaps(pts, hull):
     return dict(zip(zip(lo.tolist(), hi.tolist()), smaller.tolist()))
 
 
-def _gap_margins(pts, hull, tol):
+def _gap_margins(pts, hull):
     """classify_convexity_from_hull's exposure rule: (i, j) -> the gap of
     [p_i, p_j] in the qhull triangulation, 0.0 for a pair that is no
     triangulation edge."""
@@ -545,7 +518,7 @@ def _classify(surface, tol, margins):
 
     One qhull of the unit-diameter vertices, the edge flags and, when a
     vertex is not a hull vertex, a note per such vertex.  Once every vertex
-    is a hull vertex, `margins(pts, hull, tol)` gives the rule (i, j) ->
+    is a hull vertex, `margins(pts, hull)` gives the rule (i, j) ->
     margin in unit-diameter lengths, read at the convex-flagged edges in
     edge order; an edge is exposed iff it is convex-flagged and its margin
     exceeds geom_tol.
@@ -564,7 +537,7 @@ def _classify(surface, tol, margins):
             notes.append(f"vertex {v} is {where} but not a hull vertex")
         return ConvexityReport(Convexity.NOT_WEAKLY_CONVEX, flags, nonexposed, (), tuple(notes))
 
-    margin = margins(pts, hull, tol)
+    margin = margins(pts, hull)
     unexposed_edges = [
         (i, j) for (i, j), flag in flags.items()
         if flag != "convex" or margin(i, j) <= tol.geom_tol
@@ -580,9 +553,8 @@ def classify_convexity(surface, tol: Tolerances = DEFAULT_TOL):
 
     Strongly strictly convex: every vertex and every edge is exposed on
     the convex hull.  The rule: a convex-flagged edge is exposed iff its
-    exposure LP (support_functional, one per convex edge, whose rows are
-    the edge's hull neighbours: the second-best vertex of any linear
-    functional is adjacent to the optimal face) gives delta > geom_tol.
+    exposure LP (support_functional, one per convex edge, with a row for
+    every vertex of the unit-diameter surface) gives delta > geom_tol.
     Weakly strictly convex: every vertex is exposed, the is_weakly_convex
     test.  Vertices lying on the hull boundary without being hull vertices
     count as not strictly convex (noted in the report).

@@ -12,7 +12,6 @@ Vertex layout is shared with :mod:`rigidity3d.shapes`: north pole at
 index 0, south pole at index 1, equator at 2..n+1 in cyclic order.
 """
 
-import heapq
 import logging
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -444,20 +443,16 @@ def _stress_by_induction(s, tol, trace):
     reflex = np.zeros((2, s.n + 2), dtype=bool)  # reflex[pole, x]: lateral edge (pole, x)
     for pole, x in reflex_lateral_edges(s, tol):
         reflex[pole, x] = True
-    # ring order is vertex order: the next peel is the smallest id flagged
-    # at a pole, from one heap per pole whose cleared ids are popped lazily
-    heaps = [np.flatnonzero(flags).tolist() for flags in reflex]
     peels = []
     while True:
         m = len(ring)
-        for heap, flags in zip(heaps, reflex):
-            while heap and not flags[heap[0]]:
-                heapq.heappop(heap)
-        pole = NORTH if heaps[NORTH] else SOUTH
-        if m == 3 or not heaps[pole]:
+        # ring order is vertex order: the next peel is the smallest id flagged
+        # at the north pole, else at the south pole, found by scanning the flags
+        pole = NORTH if reflex[NORTH].any() else SOUTH
+        if m == 3 or not reflex[pole].any():
             trace.append(f"direct solve at n={m}")
             break
-        k = bisect_left(ring, heaps[pole][0])
+        k = bisect_left(ring, int(reflex[pole].argmax()))
         trace.append(f"peel equator vertex {2 + k} (reflex lateral at the "
                      f"{'north' if pole == NORTH else 'south'} pole)")
         a, x, b = ring[k - 1], ring[k], ring[(k + 1) % m]
@@ -467,8 +462,6 @@ def _stress_by_induction(s, tol, trace):
                            "falling back to the direct solver", 2 + k, why)
             trace.append(f"fallback to direct solve at n={m}: {why}")
             break
-        for p, y in zip(*np.nonzero(flags & ~reflex[:, [a, b]])):
-            heapq.heappush(heaps[p], (a, b)[y])
         reflex[:, [a, b]] = flags
         reflex[:, x] = False
         peels.append((NORTH, SOUTH, a, x, b, k, m))
@@ -526,7 +519,7 @@ def _checked_proper_stress(s, tol):
     stress = Stress(omega)
     scale = max(abs(w) for w in omega.values())
     resid = equilibrium_residual(fw, stress)
-    if resid > 1e-9 * scale * diameter(fw.vertices):
+    if resid > 1e-9 * scale * s.surface.diameter:
         raise InvariantError(f"induction produced a non-equilibrium stress "
                              f"(residual {resid:.2e}); trace: {trace}")
     if not is_proper(fw, stress, slack=1e-12 * scale):

@@ -11,7 +11,6 @@ from rigidity3d import fileio
 from rigidity3d.geometry import (
     DEFAULT_TOL,
     Convexity,
-    ConvexityReport,
     GeometryError,
     PolyhedralSurface,
     Tolerances,
@@ -567,9 +566,7 @@ def test_weak_convexity_callers_solve_no_lp(monkeypatch, tmp_path):
     weak convexity, edge flags and the hull, and the pole frame (with the
     certificate built on it) reads the same qhull, so none of them solves
     an LP; the reference classification still solves one per convex edge,
-    each with at most deg(i) + deg(j) inequality rows however large n is."""
-    import rigidity3d.geometry as geometry
-
+    each with a row for every vertex off the edge."""
     import scipy.optimize
 
     rows = []
@@ -604,11 +601,9 @@ def test_weak_convexity_callers_solve_no_lp(monkeypatch, tmp_path):
     classify_convexity(octahedron())
     assert len(rows) == 12
     for surf in hulls:
-        degree = np.bincount(np.array(surf.edges).ravel(), minlength=surf.n_vertices)
         rows.clear()
         assert classify_convexity(surf).classification is Convexity.STRONGLY_STRICTLY_CONVEX
-        assert len(rows) == surf.n_edges
-        assert all(r <= degree[i] + degree[j] for r, (i, j) in zip(rows, surf.edges))
+        assert rows == [surf.n_vertices - 2] * surf.n_edges
 
 
 def test_support_functional_rejects_empty_or_full_touching_sets():
@@ -628,66 +623,6 @@ def test_convex_flagged_edge_can_be_unexposed():
     assert np.pi - dihedral_angles(surf)[surf.edges.index((0, 2))] > DEFAULT_TOL.geom_tol
     assert (0, 2) in report.unexposed_edges
     assert report.classification is Convexity.WEAKLY_STRICTLY_CONVEX
-
-
-def test_neighbourhood_exposure_matches_the_full_lp(oracle_reports):
-    """On the oracle pool at two geom_tol values: the neighbourhood LP gives
-    the full LP's delta on every convex edge, and the whole report equals a
-    classification whose exposure LPs have a row for every vertex (the slow
-    oracle)."""
-    from rigidity3d.geometry import _edge_exposure, _hull_neighbours
-
-    full_delta, outcomes = {}, set()
-    for surf, tol, report in oracle_reports:
-        outcomes.add(report.classification)
-        if not report.is_weakly_convex:
-            continue
-        pts = surf.vertices / surf.diameter
-        if id(surf) not in full_delta:
-            # delta does not depend on tol, and the DEFAULT_TOL convex edges
-            # include the 1e-4 ones
-            neighbours = _hull_neighbours(ConvexHull(pts), surf.n_vertices)
-            deltas = full_delta[id(surf)] = {}
-            for (i, j), flag in edge_flags(surf).items():
-                if flag == "convex":
-                    deltas[i, j] = support_functional(pts, (i, j))[2]
-                    local = _edge_exposure(pts, i, j, neighbours, DEFAULT_TOL)
-                    assert local == pytest.approx(deltas[i, j], abs=1e-9)
-        flags = edge_flags(surf, tol)
-        unexposed = tuple(
-            e for e, flag in flags.items()
-            if flag != "convex" or full_delta[id(surf)][e] <= tol.geom_tol
-        )
-        kind = Convexity.WEAKLY_STRICTLY_CONVEX if unexposed else Convexity.STRONGLY_STRICTLY_CONVEX
-        assert report == ConvexityReport(kind, flags, (), unexposed)
-    assert outcomes == set(Convexity)
-
-
-def test_lps_without_presolve_match_the_presolved_solve(monkeypatch, oracle_reports):
-    """The exposure LPs skip HiGHS presolve.  On the oracle pool at two
-    geom_tol values, every margin delta is within 1e-12 of the same LP
-    solved with presolve on, and the reports computed from the presolved
-    solves are the same."""
-    import scipy.optimize
-
-    original = scipy.optimize.linprog
-    solved, gaps = {}, []
-
-    def presolved(c, **kwargs):
-        # the second geom_tol repeats the first one's LPs: solve each once
-        options = kwargs.pop("options")
-        assert options == {"presolve": False}
-        key = tuple((a.shape, a.tobytes()) for a in (kwargs["A_ub"], kwargs["A_eq"]))
-        if key not in solved:
-            solved[key] = res = original(c, **kwargs)
-            gaps.append(abs(res.x[-1] - original(c, **kwargs, options=options).x[-1]))
-        return solved[key]
-
-    monkeypatch.setattr(scipy.optimize, "linprog", presolved)
-    for surf, tol, report in oracle_reports:
-        assert classify_convexity(surf, tol) == report
-    assert gaps
-    assert max(gaps) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

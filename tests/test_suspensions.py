@@ -857,7 +857,7 @@ def lp_pole_frame(points, north, south, tol=DEFAULT_TOL):
         return points
     planes = []
     for name, pole in (("north", north), ("south", south)):
-        u, c, delta = support_functional(points, (pole,), tol)
+        u, c, delta = support_functional(points, (pole,))
         if delta <= tol.geom_tol * diameter(points):
             raise GeometryError(f"{name} pole (vertex {pole}) is not an exposed point")
         planes.append((u, c))
