@@ -162,7 +162,7 @@ class SignedPlanarGraph:
                 )
 
 
-def sign_subgraph(surface, sv: SignVector, tol: Tolerances = DEFAULT_TOL):
+def sign_subgraph(surface, sv: SignVector):
     """Drop the 0 edges (and the vertices they strand).
 
     For a sign vector induced by a genuine flex every surviving vertex

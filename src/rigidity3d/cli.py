@@ -248,7 +248,7 @@ def cmd_signs(args):
         payload["note"] = "all dihedral rates vanish"
     else:
         try:
-            stats = count_sign_changes(sign_subgraph(surface, signs, tol))
+            stats = count_sign_changes(sign_subgraph(surface, signs))
             payload["totals"] = {
                 "sign_changes": stats.s,
                 "vertex_bound": stats.vertex_bound,

@@ -263,10 +263,6 @@ class LoadedInstance:
     def vertices(self):
         return self.framework.vertices
 
-    @property
-    def metadata(self):
-        return self.document.get("metadata", {})
-
 
 def from_document(doc, tol: Tolerances = DEFAULT_TOL):
     validate_document(doc)

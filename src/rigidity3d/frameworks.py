@@ -26,12 +26,6 @@ class EdgeKind(Enum):
     CABLE = "cable"
     STRUT = "strut"
 
-    @classmethod
-    def coerce(cls, value):
-        if isinstance(value, cls):
-            return value
-        return cls(str(value).lower())
-
 
 @dataclass(eq=False)
 class Framework:
@@ -58,7 +52,7 @@ class Framework:
                 kind = EdgeKind.BAR
             else:
                 i, j, kind = item
-                kind = EdgeKind.coerce(kind)
+                kind = EdgeKind(kind)
             i, j = int(i), int(j)
             if i == j:
                 raise FrameworkError(f"edge ({i}, {j}) is a loop")

@@ -245,10 +245,6 @@ class PolyhedralSurface:
         """Undirected edges as sorted (i, j) pairs, lexicographically ordered."""
         return tuple(sorted((u, v) for u, v in self._directed_face if u < v))
 
-    @property
-    def n_edges(self):
-        return len(self.edges)
-
     def edge_faces(self, i, j):
         """Indices of the faces containing directed edges (i,j) and (j,i)."""
         try:
@@ -298,6 +294,26 @@ class PolyhedralSurface:
         cross = _cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
         cross.flags.writeable = False
         return cross
+
+    @cached_property
+    def hull_stage(self):
+        """qhull of the vertices scaled to unit diameter, built once per
+        surface.
+
+        (points, hull, nonexposed): the scaled points, their hull (None when
+        qhull fails on a degenerate vertex set) and the vertices that are not
+        hull vertices (every vertex when the hull failed)."""
+        from scipy.spatial import ConvexHull, QhullError  # deferred: only hull callers pay its import
+
+        pts = self.vertices / self.diameter
+        pts.flags.writeable = False
+        try:
+            hull = ConvexHull(pts)
+        except QhullError:
+            return pts, None, tuple(range(len(pts)))
+        on_hull = np.zeros(len(pts), dtype=bool)
+        on_hull[hull.vertices] = True
+        return pts, hull, tuple(np.flatnonzero(~on_hull).tolist())
 
     def degenerate_faces(self, tol: Tolerances = DEFAULT_TOL):
         """Boolean (F,) mask of the zero-area faces: doubled area at or
@@ -452,9 +468,11 @@ def _check_lp(res, caller):
         raise InvariantError(f"{caller}: LP solver failed on a feasible bounded problem: {res.message}")
 
 
-def _lp_margins(pts, hull):
+def _lp_margins(surface):
     """classify_convexity's exposure rule: (i, j) -> the exposure LP's delta
-    with a row for every vertex, support_functional(pts, (i, j))[2]."""
+    with a row for every vertex of the unit-diameter surface,
+    support_functional(pts, (i, j))[2]."""
+    pts = surface.hull_stage[0]
     return lambda i, j: support_functional(pts, (i, j))[2]
 
 
@@ -479,51 +497,33 @@ def _hull_edge_gaps(pts, hull):
     return dict(zip(zip(lo.tolist(), hi.tolist()), smaller.tolist()))
 
 
-def _gap_margins(pts, hull):
+def _gap_margins(surface):
     """classify_convexity_from_hull's exposure rule: (i, j) -> the gap of
-    [p_i, p_j] in the qhull triangulation, 0.0 for a pair that is no
-    triangulation edge."""
-    gaps = _hull_edge_gaps(pts, hull)
+    [p_i, p_j] in the qhull triangulation of the surface's hull stage, 0.0
+    for a pair that is no triangulation edge."""
+    gaps = _hull_edge_gaps(*surface.hull_stage[:2])
     return lambda i, j: gaps.get((i, j), 0.0)
-
-
-def _hull_vertex_stage(vertices, diam):
-    """qhull of the vertices scaled to unit diameter (`diam` is theirs).
-
-    Returns (points, hull, nonexposed): the scaled points, their hull
-    (None when qhull fails on a degenerate vertex set) and the vertices
-    that are not hull vertices (every vertex when the hull failed)."""
-    from scipy.spatial import ConvexHull, QhullError  # deferred: only hull callers pay its import
-
-    pts = vertices / diam
-    try:
-        hull = ConvexHull(pts)
-    except QhullError:
-        return pts, None, tuple(range(len(pts)))
-    on_hull = np.zeros(len(pts), dtype=bool)
-    on_hull[hull.vertices] = True
-    return pts, hull, tuple(np.flatnonzero(~on_hull).tolist())
 
 
 def is_weakly_convex(surface):
     """Whether the surface has the same vertices as a convex polyhedron:
     every vertex is a vertex of the convex hull, and the hull is
-    full-dimensional.  One qhull call, no LP; equals
+    full-dimensional.  Reads the surface's hull stage, no LP; equals
     classify_convexity(surface).is_weakly_convex."""
-    return not _hull_vertex_stage(surface.vertices, surface.diameter)[2]
+    return not surface.hull_stage[2]
 
 
 def _classify(surface, tol, margins):
     """The convexity classification with the exposure rule left open.
 
-    One qhull of the unit-diameter vertices, the edge flags and, when a
-    vertex is not a hull vertex, a note per such vertex.  Once every vertex
-    is a hull vertex, `margins(pts, hull)` gives the rule (i, j) ->
+    The surface's hull stage, the edge flags and, when a vertex is not a
+    hull vertex, a note per such vertex.  Once every vertex is a hull
+    vertex, `margins(surface)` gives the rule (i, j) ->
     margin in unit-diameter lengths, read at the convex-flagged edges in
     edge order; an edge is exposed iff it is convex-flagged and its margin
     exceeds geom_tol.
     """
-    pts, hull, nonexposed = _hull_vertex_stage(surface.vertices, surface.diameter)
+    pts, hull, nonexposed = surface.hull_stage
     flags = edge_flags(surface, tol)
     if hull is None:
         notes = ("degenerate vertex set: convex hull is not full-dimensional",)
@@ -537,7 +537,7 @@ def _classify(surface, tol, margins):
             notes.append(f"vertex {v} is {where} but not a hull vertex")
         return ConvexityReport(Convexity.NOT_WEAKLY_CONVEX, flags, nonexposed, (), tuple(notes))
 
-    margin = margins(pts, hull)
+    margin = margins(surface)
     unexposed_edges = [
         (i, j) for (i, j), flag in flags.items()
         if flag != "convex" or margin(i, j) <= tol.geom_tol
@@ -568,8 +568,8 @@ def classify_convexity(surface, tol: Tolerances = DEFAULT_TOL):
 
 
 def classify_convexity_from_hull(surface, tol: Tolerances = DEFAULT_TOL):
-    """classify_convexity's classification, read from the qhull hull the
-    vertex stage builds: no LP.
+    """classify_convexity's classification, read from the surface's hull
+    stage: no LP.
 
     The rule: a convex-flagged edge is exposed iff it is an edge of qhull's
     triangulation of the unit-diameter vertices and its gap exceeds
@@ -625,23 +625,23 @@ def _vertex_support_normal(pts, hull, k, tol):
     return u if gaps.min() > tol.geom_tol else None
 
 
-def normalize_pole_frame(points, north, south, tol: Tolerances = DEFAULT_TOL):
-    """The configuration in the standard pole frame: south at the origin,
-    north at (0,0,1), all other vertices with z in (0,1), so the planes
-    orthogonal to the axis at the poles support the configuration.
+def normalize_pole_frame(surface, north, south, tol: Tolerances = DEFAULT_TOL):
+    """The surface's vertices in the standard pole frame: south at the
+    origin, north at (0,0,1), all other vertices with z in (0,1), so the
+    planes orthogonal to the axis at the poles support the configuration.
 
-    Returns the new points, the input itself when it already satisfies the
-    condition.  The support plane at a pole comes from the same qhull as
-    is_weakly_convex: a pole is exposed iff it is a hull vertex and the
-    plane normal to the unit sum of its facets' outward normals clears
-    every other point by more than geom_tol * diameter.  Raises
-    GeometryError when a pole is not exposed.
+    Returns new points, a copy of the vertices when they already satisfy
+    the condition.  The support plane at a pole comes from the surface's
+    hull stage, as is_weakly_convex's verdict does: a pole is exposed iff
+    it is a hull vertex and the plane normal to the unit sum of its facets'
+    outward normals clears every other point by more than
+    geom_tol * diameter.  Raises GeometryError when a pole is not exposed.
     """
-    points = as_points(points)
+    points = surface.vertices
     if pole_frame_ok(points, north, south, tol):
-        return points
+        return points.copy()
 
-    pts, hull, nonexposed = _hull_vertex_stage(points, diameter(points))
+    pts, hull, nonexposed = surface.hull_stage
     normals = []
     for name, pole in (("north", north), ("south", south)):
         u = None if pole in nonexposed else _vertex_support_normal(pts, hull, pole, tol)

@@ -576,7 +576,7 @@ def convex_profile_certificate(s: Suspension, tol: Tolerances = DEFAULT_TOL):
     report when the hypothesis (or the pole normalization) fails.
     """
     try:
-        s_norm = Suspension(normalize_pole_frame(s.vertices, NORTH, SOUTH, tol), tol)
+        s_norm = Suspension(normalize_pole_frame(s.surface, NORTH, SOUTH, tol), tol)
     except GeometryError as exc:
         return ConvexProfileReport(False, f"pole normalization failed: {exc}", None, None)
     ns = is_ns_decomposable(s_norm, tol)

@@ -7,11 +7,12 @@ pytest puts this directory on the import path.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
 
-from rigidity3d.cauchy import CauchyError, cyclic_sign_changes
+from rigidity3d.cauchy import CauchyError, cyclic_sign_changes, dent
 from rigidity3d.frameworks import EdgeKind, Framework, FrameworkError, _edge_vectors
 from rigidity3d.generators import (
     CONVEX_SUSPENSION_TRIES,
@@ -26,11 +27,9 @@ from rigidity3d.geometry import (
     InvariantError,
     PolyhedralSurface,
     Tolerances,
-    _hull_vertex_stage,
     _vertex_support_normal,
     as_points,
     axis_frame,
-    diameter,
     dihedral_angles,
     pole_frame_ok,
     unit,
@@ -119,6 +118,23 @@ def square_pyramid():
     return PolyhedralSurface(v, faces)
 
 
+def jessen_icosahedron():
+    """Jessen's orthogonal icosahedron (B. Jessen, Nordisk Mat. Tidskr. 15,
+    1967): the qhull triangulation of the 12 cyclic permutations of
+    (0, +-1, +-2), dented at each of its six edges of length 2.  Its
+    vertices are those of a convex polyhedron and its six reflex edges have
+    dihedral angle 3 pi / 2, yet it flexes infinitesimally: weakly convex
+    and flexible."""
+    from scipy.spatial import ConvexHull
+
+    v = np.array([np.roll((0.0, a, b), k) for a in (-1.0, 1.0) for b in (-2.0, 2.0)
+                  for k in range(3)])
+    surface = PolyhedralSurface(v, hull_faces(v, ConvexHull(v).simplices))
+    for i, j in [(i, j) for i, j in surface.edges if np.linalg.norm(v[i] - v[j]) == 2.0]:
+        surface = dent(surface, (i, j)).surface
+    return surface
+
+
 # ---------------------------------------------------------------------------
 # random frameworks and projective maps
 # ---------------------------------------------------------------------------
@@ -168,15 +184,16 @@ def transform_points(pmap, points, tol: Tolerances = DEFAULT_TOL):
     return hom[:, :3] / w[:, None]
 
 
-def projective_pole_frame(points, north, south, tol: Tolerances = DEFAULT_TOL):
+def projective_pole_frame(surface, north, south, tol: Tolerances = DEFAULT_TOL):
     """geometry.normalize_pole_frame as a 4x4 projective map: the same
-    support planes, applied by transform_points.  Returns (map, new_points);
-    the identity map when the input is already in the pole frame."""
-    points = as_points(points)
+    support planes, from the surface's hull stage, applied by
+    transform_points.  Returns (map, new_points); the identity map when the
+    vertices are already in the pole frame."""
+    points = as_points(surface.vertices)
     if pole_frame_ok(points, north, south, tol):
         return ProjectiveMap.identity(), points
 
-    pts, hull, nonexposed = _hull_vertex_stage(points, diameter(points))
+    pts, hull, nonexposed = surface.hull_stage
     normals = []
     for name, pole in (("north", north), ("south", south)):
         u = None if pole in nonexposed else _vertex_support_normal(pts, hull, pole, tol)
@@ -392,6 +409,28 @@ def impossible_labeling_search(rotation):
         if ok:
             return dict(zip(edges, labels))
     return None
+
+
+# ---------------------------------------------------------------------------
+# exact arithmetic
+# ---------------------------------------------------------------------------
+
+
+def exact_rank(rows):
+    """Rank over Q of a float matrix, each entry read exactly as a Fraction,
+    by Gaussian elimination."""
+    rows = [[Fraction(float(x)) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0])):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            factor = rows[r][col] / rows[rank][col]
+            rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,11 @@ from numpy.random import default_rng
 import rigidity3d
 from rigidity3d import cauchy, fileio, frameworks, generators, hessian, shapes, suspensions
 from rigidity3d.cli import main
+from rigidity3d.geometry import (Convexity, classify_convexity, classify_convexity_from_hull,
+                                 dihedral_angles, is_weakly_convex)
 from rigidity3d.hessian import lambda_matrix
 
-from oracles import cube, flexible_suspension_fixture, square_pyramid
+from oracles import cube, exact_rank, flexible_suspension_fixture, jessen_icosahedron, square_pyramid
 
 
 def run(capsys, *argv):
@@ -150,6 +152,44 @@ def test_analyze_large_hull_never_forms_the_dense_rigidity_matrix(capsys, tmp_pa
         "convexity": "strongly_strictly_convex",
         "reflex_edges": [],
     }
+
+
+def test_jessen_icosahedron_is_weakly_convex_and_flexible(capsys, tmp_path):
+    """Jessen's orthogonal icosahedron has the vertices of a convex
+    polyhedron, so every convexity reader calls it weakly strictly convex,
+    yet it flexes: its rigidity matrix drops rank by one, over the floats
+    and exactly over Q (its coordinates are integers), and no vertex star
+    decomposes it, so the paper's theorem does not apply."""
+    surface = jessen_icosahedron()
+    reflex = ((0, 3), (1, 4), (2, 5), (6, 9), (7, 10), (8, 11))
+    assert is_weakly_convex(surface)
+    for classify in (classify_convexity, classify_convexity_from_hull):
+        report = classify(surface)
+        assert report.classification is Convexity.WEAKLY_STRICTLY_CONVEX
+        assert report.reflex_edges == reflex
+    angles = dihedral_angles(surface)
+    assert [surface.edges[k] for k in np.flatnonzero(angles > np.pi)] == list(reflex)
+    assert angles[angles > np.pi] == pytest.approx([1.5 * np.pi] * 6, abs=1e-12)
+
+    fw = frameworks.Framework.from_surface(surface)
+    assert len(fw.edges) == 30
+    assert frameworks.rigidity_rank(fw) == 29
+    matrix = frameworks.rigidity_matrix(fw)
+    assert np.array_equal(matrix, np.round(matrix))
+    assert exact_rank(matrix) == 29
+    for apex in range(surface.n_vertices):
+        with pytest.raises(hessian.DecompositionError):
+            hessian.decompose_star(surface, apex)
+
+    path = tmp_path / "jessen.json"
+    fileio.save(path, surface)
+    code, out, _ = run(capsys, "analyze", str(path), "--json")
+    assert code == 0
+    verdicts = json.loads(out)["verdicts"]
+    assert (verdicts["rigid"], verdicts["flex_dimension"], verdicts["stress_space_dimension"],
+            verdicts["trivial_dimension"]) == (False, 7, 1, 6)
+    assert verdicts["convexity"] == "weakly_strictly_convex"
+    assert verdicts["reflex_edges"] == [list(e) for e in reflex]
 
 
 def test_out_of_range_tolerance_exits_one(capsys, octa_path):
@@ -353,7 +393,7 @@ def test_dent_pipeline(capsys, octa_path, tmp_path):
     verdicts = json.loads(out)["verdicts"]
     assert verdicts["convexity"] == "weakly_strictly_convex"
     assert verdicts["reflex_edges"] == [[0, 1]]
-    assert fileio.load(out_path).metadata["dented_edges"] == [[2, 3]]
+    assert fileio.load(out_path).document.get("metadata", {})["dented_edges"] == [[2, 3]]
 
 
 def test_dent_rejects_non_edge(capsys, octa_path, tmp_path):

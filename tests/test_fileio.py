@@ -66,7 +66,7 @@ def test_suspension_round_trip(tmp_path):
     loaded = fileio.load(path)
     assert loaded.suspension is not None
     assert np.array_equal(loaded.suspension.surface.vertices, s.surface.vertices)
-    assert loaded.metadata == {"origin": "star"}
+    assert loaded.document.get("metadata", {}) == {"origin": "star"}
 
 
 def test_decomposition_round_trip(tmp_path):
@@ -101,7 +101,7 @@ def test_save_merges_metadata_into_a_raw_document(tmp_path):
     path = tmp_path / "raw.json"
     written = fileio.save(path, doc, metadata={"seed": 3})
     loaded = fileio.load(path)
-    assert loaded.metadata == {"origin": "octahedron", "seed": 3}
+    assert loaded.document.get("metadata", {}) == {"origin": "octahedron", "seed": 3}
     assert written == loaded.document
     assert doc["metadata"] == {"origin": "octahedron"}  # the caller's dict is kept
     assert fileio.instance_hash(loaded.document) == fileio.instance_hash(doc)

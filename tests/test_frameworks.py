@@ -680,7 +680,7 @@ def test_analysis_report_factors_the_rigidity_matrix_once(monkeypatch):
 
 def test_rank_questions_skip_the_full_svd_and_bases_form_it_once(monkeypatch):
     surface = random_convex_hull_surface(np.random.default_rng(2206), 12)
-    shape = (surface.n_edges, 3 * surface.n_vertices)
+    shape = (len(surface.edges), 3 * surface.n_vertices)
     calls = _count_svds(monkeypatch)
 
     def rigidity_matrix_calls(run):

@@ -34,7 +34,7 @@ from rigidity3d.generators import (
     star_suspension,
 )
 from rigidity3d.hessian import pd_probe
-from rigidity3d.shapes import hull_faces, octahedron
+from rigidity3d.shapes import bipyramid_faces, hull_faces, octahedron
 from rigidity3d.suspensions import (
     Suspension,
     SuspensionError,
@@ -71,7 +71,7 @@ def dented_octahedron():
 def test_surface_counts():
     """Accepted closed triangulated surfaces satisfy v-e+f=2 and 2e=3f."""
     for surf in (octahedron(), cube(), tetrahedron(), square_pyramid()):
-        v, e, f = surf.n_vertices, surf.n_edges, len(surf.faces)
+        v, e, f = surf.n_vertices, len(surf.edges), len(surf.faces)
         assert v - e + f == 2
         assert 2 * e == 3 * f
         assert surf.signed_volume > 0.0
@@ -243,7 +243,7 @@ def test_dihedral_angles_match_flank_tetrahedra():
     n_reflex = 0
     for surf in surface_pool():
         angles = dihedral_angles(surf)
-        assert angles.shape == (surf.n_edges,)
+        assert angles.shape == (len(surf.edges),)
         third = {}
         for a, b, c in surf.faces.tolist():
             third.update({(a, b): c, (b, c): a, (c, a): b})
@@ -560,6 +560,28 @@ def test_hull_and_lp_exposure_differ_only_in_the_stated_band():
             assert exposed == {True, False}
 
 
+def test_the_hull_readers_share_one_qhull_per_surface(monkeypatch):
+    """is_weakly_convex, both classifiers, normalize_pole_frame and the
+    convex-profile certificate read the surface's hull stage: on one reflex
+    star suspension they build one convex hull between them."""
+    import scipy.spatial
+
+    built = []
+
+    class CountedHull(scipy.spatial.ConvexHull):
+        def __init__(self, *args, **kwargs):
+            built.append(len(args[0]))
+            super().__init__(*args, **kwargs)
+
+    s = star_suspension(np.random.default_rng((403, 0)), 4, require_reflex=True)
+    monkeypatch.setattr(scipy.spatial, "ConvexHull", CountedHull)
+    assert is_weakly_convex(s.surface)
+    assert classify_convexity_from_hull(s.surface) == classify_convexity(s.surface)
+    assert pole_frame_ok(normalize_pole_frame(s.surface, 0, 1), 0, 1)
+    convex_profile_certificate(s)
+    assert built == [s.n + 2]
+
+
 def test_weak_convexity_callers_solve_no_lp(monkeypatch, tmp_path):
     """The probe, the control generator, the suspension induction and
     analyze (analysis_report, which reads exposure from the hull) read only
@@ -584,7 +606,7 @@ def test_weak_convexity_callers_solve_no_lp(monkeypatch, tmp_path):
         s = star_suspension(np.random.default_rng((403, k)), 4 + k, require_reflex=True)
         inductive_proper_stress(s)
         suspension_rigidity(s)
-        normalize_pole_frame(s.vertices, 0, 1)
+        normalize_pole_frame(s.surface, 0, 1)
         convex_profile_certificate(s)
     for k in range(4):
         certificate = convex_profile_certificate(convex_suspension(np.random.default_rng((409, k)), 5))
@@ -603,7 +625,7 @@ def test_weak_convexity_callers_solve_no_lp(monkeypatch, tmp_path):
     for surf in hulls:
         rows.clear()
         assert classify_convexity(surf).classification is Convexity.STRONGLY_STRICTLY_CONVEX
-        assert rows == [surf.n_vertices - 2] * surf.n_edges
+        assert rows == [surf.n_vertices - 2] * len(surf.edges)
 
 
 def test_support_functional_rejects_empty_or_full_touching_sets():
@@ -667,7 +689,7 @@ def test_singular_matrix_rejected():
 def test_normalize_poles_octahedron():
     """Standard octahedron: the affine map z -> (z+1)/2, xy -> xy/2."""
     surf = octahedron()
-    pts = normalize_pole_frame(surf.vertices, 0, 1)
+    pts = normalize_pole_frame(surf, 0, 1)
     assert np.allclose(pts[0], [0, 0, 1], atol=1e-9)
     assert np.allclose(pts[1], [0, 0, 0], atol=1e-9)
     assert np.allclose(np.abs(pts[2:, :2]).max(axis=1), 0.5, atol=1e-9)
@@ -676,8 +698,9 @@ def test_normalize_poles_octahedron():
 
 
 def test_normalize_poles_identity_when_already_normalized():
-    pts = normalize_pole_frame(octahedron().vertices, 0, 1)
-    again = normalize_pole_frame(pts, 0, 1)
+    base = octahedron()
+    pts = normalize_pole_frame(base, 0, 1)
+    again = normalize_pole_frame(PolyhedralSurface(pts, base.faces), 0, 1)
     assert np.array_equal(again, pts)
 
 
@@ -692,7 +715,7 @@ def test_normalize_poles_after_projective_tilt():
         m[3, :3] = 0.2 * rng.normal(size=3)
         pm = ProjectiveMap(m)
         tilted = transform_points(pm, surf.vertices)
-        pts = normalize_pole_frame(tilted, 0, 1)
+        pts = normalize_pole_frame(PolyhedralSurface(tilted, surf.faces), 0, 1)
         assert pole_frame_ok(pts, 0, 1)
 
 
@@ -701,7 +724,7 @@ def test_normalize_poles_rejects_unexposed_pole():
     v = base.vertices.copy()
     v[0] = [0.0, 0.0, -0.2]  # north pole inside the hull
     with pytest.raises(GeometryError, match="not an exposed point"):
-        normalize_pole_frame(v, 0, 1)
+        normalize_pole_frame(PolyhedralSurface(v, base.faces), 0, 1)
 
 
 def test_normalize_poles_rejects_a_flat_configuration():
@@ -709,7 +732,7 @@ def test_normalize_poles_rejects_a_flat_configuration():
     plane the poles would still be exposed polygon corners."""
     flat = [[0, 0, 1], [0, 0, -1], [1, 0, 0], [-1, 0, 0.5], [0.5, 0, -0.5]]
     with pytest.raises(GeometryError, match=r"north pole \(vertex 0\) is not an exposed point"):
-        normalize_pole_frame(flat, 0, 1)
+        normalize_pole_frame(PolyhedralSurface(flat, bipyramid_faces(3)), 0, 1)
 
 
 # ---------------------------------------------------------------------------

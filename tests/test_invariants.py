@@ -186,7 +186,7 @@ def test_certificate_rigidity(monkeypatch):
 def test_pole_frame_self_check(monkeypatch):
     monkeypatch.setattr(geometry, "pole_frame_ok", lambda *a: False)
     with pytest.raises(InvariantError, match="failed its own support-plane check"):
-        normalize_pole_frame(reflex_star().vertices, 0, 1)
+        normalize_pole_frame(reflex_star().surface, 0, 1)
 
 
 def test_lp_solver_failure(monkeypatch):

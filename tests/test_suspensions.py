@@ -828,7 +828,7 @@ def test_interior_edge_star_requires_single_interior_edge():
 
 
 def test_normalize_poles_octahedron():
-    s_norm = Suspension(normalize_pole_frame(octa_suspension().vertices, NORTH, SOUTH))
+    s_norm = Suspension(normalize_pole_frame(octa_suspension().surface, NORTH, SOUTH))
     assert pole_frame_ok(s_norm.vertices, 0, 1)
     assert np.allclose(s_norm.vertices[0], [0, 0, 1])
     assert np.allclose(s_norm.vertices[1], [0, 0, 0])
@@ -842,17 +842,17 @@ def test_pole_frame_does_not_depend_on_the_position():
     scope.  The 4x4 map it replaces, scaled to its largest entry, called
     the octahedron 3e3 away from the origin singular."""
     s = octa_suspension()
-    base = normalize_pole_frame(s.vertices, NORTH, SOUTH)
+    base = normalize_pole_frame(s.surface, NORTH, SOUTH)
     for shift in (1e3, 1e4, 1e6):
-        moved = s.vertices + np.array([shift, -shift, 0.5 * shift])
-        assert np.abs(normalize_pole_frame(moved, NORTH, SOUTH) - base).max() <= 1e-9
-        assert convex_profile_certificate(Suspension(moved)).in_scope
+        moved = Suspension(s.vertices + np.array([shift, -shift, 0.5 * shift]))
+        assert np.abs(normalize_pole_frame(moved.surface, NORTH, SOUTH) - base).max() <= 1e-9
+        assert convex_profile_certificate(moved).in_scope
 
 
-def lp_pole_frame(points, north, south, tol=DEFAULT_TOL):
+def lp_pole_frame(surface, north, south, tol=DEFAULT_TOL):
     """Reference pole frame from two exposure LPs: each pole's plane is
     support_functional's, and the map is projective_pole_frame's."""
-    points = as_points(points)
+    points = as_points(surface.vertices)
     if pole_frame_ok(points, north, south, tol):
         return points
     planes = []
@@ -918,7 +918,7 @@ def test_pole_frame_matches_the_lp_frame(monkeypatch):
         readings = []
         for frame in (normalize_pole_frame, lp_pole_frame):
             try:
-                pts = frame(s.vertices, NORTH, SOUTH)
+                pts = frame(s.surface, NORTH, SOUTH)
             except GeometryError as exc:
                 pts = str(exc)
                 monkeypatch.setattr(suspensions, "normalize_pole_frame", frame)
@@ -958,14 +958,14 @@ def test_pole_frame_equals_the_projective_map(monkeypatch):
     rejected = in_scope = 0
     for s in pool:
         try:
-            _, mapped = projective_pole_frame(s.vertices, NORTH, SOUTH)
+            _, mapped = projective_pole_frame(s.surface, NORTH, SOUTH)
         except GeometryError as exc:
             with pytest.raises(GeometryError) as direct_exc:
-                normalize_pole_frame(s.vertices, NORTH, SOUTH)
+                normalize_pole_frame(s.surface, NORTH, SOUTH)
             assert str(direct_exc.value) == str(exc)
             rejected += 1
             continue
-        direct = normalize_pole_frame(s.vertices, NORTH, SOUTH)
+        direct = normalize_pole_frame(s.surface, NORTH, SOUTH)
         assert np.abs(direct - mapped).max() <= 1e-14
         report = convex_profile_certificate(s)
         with monkeypatch.context() as patch:
