@@ -15,6 +15,7 @@ internal cross-check fails (an InvariantError).
 """
 
 import argparse
+import dataclasses
 import functools
 import logging
 import os
@@ -43,6 +44,7 @@ from .geometry import DEFAULT_TOL, GeometryError, InvariantError, Tolerances
 from .hessian import (
     Decomposition,
     DecompositionError,
+    ProbeTrial,
     lambda_matrix,
     pd_probe,
     rigidity_from_lambda,
@@ -57,10 +59,6 @@ from .suspensions import (
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_INVARIANT = 2
-
-
-def _tolerances(args):
-    return Tolerances(rank_tol=args.rank_tol, geom_tol=args.geom_tol)
 
 
 def _emit(args, payload, tables=(), notes=()):
@@ -94,9 +92,8 @@ def _emit(args, payload, tables=(), notes=()):
 
 
 def cmd_analyze(args):
-    tol = _tolerances(args)
-    loaded = fileio.load(args.file, tol)
-    report = fileio.analysis_report(loaded, tol)
+    loaded = args.loaded
+    report = fileio.analysis_report(loaded, args.tol)
     timing = "  ".join(f"{k}={v * 1e3:.1f}ms" for k, v in report["timings"].items())
     return _emit(args, report, notes=[
         f"instance  {report['instance_hash']}",
@@ -108,8 +105,7 @@ def cmd_analyze(args):
 
 
 def cmd_stress(args):
-    tol = _tolerances(args)
-    loaded = fileio.load(args.file, tol)
+    tol, loaded = args.tol, args.loaded
     if args.inductive:
         if loaded.suspension is None:
             raise fileio.FileFormatError(
@@ -150,8 +146,7 @@ def _matrix_tables(matrix):
 
 
 def cmd_lambda(args):
-    tol = _tolerances(args)
-    loaded = fileio.load(args.file, tol)
+    tol, loaded = args.tol, args.loaded
     if loaded.decomposition is not None:
         lam = lambda_matrix(loaded.decomposition, tol=tol)
         rigid = rigidity_from_lambda(loaded.decomposition, tol)
@@ -190,11 +185,10 @@ def _surface(loaded, command):
 
 
 def cmd_dent(args):
-    tol = _tolerances(args)
-    surface = _surface(fileio.load(args.file, tol), "dent")
+    surface = _surface(args.loaded, "dent")
     new_edges = []
     for edge in args.edge:
-        result = dent(surface, edge, tol)
+        result = dent(surface, edge, args.tol)
         surface = result.surface
         new_edges.append(result.new_edge)
     fileio.save(args.out, surface, metadata={
@@ -209,20 +203,17 @@ def cmd_dent(args):
 
 
 def cmd_suspend(args):
-    tol = _tolerances(args)
-    seed = 0 if args.seed is None else args.seed
-    rng = np.random.default_rng(seed)
-    s = suspension_profile(args.profile, rng, args.n, tol)
+    rng = np.random.default_rng(args.seed)
+    s = suspension_profile(args.profile, rng, args.n, args.tol)
     doc = fileio.save(args.out, s, metadata={
-        "profile": args.profile, "seed": seed, "n": args.n,
+        "profile": args.profile, "seed": args.seed, "n": args.n,
     })
     return _emit(args, None, notes=[f"wrote {args.out}  ({args.profile}, n={args.n}, "
                                     f"hash {fileio.instance_hash(doc)[:12]})"])
 
 
 def cmd_signs(args):
-    tol = _tolerances(args)
-    loaded = fileio.load(args.file, tol)
+    tol, loaded = args.tol, args.loaded
     surface = _surface(loaded, "signs")
     if args.flex_index is not None:
         space = bar_flex_space(loaded.framework, tol)
@@ -238,10 +229,7 @@ def cmd_signs(args):
     checks = vertex_sign_change_check(surface, signs, tol)
     payload = {
         "edge_signs": {f"{i},{j}": signs[(i, j)] for i, j in surface.edges},
-        "vertices": [{
-            "vertex": c.vertex, "convex": c.convex, "nonzero": c.nonzero,
-            "changes": c.changes, "ok": c.ok, "detail": c.detail,
-        } for c in checks],
+        "vertices": [dataclasses.asdict(c) for c in checks],
     }
     notes = [f"# vertex {c.vertex}: {c.detail}" for c in checks if not c.ok]
     if not signs.nonzero_edges:
@@ -274,30 +262,21 @@ def cmd_signs(args):
 def cmd_probe_pd(args):
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
-    tol = _tolerances(args)
-    seed = 0 if args.seed is None else args.seed
     os.makedirs(args.out, exist_ok=True)
-    report = pd_probe(trials=args.trials, seed=seed,
-                      include_controls=args.include_controls, tol=tol)
+    report = pd_probe(trials=args.trials, seed=args.seed,
+                      include_controls=args.include_controls, tol=args.tol)
     payload = report.to_dict()
-    payload["seed"] = seed
-    payload["tolerances"] = {"rank_tol": tol.rank_tol, "geom_tol": tol.geom_tol}
+    payload["seed"] = args.seed
+    payload["tolerances"] = dataclasses.asdict(args.tol)
     report_path = os.path.join(args.out, "report.json")
     with open(report_path, "w") as fh:
         fileio.write_json(fh, payload)
     with open(os.path.join(args.out, "trials.csv"), "w", newline="") as fh:
-        fileio.write_csv(
-            fh,
-            ("kind", "seed0", "seed1", "r", "min_eigenvalue",
-             "diagonal_positive", "weakly_convex", "rigid"),
-            [(t.kind, t.seed[0], t.seed[1], t.r, t.min_eigenvalue,
-              t.diagonal_positive, t.weakly_convex, t.rigid)
-             for t in report.trials],
-        )
+        fileio.write_csv(fh, ProbeTrial.csv_header(), [t.csv_row() for t in report.trials])
     for k, ce in enumerate(report.counterexamples):
         fileio.save(
             os.path.join(args.out, f"counterexample_{k}.json"),
-            Decomposition(ce["vertices"], ce["tetrahedra"], tol=tol),
+            Decomposition(ce["vertices"], ce["tetrahedra"], tol=args.tol),
             metadata={"trial": ce["trial"]},
         )
     s = payload["summary"]
@@ -343,8 +322,8 @@ def build_parser():
     def subcommand(name, handler, summary, seed=False, formats=()):
         p = sub.add_parser(name, parents=[common], help=summary)
         if seed:
-            p.add_argument("--seed", type=int, default=None,
-                           help="seed of the random draws")
+            p.add_argument("--seed", type=int, default=0,
+                           help="seed of the random draws (default 0)")
         fmt = p.add_mutually_exclusive_group() if len(formats) > 1 else p
         if "json" in formats:
             fmt.add_argument("--json", action="store_true",
@@ -415,6 +394,10 @@ def main(argv=None):
         stream=sys.stderr,
     )
     try:
+        # every command's inputs, read once: the tolerances, then the document
+        args.tol = Tolerances(rank_tol=args.rank_tol, geom_tol=args.geom_tol)
+        if "file" in args:
+            args.loaded = fileio.load(args.file, args.tol)
         return globals()[args.handler](args)
     except (fileio.FileFormatError, OSError, ValueError, GeometryError, FrameworkError,
             SuspensionError, DecompositionError, CauchyError, GenerationError) as exc:

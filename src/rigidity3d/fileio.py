@@ -12,17 +12,29 @@ import csv
 import hashlib
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cache
 from importlib import resources
 from numbers import Number
 
 import numpy as np
 
-from .frameworks import EdgeKind, Framework
-from .geometry import DEFAULT_TOL, GeometryError, PolyhedralSurface, Tolerances
-from .hessian import Decomposition, DecompositionError
-from .suspensions import Suspension, SuspensionError, build_suspension
+from .frameworks import Framework, FrameworkError, rigidity_rank, trivial_dimension
+from .geometry import (
+    DEFAULT_TOL,
+    GeometryError,
+    PolyhedralSurface,
+    Tolerances,
+    classify_convexity_from_hull,
+)
+from .hessian import Decomposition, DecompositionError, lambda_matrix, rigidity_from_lambda
+from .suspensions import (
+    Suspension,
+    SuspensionError,
+    build_suspension,
+    is_ns_decomposable,
+    lambda_scalar,
+)
 
 VERSION = 1
 
@@ -267,11 +279,14 @@ class LoadedInstance:
 def from_document(doc, tol: Tolerances = DEFAULT_TOL):
     validate_document(doc)
     vertices = np.array(doc["vertices"], dtype=float)
-    framework = Framework(
-        vertices,
-        [(e["i"], e["j"], EdgeKind(e.get("kind", "bar"))) for e in doc["edges"]],
-        tol=tol,
-    )
+    nonfinite = np.flatnonzero(~np.isfinite(vertices).all(axis=1))
+    if nonfinite.size:
+        raise FileFormatError(f"/vertices/{nonfinite[0]}: non-finite vertex coordinates")
+    edges = [(e["i"], e["j"], e.get("kind", "bar")) for e in doc["edges"]]
+    try:
+        framework = Framework(vertices, edges, tol=tol)
+    except FrameworkError as exc:
+        raise FileFormatError(f"/edges: {exc}") from None
     surface = None
     if "faces" in doc:
         try:
@@ -367,11 +382,6 @@ def analysis_report(loaded: LoadedInstance, tol: Tolerances = DEFAULT_TOL):
     timings section, which is informational only and excluded from the
     instance hash.
     """
-    from .frameworks import rigidity_rank, trivial_dimension
-    from .geometry import classify_convexity_from_hull
-    from .hessian import lambda_matrix, rigidity_from_lambda
-    from .suspensions import is_ns_decomposable, lambda_scalar
-
     verdicts = {}
     timings = {}
 
@@ -414,7 +424,7 @@ def analysis_report(loaded: LoadedInstance, tol: Tolerances = DEFAULT_TOL):
 
     return {
         "verdicts": verdicts,
-        "tolerances": {"rank_tol": tol.rank_tol, "geom_tol": tol.geom_tol},
+        "tolerances": asdict(tol),
         "instance_hash": instance_hash(loaded.document),
         "timings": timings,
     }

@@ -16,7 +16,7 @@ partial derivatives with respect to the lengths.
 """
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -485,6 +485,10 @@ def rigidity_from_lambda(d, tol: Tolerances = DEFAULT_TOL):
 
 @dataclass(frozen=True)
 class ProbeTrial:
+    """One probe trial, written from its fields in order: `to_dict` is its
+    report.json record (`seed`, the probe seed and trial index, as a list),
+    `csv_header` and `csv_row` its trials.csv line (`seed` as two columns)."""
+
     kind: str
     seed: tuple
     r: int
@@ -494,15 +498,16 @@ class ProbeTrial:
     rigid: bool
 
     def to_dict(self):
-        return {
-            "kind": self.kind,
-            "seed": list(self.seed),
-            "r": self.r,
-            "min_eigenvalue": self.min_eigenvalue,
-            "diagonal_positive": self.diagonal_positive,
-            "weakly_convex": self.weakly_convex,
-            "rigid": self.rigid,
-        }
+        return {**vars(self), "seed": list(self.seed)}
+
+    @classmethod
+    def csv_header(cls):
+        return tuple(column for f in fields(cls)
+                     for column in (("seed0", "seed1") if f.name == "seed" else (f.name,)))
+
+    def csv_row(self):
+        return tuple(cell for name, value in vars(self).items()
+                     for cell in (value if name == "seed" else (value,)))
 
 
 @dataclass(frozen=True)

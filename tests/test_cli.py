@@ -105,6 +105,35 @@ def test_missing_file_exits_one(capsys, tmp_path):
     assert code == 1 and "error" in err
 
 
+def _duplicate_edge(doc):
+    doc["edges"].append(dict(doc["edges"][0]))
+    return "/edges: duplicate edge ({i}, {j})"
+
+
+def _coincident_endpoints(doc):
+    doc["vertices"][doc["edges"][0]["j"]] = list(doc["vertices"][doc["edges"][0]["i"]])
+    return "/edges: edge ({i}, {j}) has (near-)zero length"
+
+
+def _nan_coordinate(doc):
+    doc["vertices"][2][0] = float("nan")
+    return "/vertices/2: non-finite vertex coordinates"
+
+
+@pytest.mark.parametrize("spoil", [_duplicate_edge, _coincident_endpoints, _nan_coordinate])
+def test_framework_errors_in_a_document_carry_a_pointer(capsys, tmp_path, spoil):
+    """A non-finite coordinate and the edge framework's refusals point into
+    the document, as the schema, index, face, pole and tetrahedron errors do."""
+    doc = fileio.to_document(shapes.octahedron())
+    i, j = doc["edges"][0]["i"], doc["edges"][0]["j"]
+    message = spoil(doc).format(i=i, j=j)
+    path = tmp_path / "spoiled.json"
+    path.write_text(json.dumps(doc))  # NaN is written as the token NaN, which json.load reads
+    for command in ("analyze", "stress", "signs"):
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 # ---------------------------------------------------------------------------
 # analyze
 # ---------------------------------------------------------------------------
@@ -494,6 +523,34 @@ def test_probe_pd_rejects_fewer_than_one_trial(capsys, tmp_path, trials):
     code, _, err = run(capsys, "probe-pd", "--trials", trials, "--out", str(tmp_path / "pd"))
     assert code == 1 and f"--trials must be at least 1, got {trials}" in err
     assert not (tmp_path / "pd").exists()
+
+
+def test_probe_pd_reads_the_tolerances_before_its_trial_count(capsys, tmp_path):
+    """main builds the tolerances before any handler runs, so an invalid
+    --rank-tol is reported ahead of probe-pd's own --trials check."""
+    code, _, err = run(capsys, "probe-pd", "--trials", "0", "--rank-tol", "5",
+                       "--out", str(tmp_path / "pd"))
+    assert (code, err) == (1, "error: rank_tol must lie in (0, 1e-3), got 5.0\n")
+    assert not (tmp_path / "pd").exists()
+
+
+def test_probe_pd_trials_csv_matches_the_report_trial_by_trial(capsys, tmp_path):
+    """trials.csv is report.json's trials in order under one header: the seed
+    pair as seed0 and seed1, floats as repr (inf where a trial has no
+    interior edge), booleans as True or False."""
+    out = tmp_path / "pd"
+    assert run(capsys, "probe-pd", "--trials", "60", "--seed", "0", "--out", str(out))[0] == 0
+    trials = json.loads((out / "report.json").read_text())["trials"]
+    assert any(t["r"] == 0 and t["min_eigenvalue"] == float("inf") for t in trials)
+    with open(out / "trials.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["kind", "seed0", "seed1", "r", "min_eigenvalue",
+                      "diagonal_positive", "weakly_convex", "rigid"]
+    assert rows == [
+        [t["kind"], str(t["seed"][0]), str(t["seed"][1]), str(t["r"]), repr(t["min_eigenvalue"]),
+         str(t["diagonal_positive"]), str(t["weakly_convex"]), str(t["rigid"])]
+        for t in trials
+    ]
 
 
 def _reject_constant(name):
